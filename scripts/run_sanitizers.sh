@@ -46,8 +46,11 @@ fleet_filter='FleetTest.*'
 # Tier suite: background digestion thread vs grants, promote-cache seqlock reads, the
 # LeaseCache refill worker, and the digestion crash sweep. Small enough to run whole.
 tier_filter='TierTest.*'
+# Callback watchdog in isolation: caller/helper handoff per affinity pool, nested guarded
+# calls, and a hung callback abandoned at its deadline while its helper keeps running.
+watchdog_filter='CallbackGuardTest.*'
 targets=(delegation_test crash_explorer_test op_ring_test common_test
-         schedule_explorer_test fuzz_corpus_test fleet_test tier_test)
+         schedule_explorer_test fuzz_corpus_test fleet_test tier_test kernel_test)
 if [[ $adversarial -eq 1 ]]; then
   schedule_filter='*'
   fuzz_filter='*'
@@ -82,6 +85,9 @@ for san in "${sanitizers[@]}"; do
 
   echo "== TRIO_SANITIZE=$san: tier_test =="
   "$build/tests/tier_test" --gtest_filter="$tier_filter" --gtest_brief=1
+
+  echo "== TRIO_SANITIZE=$san: kernel_test (callback watchdog) =="
+  "$build/tests/kernel_test" --gtest_filter="$watchdog_filter" --gtest_brief=1
 
   if [[ $adversarial -eq 1 ]]; then
     echo "== TRIO_SANITIZE=$san: integrity_test (full corruption sweep) =="

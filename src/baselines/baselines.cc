@@ -44,8 +44,8 @@ KernelFsOptions BaselineOptions(BaselineKind kind) {
 KernelFsAdapter::KernelFsAdapter(NvmPool& pool, BaselineKind kind, VfsConfig vfs_config)
     : pool_(pool), kind_(kind), vfs_(vfs_config), engine_(pool, BaselineOptions(kind)) {
   if (kind == BaselineKind::kOdinfs) {
-    delegation_ = std::make_unique<DelegationPool>(
-        pool_, pool_.topology().delegation_threads_per_node);
+    // Default config: the topology's threads per node, as OdinFS sizes its pools.
+    delegation_ = std::make_unique<DelegationPool>(pool_, DelegationConfig{});
   }
 }
 

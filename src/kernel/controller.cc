@@ -395,8 +395,7 @@ Status KernelController::RunRecovery() {
       // Recovery programs are arbitrary user code; one that never returns must not wedge
       // recovery for everyone. On timeout the program's journal state is unknown, so
       // coverage escalates below to verifying every file, not just the logged ones.
-      if (!callback_guard_.Run(config_.recovery_timeout_ms, program)) {
-        stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
+      if (!RunGuarded(config_.recovery_timeout_ms, program)) {
         program_timed_out = true;
         TRIO_LOG(kWarn) << "recovery: a LibFS recovery program overran "
                         << config_.recovery_timeout_ms
@@ -1035,6 +1034,19 @@ void KernelController::WmapLogRemove(Ino ino) {
       return;
     }
   }
+}
+
+bool KernelController::RunGuarded(uint64_t timeout_ms, std::function<void()> fn) {
+  // Wall time, like the guard's deadline (clock_ may be a test's FakeClock).
+  SystemClock* wall = SystemClock::Instance();
+  const uint64_t t0 = wall->NowNs();
+  const bool completed = callback_guard_.Run(timeout_ms, std::move(fn));
+  stats_.callback_wait_ns.fetch_add(wall->NowNs() - t0, std::memory_order_relaxed);
+  stats_.callback_runs.fetch_add(1, std::memory_order_relaxed);
+  if (!completed) {
+    stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
+  }
+  return completed;
 }
 
 // ---------------------------------------------------------------------------

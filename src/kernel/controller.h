@@ -163,7 +163,10 @@ struct KernelStats {
   obs::Counter corruptions_fixed_by_libfs;
   obs::Counter corruptions_rolled_back;
   obs::Counter revocations;
-  // LibFS callbacks abandoned by the deadline watchdog (hung fix/recovery/revoke).
+  // LibFS callbacks run under the deadline watchdog, the callers' wall time spent waiting
+  // for them (revoke handoffs included), and those abandoned (hung fix/recovery/revoke).
+  obs::Counter callback_runs;
+  obs::Counter callback_wait_ns;
   obs::Counter callback_timeouts;
   obs::Counter forced_releases;  // Leases reclaimed from unresponsive holders.
   obs::Counter verify_timeouts;  // Verifications that overran verify_timeout_ms.
@@ -195,6 +198,8 @@ struct KernelStats {
                         {"corruptions_fixed_by_libfs", &corruptions_fixed_by_libfs},
                         {"corruptions_rolled_back", &corruptions_rolled_back},
                         {"revocations", &revocations},
+                        {"callback_runs", &callback_runs},
+                        {"callback_wait_ns", &callback_wait_ns},
                         {"callback_timeouts", &callback_timeouts},
                         {"forced_releases", &forced_releases},
                         {"verify_timeouts", &verify_timeouts},
@@ -221,6 +226,8 @@ struct KernelStats {
     corruptions_fixed_by_libfs = 0;
     corruptions_rolled_back = 0;
     revocations = 0;
+    callback_runs = 0;
+    callback_wait_ns = 0;
     callback_timeouts = 0;
     forced_releases = 0;
     verify_timeouts = 0;
@@ -527,6 +534,10 @@ class KernelController : public OwnershipView, public VerifyEnv {
                         std::unordered_set<Ino>* seen_inos);
   void WmapLogAdd(Ino ino);
   void WmapLogRemove(Ino ino);
+  // Runs an untrusted LibFS callback under callback_guard_. True iff it completed within
+  // `timeout_ms`. Counts the run, the caller's wall time inside the guard and a timeout
+  // here, on the caller's side: an abandoned callback may outlive this controller.
+  bool RunGuarded(uint64_t timeout_ms, std::function<void()> fn);
   uint64_t NowNs() { return clock_->NowNs(); }
 
   NvmPool& pool_;

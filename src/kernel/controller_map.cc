@@ -359,10 +359,9 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
     const Ino revoke_ino = ino;
     auto revoke_fn = revoke;
     const bool completed =
-        callback_guard_.Run(budget_ms, [revoke_fn, revoke_ino] { revoke_fn(revoke_ino); });
+        RunGuarded(budget_ms, [revoke_fn, revoke_ino] { revoke_fn(revoke_ino); });
     contended_transfer_depth_.fetch_sub(1, std::memory_order_relaxed);
     if (!completed) {
-      stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
       TRIO_LOG(kWarn) << "revoke of ino " << ino << " from LibFS " << conflict
                       << " overran the lease deadline; forcing release";
       ForceRelease(ino, conflict);

@@ -142,12 +142,10 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
       // on a watchdog thread and a hang is abandoned, escalating to rollback below. The
       // result lives in a shared_ptr because an abandoned callback may write it late.
       auto claimed = std::make_shared<std::atomic<bool>>(false);
-      const bool completed =
-          callback_guard_.Run(config_.fix_timeout_ms, [fix, ino, failure, claimed] {
-            claimed->store(fix(ino, failure), std::memory_order_release);
-          });
+      const bool completed = RunGuarded(config_.fix_timeout_ms, [fix, ino, failure, claimed] {
+        claimed->store(fix(ino, failure), std::memory_order_release);
+      });
       if (!completed) {
-        stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
         TRIO_LOG(kWarn) << "fix_corruption for ino " << ino
                         << " hung past fix_timeout_ms; rolling back to checkpoint";
       }
@@ -199,10 +197,7 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
   if (notify) {
     ShardRank::AssertNoneHeld();
     if (config_.guard_callbacks) {
-      if (!callback_guard_.Run(config_.fix_timeout_ms,
-                               [notify, ino, failure] { notify(ino, failure); })) {
-        stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
-      }
+      (void)RunGuarded(config_.fix_timeout_ms, [notify, ino, failure] { notify(ino, failure); });
     } else {
       notify(ino, failure);
     }

@@ -117,10 +117,6 @@ class DelegationBatch;
 class DelegationPool {
  public:
   DelegationPool(NvmPool& pool, DelegationConfig config = {});
-  // Legacy shape (threads, ring capacity) kept for the OdinFS baseline and older tests.
-  DelegationPool(NvmPool& pool, int threads_per_node, size_t ring_capacity = 1024)
-      : DelegationPool(pool, MakeLegacyConfig(threads_per_node, ring_capacity)) {}
-
   ~DelegationPool();
   DelegationPool(const DelegationPool&) = delete;
   DelegationPool& operator=(const DelegationPool&) = delete;
@@ -138,13 +134,6 @@ class DelegationPool {
 
   // Adaptive wait: spins with CpuRelax, then parks until workers drive `pending` to 0.
   void Wait(std::atomic<uint32_t>& pending);
-
-  // Legacy pure-spin wait (no pool => no parking). Prefer the member Wait().
-  static void WaitFor(std::atomic<uint32_t>& pending) {
-    while (pending.load(std::memory_order_acquire) != 0) {
-      CpuRelax();
-    }
-  }
 
   const DelegationConfig& config() const { return config_; }
   int num_nodes() const { return num_nodes_; }
@@ -175,13 +164,6 @@ class DelegationPool {
     std::atomic<uint32_t> sleepers{0};
     DelegationNodeStats stats;
   };
-
-  static DelegationConfig MakeLegacyConfig(int threads_per_node, size_t ring_capacity) {
-    DelegationConfig config;
-    config.threads_per_node = threads_per_node;
-    config.ring_capacity = ring_capacity;
-    return config;
-  }
 
   uint64_t Sum(obs::Counter DelegationNodeStats::* field) const {
     uint64_t total = 0;

@@ -14,15 +14,31 @@
 // alive. The kernel escalates on timeout (forced release, checkpoint rollback, full
 // re-verification); a late-returning callback finds its session already torn down and its
 // kernel entry points fail closed.
+//
+// Placement: a callback runs on a helper with the CALLER's CPU affinity. Idle helpers are
+// pooled per affinity mask, and a new helper is spawned from the calling thread, so it
+// inherits that mask. A caller pinned to one CPU thus runs its callback on that CPU, which
+// idles while the caller waits and whose cache already holds the records the callback
+// touches; a helper on another CPU would add a remote wake-up at both ends of the handoff
+// and run the callback on a cold cache. An unpinned caller gets unpinned helpers: pinning
+// one to the CPU an unpinned caller happens to be on would strand it behind that CPU's
+// run queue, turning a slow revoke into a forced release under load.
 
 #ifndef SRC_KERNEL_WATCHDOG_H_
 #define SRC_KERNEL_WATCHDOG_H_
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -78,6 +94,24 @@ class CallbackGuard {
   uint64_t timeouts() const { return timeouts_.load(std::memory_order_relaxed); }
 
  private:
+#if defined(__linux__)
+  using Affinity = std::array<unsigned char, sizeof(cpu_set_t)>;
+#else
+  using Affinity = std::array<unsigned char, 0>;  // No affinity query: one shared pool.
+#endif
+
+  // The calling thread's CPU affinity mask (all-zero if the query fails).
+  static Affinity CallerAffinity() {
+    Affinity affinity{};
+#if defined(__linux__)
+    cpu_set_t set{};
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+      std::memcpy(affinity.data(), &set, sizeof(set));
+    }
+#endif
+    return affinity;
+  }
+
   struct Worker {
     std::mutex mutex;
     std::condition_variable cv;       // Helper waits here for a task (or exit).
@@ -87,18 +121,24 @@ class CallbackGuard {
     bool done = false;
     bool exit = false;
     bool abandoned = false;
+    Affinity affinity{};  // The spawning caller's mask; the helper runs under it.
   };
 
   std::shared_ptr<Worker> Acquire() {
+    const Affinity affinity = CallerAffinity();
     {
       std::lock_guard<std::mutex> guard(mutex_);
-      if (!idle_.empty()) {
-        std::shared_ptr<Worker> worker = std::move(idle_.back());
-        idle_.pop_back();
-        return worker;
+      for (auto it = idle_.rbegin(); it != idle_.rend(); ++it) {
+        if ((*it)->affinity == affinity) {
+          std::shared_ptr<Worker> worker = std::move(*it);
+          idle_.erase(std::next(it).base());
+          return worker;
+        }
       }
     }
     auto worker = std::make_shared<Worker>();
+    worker->affinity = affinity;
+    // Spawned from the calling thread, so the helper inherits the caller's affinity mask.
     // Detached: joining is impossible in the abandoned case, and the shared_ptr keeps the
     // Worker alive for whichever side (caller or helper) finishes last.
     std::thread([worker] {
@@ -130,6 +170,7 @@ class CallbackGuard {
   }
 
   mutable std::mutex mutex_;
+  // Parked helpers of every affinity; a caller takes the most recent one matching its own.
   std::vector<std::shared_ptr<Worker>> idle_;
   std::atomic<uint64_t> timeouts_{0};
 };

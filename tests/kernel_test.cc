@@ -1,13 +1,21 @@
 // Unit tests for the kernel controller: registration, leasing, MMU grants, the
 // concurrent-read/exclusive-write policy, revocation, checkpoints, ownership tables, the
-// write-map log, permission enforcement, and trust-boundary bookkeeping.
+// write-map log, permission enforcement, and trust-boundary bookkeeping; plus the
+// CallbackGuard watchdog that runs every LibFS callback (placement and deadline).
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "src/core/core_state.h"
 #include "src/kernel/controller.h"
+#include "src/kernel/watchdog.h"
 
 namespace trio {
 namespace {
@@ -153,6 +161,10 @@ TEST_F(KernelTest, WriteConflictInvokesRevokeCallback) {
   ASSERT_TRUE(kernel_->MapRoot(requester, true).ok());
   EXPECT_EQ(revokes.load(), 1);
   EXPECT_GE(kernel_->stats().revocations.load(), 1u);
+  // The revoke ran under the watchdog, and the requester's wait for it is accounted.
+  EXPECT_EQ(kernel_->stats().callback_runs.load(), 1u);
+  EXPECT_GT(kernel_->stats().callback_wait_ns.load(), 0u);
+  EXPECT_EQ(kernel_->stats().callback_timeouts.load(), 0u);
 
   kernel_->UnregisterLibFs(holder);
   kernel_->UnregisterLibFs(requester);
@@ -258,6 +270,147 @@ TEST_F(KernelTest, UncleanRemountFlagsRecovery) {
   EXPECT_TRUE(fresh.NeedsRecovery());
   EXPECT_TRUE(fresh.RunRecovery().ok());
   EXPECT_FALSE(fresh.NeedsRecovery());
+}
+
+// ---- CallbackGuard ----
+
+constexpr uint64_t kNoHangMs = 10000;  // Deadline for callbacks that never hang.
+
+// The CPUs this process may run on, lowest first.
+std::vector<int> AllowedCpus() {
+  cpu_set_t set{};
+  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &set)) {
+        cpus.push_back(cpu);
+      }
+    }
+  }
+  return cpus;
+}
+
+// Runs `fn` on a fresh thread pinned to `cpu` (unpinned if negative) and joins it.
+void OnThread(int cpu, const std::function<void()>& fn) {
+  std::thread thread([cpu, &fn] {
+    if (cpu >= 0) {
+      cpu_set_t set{};
+      CPU_SET(cpu, &set);
+      ASSERT_EQ(sched_setaffinity(0, sizeof(set), &set), 0);
+    }
+    fn();
+  });
+  thread.join();
+}
+
+struct Placement {
+  int cpu = -1;
+  cpu_set_t mask{};
+};
+
+// Where a callback that `guard` runs for the calling thread executes.
+Placement CallbackPlacement(CallbackGuard& guard) {
+  auto seen = std::make_shared<Placement>();  // The task owns what it writes.
+  EXPECT_TRUE(guard.Run(kNoHangMs, [seen] {
+    seen->cpu = sched_getcpu();
+    EXPECT_EQ(sched_getaffinity(0, sizeof(seen->mask), &seen->mask), 0);
+  }));
+  return *seen;
+}
+
+cpu_set_t CallerMask() {
+  cpu_set_t mask{};
+  EXPECT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  return mask;
+}
+
+TEST(CallbackGuardTest, PinnedCallerRunsCallbackOnItsOwnCpu) {
+  const std::vector<int> cpus = AllowedCpus();
+  if (cpus.size() < 2) {
+    GTEST_SKIP() << "needs 2 allowed CPUs";
+  }
+  CallbackGuard guard;
+  // Leaves an idle helper spawned by a caller pinned to another CPU in the pool.
+  OnThread(cpus[1], [&guard] { (void)CallbackPlacement(guard); });
+  Placement seen;
+  cpu_set_t caller{};
+  OnThread(cpus[0], [&] {
+    caller = CallerMask();
+    seen = CallbackPlacement(guard);
+  });
+  EXPECT_EQ(seen.cpu, cpus[0]);
+  EXPECT_TRUE(CPU_EQUAL(&seen.mask, &caller));
+}
+
+TEST(CallbackGuardTest, UnpinnedCallerGetsAnUnpinnedHelper) {
+  const std::vector<int> cpus = AllowedCpus();
+  if (cpus.size() < 2) {
+    GTEST_SKIP() << "needs 2 allowed CPUs";
+  }
+  CallbackGuard guard;
+  OnThread(cpus[1], [&guard] { (void)CallbackPlacement(guard); });
+  Placement seen;
+  cpu_set_t caller{};
+  OnThread(-1, [&] {
+    caller = CallerMask();
+    seen = CallbackPlacement(guard);
+  });
+  EXPECT_TRUE(CPU_EQUAL(&seen.mask, &caller));
+  EXPECT_EQ(CPU_COUNT(&seen.mask), static_cast<int>(cpus.size()));
+}
+
+TEST(CallbackGuardTest, CallbackThatRunsAnotherCallbackCompletes) {
+  const std::vector<int> cpus = AllowedCpus();
+  ASSERT_FALSE(cpus.empty());
+  CallbackGuard guard;
+  auto inner_ran = std::make_shared<std::atomic<bool>>(false);
+  // Pinned, so the nested helper shares the one CPU with the outer helper and the caller.
+  OnThread(cpus[0], [&guard, inner_ran] {
+    EXPECT_TRUE(guard.Run(kNoHangMs, [&guard, inner_ran] {
+      EXPECT_TRUE(guard.Run(kNoHangMs, [inner_ran] { inner_ran->store(true); }));
+    }));
+  });
+  EXPECT_TRUE(inner_ran->load());
+  EXPECT_EQ(guard.timeouts(), 0u);
+}
+
+thread_local bool t_ran_hung_callback = false;
+
+TEST(CallbackGuardTest, HungCallbackIsAbandonedAtItsDeadline) {
+  constexpr uint64_t kDeadlineMs = 50;
+  CallbackGuard guard;
+  auto release = std::make_shared<std::atomic<bool>>(false);
+  auto returned = std::make_shared<std::atomic<bool>>(false);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(guard.Run(kDeadlineMs, [release, returned] {
+    t_ran_hung_callback = true;
+    while (!release->load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    returned->store(true);
+  }));
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(waited, std::chrono::milliseconds(kDeadlineMs));
+  EXPECT_LT(waited, std::chrono::milliseconds(kDeadlineMs) + std::chrono::seconds(5));
+  EXPECT_EQ(guard.timeouts(), 1u);
+
+  // The abandoned helper never runs another callback: not while it hangs, nor after.
+  auto on_hung_helper = [&guard] {
+    auto seen = std::make_shared<std::atomic<bool>>(true);
+    EXPECT_TRUE(guard.Run(kNoHangMs, [seen] { seen->store(t_ran_hung_callback); }));
+    return seen->load();
+  };
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_FALSE(on_hung_helper());
+  }
+  release->store(true);
+  while (!returned->load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_FALSE(on_hung_helper());
+  }
+  EXPECT_EQ(guard.timeouts(), 1u);
 }
 
 }  // namespace
