@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Builds the concurrency-heavy test binaries (delegation pool, callback watchdog, crash
-# explorer, op-ring drainer, multi-tenant schedule explorer, fuzz corpus, fleet) under
-# ThreadSanitizer and AddressSanitizer and runs a smoke subset of each.
+# Builds the concurrency-heavy test binaries (the Parker park/wake primitive, delegation
+# pool, callback watchdog, crash explorer, op-ring drainer, multi-tenant schedule
+# explorer, fuzz corpus, fleet, trace ring) under ThreadSanitizer and AddressSanitizer and
+# runs a smoke subset of each.
 #
 # Usage: scripts/run_sanitizers.sh [thread|address] [--adversarial]
 #   (no sanitizer: both, thread first)
@@ -31,9 +32,10 @@ delegation_filter='DelegationFaultTest.*:DelegationTest.ConcurrentStandaloneSubm
 explorer_filter='FaultSimKernelTest.*:CrashExplorerTest.AppendHeavyWorkloadCleanAtEveryFence'
 # Every OpRingTest crosses the submitter/drainer boundary (SPSC rings, park/wake, epoch
 # close before CQE post) — exactly what TSan needs to see; SpscRingTest adds the raw
-# two-thread ring in isolation.
+# two-thread ring in isolation, and ParkerTest the park/wake primitive the delegation
+# pool and the drainer share.
 ring_filter='OpRingTest.*'
-spsc_filter='SpscRingTest.*'
+common_filter='SpscRingTest.*:ParkerTest.*'
 # Schedule explorer smoke: determinism + a full clean sweep (both tenants, crash points);
 # fuzz smoke: one seed variant of every corruption class plus the verifier/quarantine
 # bounds tests.
@@ -49,8 +51,10 @@ tier_filter='TierTest.*'
 # Callback watchdog in isolation: caller/helper handoff per affinity pool, nested guarded
 # calls, and a hung callback abandoned at its deadline while its helper keeps running.
 watchdog_filter='CallbackGuardTest.*'
+# Trace ring seqlock: snapshots taken while other threads push.
+obs_filter='OpContextTest.SnapshotWhileThreadsPush*'
 targets=(delegation_test crash_explorer_test op_ring_test common_test
-         schedule_explorer_test fuzz_corpus_test fleet_test tier_test kernel_test)
+         schedule_explorer_test fuzz_corpus_test fleet_test tier_test kernel_test obs_test)
 if [[ $adversarial -eq 1 ]]; then
   schedule_filter='*'
   fuzz_filter='*'
@@ -72,7 +76,7 @@ for san in "${sanitizers[@]}"; do
 
   echo "== TRIO_SANITIZE=$san: op_ring_test =="
   "$build/tests/op_ring_test" --gtest_filter="$ring_filter" --gtest_brief=1
-  "$build/tests/common_test" --gtest_filter="$spsc_filter" --gtest_brief=1
+  "$build/tests/common_test" --gtest_filter="$common_filter" --gtest_brief=1
 
   echo "== TRIO_SANITIZE=$san: schedule_explorer_test =="
   "$build/tests/schedule_explorer_test" --gtest_filter="$schedule_filter" --gtest_brief=1
@@ -88,6 +92,9 @@ for san in "${sanitizers[@]}"; do
 
   echo "== TRIO_SANITIZE=$san: kernel_test (callback watchdog) =="
   "$build/tests/kernel_test" --gtest_filter="$watchdog_filter" --gtest_brief=1
+
+  echo "== TRIO_SANITIZE=$san: obs_test (trace ring) =="
+  "$build/tests/obs_test" --gtest_filter="$obs_filter" --gtest_brief=1
 
   if [[ $adversarial -eq 1 ]]; then
     echo "== TRIO_SANITIZE=$san: integrity_test (full corruption sweep) =="

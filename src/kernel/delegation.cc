@@ -13,6 +13,9 @@ namespace {
 constexpr size_t kWorkerPopBatch = 8;
 // Requests never exceed this, so uint32_t len always fits even for giant batch spans.
 constexpr size_t kMaxRequestBytes = size_t{1} << 30;
+// A single submission of at least this many requests to one ring wakes one parked worker
+// on every other node so they can steal into the burst.
+constexpr size_t kStealWakeThreshold = 64;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -45,10 +48,7 @@ void DelegationPool::Stop() {
   }
   // Wake every parked worker; their loops observe stopped_ and exit.
   for (auto& node : nodes_) {
-    {
-      std::lock_guard<std::mutex> guard(node->mutex);
-    }
-    node->cv.notify_all();
+    node->parker.NotifyAll();
   }
   for (auto& worker : workers_) {
     worker.join();
@@ -60,7 +60,7 @@ void DelegationPool::Stop() {
   for (int n = 0; n < num_nodes_; ++n) {
     DrainInline(n);
   }
-  WakeWaiters();
+  waiters_.NotifyAll();
 }
 
 void DelegationPool::Submit(const DelegationRequest& request) {
@@ -96,39 +96,28 @@ void DelegationPool::SubmitSpan(int node, const DelegationRequest* requests, siz
     const size_t now = state.ring.TryPushBatch(requests + pushed, count - pushed);
     pushed += now;
     if (now == 0) {
-      WakeNode(state, /*wake_all=*/true);  // Full ring: make sure consumers are running.
+      state.parker.NotifyAll();  // Full ring: make sure consumers are running.
       CpuRelax();
     }
   }
 
-  // Pair with the fence after a worker registers as a sleeper: either the worker's
-  // post-registration ring check sees our push, or we see its sleepers increment.
+  // Either Stop's final drain sees our push, or this check sees stopped_.
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if (stopped_.load(std::memory_order_seq_cst)) {
     DrainInline(node);  // Stop raced with the push; its final drain may already be done.
   }
-  WakeNode(state, count > 1);
-  if (config_.steal && count >= config_.steal_wake_threshold) {
+  if (count > 1) {
+    state.parker.NotifyAll();
+  } else {
+    state.parker.NotifyOne();
+  }
+  if (config_.steal && count >= kStealWakeThreshold) {
     // Large burst: wake one parked worker on every other node to steal into it.
     for (int n = 0; n < num_nodes_; ++n) {
       if (n != node) {
-        WakeNode(*nodes_[n], /*wake_all=*/false);
+        nodes_[n]->parker.NotifyOne();
       }
     }
-  }
-}
-
-void DelegationPool::WakeNode(NodeState& node, bool wake_all) {
-  if (node.sleepers.load(std::memory_order_seq_cst) == 0) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> guard(node.mutex);
-  }
-  if (wake_all) {
-    node.cv.notify_all();
-  } else {
-    node.cv.notify_one();
   }
 }
 
@@ -153,7 +142,7 @@ void DelegationPool::Execute(const DelegationRequest& request, int executing_nod
           // Stop raced with the re-queue; its final drain may already have run.
           DrainInline(executing_node);
         } else {
-          WakeNode(*nodes_[executing_node], /*wake_all=*/false);
+          nodes_[executing_node]->parker.NotifyOne();
         }
         return;  // The retried copy completes (and decrements pending) later.
       }
@@ -193,7 +182,7 @@ void DelegationPool::Execute(const DelegationRequest& request, int executing_nod
     // The final decrement is the last touch of batch-owned memory (the waiter may free
     // the batch as soon as it observes zero); waking goes through pool-owned state only.
     if (request.pending->fetch_sub(1, std::memory_order_seq_cst) == 1) {
-      WakeWaiters();
+      waiters_.NotifyAll();
     }
   }
 }
@@ -201,6 +190,9 @@ void DelegationPool::Execute(const DelegationRequest& request, int executing_nod
 void DelegationPool::WorkerLoop(int node) {
   NodeState& state = *nodes_[node];
   DelegationRequest batch[kWorkerPopBatch];
+  const auto has_work = [&] {
+    return !state.ring.ApproxEmpty() || stopped_.load(std::memory_order_relaxed);
+  };
   while (true) {
     const size_t popped = state.ring.TryPopBatch(batch, kWorkerPopBatch);
     if (popped > 0) {
@@ -215,31 +207,11 @@ void DelegationPool::WorkerLoop(int node) {
     if (config_.steal && TrySteal(node)) {
       continue;
     }
-    // Adaptive spin: stay hot through short gaps without holding the CPU forever.
-    bool retry = false;
-    for (uint32_t i = 0; i < config_.worker_spin; ++i) {
-      CpuRelax();
-      if (!state.ring.ApproxEmpty() || stopped_.load(std::memory_order_relaxed)) {
-        retry = true;
-        break;
-      }
-    }
-    if (retry) {
-      continue;
-    }
-    // Park. Register as a sleeper, then re-check the ring behind a seq_cst fence: a
-    // submitter either sees sleepers > 0 (and notifies under our mutex) or pushed early
-    // enough that this re-check sees the request. No lost wakeups either way.
-    {
-      std::unique_lock<std::mutex> lock(state.mutex);
-      state.sleepers.fetch_add(1, std::memory_order_seq_cst);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (!stopped_.load(std::memory_order_seq_cst) && state.ring.ApproxEmpty()) {
-        state.stats.parks.fetch_add(1, std::memory_order_relaxed);
-        state.cv.wait(lock);  // Single wait: wakers may want us to steal, so rescan.
-        state.stats.wakeups.fetch_add(1, std::memory_order_relaxed);
-      }
-      state.sleepers.fetch_sub(1, std::memory_order_relaxed);
+    // Returns early on a notify without work of our own: a sibling's burst wakes us to
+    // steal, so rescan either way.
+    if (state.parker.Await(has_work)) {
+      state.stats.parks.fetch_add(1, std::memory_order_relaxed);
+      state.stats.wakeups.fetch_add(1, std::memory_order_relaxed);
     }
   }
 }
@@ -265,36 +237,17 @@ void DelegationPool::DrainInline(int node) {
 }
 
 void DelegationPool::Wait(std::atomic<uint32_t>& pending) {
-  for (uint32_t i = 0; i < config_.waiter_spin; ++i) {
-    if (pending.load(std::memory_order_acquire) == 0) {
-      return;
-    }
-    CpuRelax();
+  const auto done = [&] { return pending.load(std::memory_order_acquire) == 0; };
+  // Every completed batch notifies all waiters, so a waiter may wake for someone else's.
+  while (!done()) {
+    waiters_.Await(done);
   }
-  std::unique_lock<std::mutex> lock(waiter_mutex_);
-  waiters_parked_.fetch_add(1, std::memory_order_seq_cst);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  while (pending.load(std::memory_order_seq_cst) != 0) {
-    waiter_cv_.wait(lock);
-  }
-  waiters_parked_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void DelegationPool::WakeWaiters() {
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (waiters_parked_.load(std::memory_order_seq_cst) == 0) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> guard(waiter_mutex_);
-  }
-  waiter_cv_.notify_all();
 }
 
 uint32_t DelegationPool::parked_workers() const {
   uint32_t parked = 0;
   for (const auto& node : nodes_) {
-    parked += node->sleepers.load(std::memory_order_acquire);
+    parked += node->parker.sleepers();
   }
   return parked;
 }

@@ -8,10 +8,9 @@
 //    boundaries once, enqueues per-node request vectors through the ring's batch hooks,
 //    and issues ONE fence per batch per node — workers Persist each chunk, and the last
 //    completer of a node's share of the batch fences (amortizing sfence as OdinFS does).
-//  * Spin-then-park: workers spin briefly on an empty ring, then park on a per-node
-//    condition variable and are woken by submitters; waiters adaptively spin (CpuRelax)
-//    and fall back to parking on a pool-level condition variable. An idle pool consumes
-//    ~0 CPU.
+//  * Spin-then-park: workers park on a per-node Parker (src/common/parker.h) when their
+//    ring runs dry and are woken by submitters; waiters park on a pool-level Parker until
+//    their batch completes. An idle pool consumes ~0 CPU.
 //  * Per-node sharded stats (submitted/completed/batches/wakeups/parks/steals) replace
 //    the old global counter, and idle workers steal from sibling-node rings so a skewed
 //    workload does not strand capacity.
@@ -23,14 +22,13 @@
 #define SRC_KERNEL_DELEGATION_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "src/common/mpmc_ring.h"
+#include "src/common/parker.h"
 #include "src/nvm/nvm.h"
 #include "src/obs/stats.h"
 
@@ -46,15 +44,8 @@ struct DelegationConfig {
   size_t ring_capacity = 1024;
   // 0 = use NumaTopology::delegation_threads_per_node.
   int threads_per_node = 0;
-  // TryPop/steal rounds an idle worker spins before parking.
-  uint32_t worker_spin = 2048;
-  // Completion polls a waiter spins before parking.
-  uint32_t waiter_spin = 4096;
   // Idle workers steal from sibling-node rings (trades node locality for utilization).
   bool steal = true;
-  // A single submission of at least this many requests to one ring wakes one parked
-  // worker on every other node so they can steal into the burst.
-  size_t steal_wake_threshold = 64;
   // FaultSim (kFaultDelegationWorker): a chunk that faults on a worker is re-queued up to
   // this many times, with exponential spin backoff, before being completed inline on the
   // faulting thread (which bypasses further injection, so completion is guaranteed).
@@ -132,7 +123,7 @@ class DelegationPool {
   // themselves; use DelegationBatch to amortize fences.
   void Submit(const DelegationRequest& request);
 
-  // Adaptive wait: spins with CpuRelax, then parks until workers drive `pending` to 0.
+  // Spins, then parks, until workers drive `pending` to 0.
   void Wait(std::atomic<uint32_t>& pending);
 
   const DelegationConfig& config() const { return config_; }
@@ -159,9 +150,7 @@ class DelegationPool {
   struct alignas(64) NodeState {
     explicit NodeState(size_t ring_capacity) : ring(ring_capacity) {}
     MpmcRing<DelegationRequest> ring;
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::atomic<uint32_t> sleepers{0};
+    Parker parker;  // This node's idle workers.
     DelegationNodeStats stats;
   };
 
@@ -183,8 +172,6 @@ class DelegationPool {
   bool TrySteal(int home);
   // Executes everything left in `node`'s ring inline (stop path).
   void DrainInline(int node);
-  void WakeNode(NodeState& node, bool wake_all);
-  void WakeWaiters();
 
   NvmPool& pool_;
   const DelegationConfig config_;
@@ -193,13 +180,9 @@ class DelegationPool {
   // Worker-side persistence accounting (chunk persists, batch/standalone fences).
   obs::PersistStats persist_stats_{"delegation"};
   std::vector<std::unique_ptr<NodeState>> nodes_;
+  Parker waiters_;  // Application threads waiting on completions (see Wait()).
   std::vector<std::thread> workers_;
   std::atomic<bool> stopped_{false};
-
-  // Parked application threads waiting on batch completions (see Wait()).
-  std::mutex waiter_mutex_;
-  std::condition_variable waiter_cv_;
-  std::atomic<uint32_t> waiters_parked_{0};
 };
 
 // Accumulates one logical read/write as per-node request vectors and submits them in one

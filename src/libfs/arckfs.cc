@@ -51,8 +51,7 @@ ArckFs::ArckFs(KernelController& kernel, ArckFsConfig config)
       config_(std::move(config)),
       libfs_(RegisterWithKernel(kernel, config_)),
       leases_(kernel, libfs_, config_.page_batch, config_.ino_batch),
-      promote_cache_(kernel.pool(), config_.promote_cache_slots,
-                     config_.promote_cache_shards, config_.promote_policy) {
+      promote_cache_(kernel.pool(), config_.promote_cache_slots) {
   Superblock* sb = SuperblockOf(pool_);
   GetOrCreateNode(kRootIno, kInvalidIno, /*is_dir=*/true, &sb->root);
   if (config_.ring.enabled) {

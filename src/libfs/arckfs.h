@@ -74,9 +74,6 @@ struct ArckFsConfig {
   // Promote cache for digested (backend-tier) pages (src/libfs/promote_cache.h).
   // 0 slots = disabled: tier reads still work but pay a kernel promote every time.
   size_t promote_cache_slots = 0;
-  size_t promote_cache_shards = 8;
-  // Optional replacement-policy override (unowned); null = built-in CLOCK.
-  PromoteCache::Policy* promote_policy = nullptr;
 };
 
 // Registered into obs::StatRegistry under layer "libfs" (summed across instances).

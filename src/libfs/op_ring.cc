@@ -38,10 +38,7 @@ OpRingEngine::~OpRingEngine() { Stop(); }
 
 void OpRingEngine::Stop() {
   stop_.store(true, std::memory_order_seq_cst);
-  {
-    std::lock_guard<std::mutex> guard(park_mutex_);
-    park_cv_.notify_all();
-  }
+  parker_.NotifyAll();
   if (drainer_.joinable()) {
     drainer_.join();
   }
@@ -72,12 +69,12 @@ void OpRingEngine::Submit(const Sqe& sqe) {
   // matters on few-core machines, where a spinning submitter would starve the drainer
   // out of the very CPU it needs to make room.
   while (!ring.TrySubmit(sqe)) {
-    WakeDrainer();
+    parker_.NotifyOne();
     std::this_thread::yield();
   }
   ++ring.submitted_;
   stats_.submitted.fetch_add(1);
-  WakeDrainer();
+  parker_.NotifyOne();
 }
 
 void OpRingEngine::SubmitBurst(Sqe* sqes, size_t count) {
@@ -87,13 +84,13 @@ void OpRingEngine::SubmitBurst(Sqe* sqes, size_t count) {
     // A burst larger than the SQ spills: wake the drainer to make room mid-burst (those
     // ops then span more than one pass, which is the best a bounded queue can do).
     while (!ring.TrySubmit(sqes[i])) {
-      WakeDrainer();
+      parker_.NotifyOne();
       std::this_thread::yield();
     }
     ++ring.submitted_;
   }
   stats_.submitted.fetch_add(count);
-  WakeDrainer();
+  parker_.NotifyOne();
 }
 
 uint64_t OpRingEngine::SubmitWrite(Fd fd, const void* buf, size_t len) {
@@ -194,20 +191,11 @@ void OpRingEngine::WaitIdle() {
   }
 }
 
-void OpRingEngine::WakeDrainer() {
-  // Same no-lost-wakeup protocol as the delegation pool: the full fence orders our SQ
-  // push before the sleepers read, pairing with the drainer's fence between its sleepers
-  // increment and its ring recheck — one side always sees the other.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (sleepers_.load(std::memory_order_seq_cst) != 0) {
-    stats_.wakeups.fetch_add(1);
-    std::lock_guard<std::mutex> guard(park_mutex_);
-    park_cv_.notify_one();
-  }
-}
-
 void OpRingEngine::DrainerLoop() {
-  auto has_work = [this] {
+  const auto has_work = [this] {
+    if (stop_.load(std::memory_order_acquire)) {
+      return true;  // Wake up to exit.
+    }
     const size_t published = published_rings_.load(std::memory_order_acquire);
     for (size_t i = 0; i < published; ++i) {
       if (!rings_[i]->sq_.ApproxEmpty()) {
@@ -223,38 +211,10 @@ void OpRingEngine::DrainerLoop() {
     if (stop_.load(std::memory_order_acquire)) {
       return;
     }
-    bool found = false;
-    for (uint32_t spin = 0; spin < config_.drainer_spin; ++spin) {
-      if (has_work() || stop_.load(std::memory_order_acquire)) {
-        found = true;
-        break;
-      }
-      // Mostly pause, but cede the CPU now and then: on a machine with fewer cores than
-      // threads the submitter needs this slice to produce the work we are spinning for,
-      // and handing it over here avoids a full park/futex round trip per handoff.
-      if ((spin & 63u) == 63u) {
-        std::this_thread::yield();
-      } else {
-        CpuRelax();
-      }
+    if (parker_.Await(has_work)) {
+      stats_.parks.fetch_add(1);
+      stats_.wakeups.fetch_add(1);
     }
-    if (found) {
-      continue;
-    }
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (has_work() || stop_.load(std::memory_order_acquire)) {
-      sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-      continue;
-    }
-    stats_.parks.fetch_add(1);
-    {
-      std::unique_lock<std::mutex> lock(park_mutex_);
-      park_cv_.wait(lock, [&] {
-        return has_work() || stop_.load(std::memory_order_acquire);
-      });
-    }
-    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
   }
 }
 

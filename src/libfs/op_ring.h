@@ -30,7 +30,6 @@
 #define SRC_LIBFS_OP_RING_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -40,6 +39,7 @@
 #include <vector>
 
 #include "src/common/mpmc_ring.h"
+#include "src/common/parker.h"
 #include "src/libfs/fs_interface.h"
 #include "src/nvm/nvm.h"
 #include "src/obs/persist_span.h"
@@ -56,8 +56,6 @@ struct OpRingConfig {
   // SQ capacity per thread ring (power of two). The CQ holds 2x so a full pass of
   // completions never blocks the drainer behind a slow reaper in the common case.
   size_t depth = 64;
-  // TryPop rounds the drainer spins over empty rings before parking.
-  uint32_t drainer_spin = 4096;
   // Rings one engine can hand out (fixed at construction so the published-ring array
   // never reallocates under the drainer).
   size_t max_rings = 64;
@@ -152,7 +150,7 @@ struct OpRingStats {
   obs::Counter pass_ops;      // SQEs summed over passes (avg depth = pass_ops/passes).
   obs::Counter cq_stalls;     // Spins because a CQ was full (slow reaper).
   obs::Counter parks;         // Drainer park events.
-  obs::Counter wakeups;       // Drainer wakeups by submitters.
+  obs::Counter wakeups;       // Times the parked drainer was woken.
 
   OpRingStats()
       : reg_("ring", {{"submitted", &submitted},
@@ -212,10 +210,10 @@ class OpRingEngine {
   const OpRingConfig& config() const { return config_; }
   const OpRingStats& stats() const { return stats_; }
 
-  // True once the drainer has run out of work and is parking (it may still be between
-  // the sleepers increment and the cv wait — WakeDrainer covers that window). Lets tests
+  // True once the drainer has run out of work and is parking (it may still be making
+  // its last check before sleeping; a submission then wakes it all the same). Lets tests
   // line a SubmitBurst up against a single drain pass.
-  bool DrainerParked() const { return sleepers_.load(std::memory_order_seq_cst) != 0; }
+  bool DrainerParked() const { return parker_.sleepers() != 0; }
 
  private:
   void DrainerLoop();
@@ -223,7 +221,6 @@ class OpRingEngine {
   size_t DrainOnce();
   Cqe Execute(const Sqe& sqe);
   void PostCqe(OpRing& ring, const Cqe& cqe);
-  void WakeDrainer();
 
   FsInterface& fs_;
   NvmPool& pool_;
@@ -240,11 +237,9 @@ class OpRingEngine {
   std::vector<std::unique_ptr<OpRing>> rings_;  // Capacity fixed at max_rings.
   std::atomic<size_t> published_rings_{0};
 
-  std::thread drainer_;
   std::atomic<bool> stop_{false};
-  std::mutex park_mutex_;
-  std::condition_variable park_cv_;
-  std::atomic<uint32_t> sleepers_{0};
+  Parker parker_;  // The idle drainer.
+  std::thread drainer_;
 };
 
 }  // namespace trio

@@ -4,55 +4,26 @@
 
 namespace trio {
 
-namespace {
-
-// Classic CLOCK: sweep from the hand, clearing access bits, and take the first slot
-// whose bit was already clear. Empty slots win immediately. Bounded by two full laps
-// (every bit is clear after one), so it always terminates.
-class ClockPolicy : public PromoteCache::Policy {
- public:
-  size_t PickVictim(PromoteCache::Slot* slots, size_t count, size_t* hand) override {
-    for (size_t step = 0; step < 2 * count; ++step) {
-      const size_t i = *hand;
-      *hand = (*hand + 1) % count;
-      if (slots[i].key.load(std::memory_order_relaxed) == 0) {
-        return i;
-      }
-      if (slots[i].referenced.exchange(0, std::memory_order_relaxed) == 0) {
-        return i;
-      }
-    }
-    return *hand;  // Unreachable; keeps the contract total.
-  }
-};
-
-size_t RoundUpPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
-}
-
-}  // namespace
-
-PromoteCache::PromoteCache(NvmPool& pool, size_t total_slots, size_t shards,
-                           Policy* policy)
-    : pool_(pool), policy_(policy) {
-  if (policy_ == nullptr) {
-    default_policy_ = std::make_unique<ClockPolicy>();
-    policy_ = default_policy_.get();
-  }
-  const size_t shard_count = RoundUpPow2(shards == 0 ? 1 : shards);
-  shards_ = std::vector<Shard>(shard_count);
-  shift_ = 64;
-  for (size_t s = shard_count; s > 1; s >>= 1) {
-    --shift_;
-  }
-  slots_per_shard_ = total_slots == 0 ? 0 : (total_slots + shard_count - 1) / shard_count;
+PromoteCache::PromoteCache(NvmPool& pool, size_t total_slots)
+    : pool_(pool), slots_per_shard_((total_slots + kShards - 1) / kShards) {
   for (Shard& shard : shards_) {
     shard.slots = std::vector<Slot>(slots_per_shard_);
   }
+}
+
+size_t PromoteCache::PickVictim(Shard& shard) {
+  // Bounded by two full laps (every bit is clear after one), so it always terminates.
+  const size_t count = shard.slots.size();
+  for (size_t step = 0; step < 2 * count; ++step) {
+    const size_t i = shard.hand;
+    shard.hand = (i + 1) % count;
+    Slot& slot = shard.slots[i];
+    if (slot.key.load(std::memory_order_relaxed) == 0 ||
+        slot.referenced.exchange(0, std::memory_order_relaxed) == 0) {
+      return i;
+    }
+  }
+  return shard.hand;  // Unreachable; keeps the contract total.
 }
 
 bool PromoteCache::ReadHit(Ino ino, uint64_t page_index, uint64_t in_page, void* dst,
@@ -72,7 +43,7 @@ bool PromoteCache::ReadHit(Ino ino, uint64_t page_index, uint64_t in_page, void*
     Slot* found = nullptr;
     for (Slot& slot : shard.slots) {
       if (slot.key.load(std::memory_order_relaxed) == key) {
-        page = slot.page;
+        page = slot.page.load(std::memory_order_relaxed);
         found = &slot;
         break;
       }
@@ -113,13 +84,13 @@ PageNumber PromoteCache::Insert(Ino ino, uint64_t page_index, PageNumber page) {
       return page;
     }
   }
-  const size_t victim = policy_->PickVictim(shard.slots.data(), shard.slots.size(),
-                                            &shard.hand);
-  Slot& slot = shard.slots[victim];
-  const PageNumber evicted = slot.key.load(std::memory_order_relaxed) != 0 ? slot.page : 0;
+  Slot& slot = shard.slots[PickVictim(shard)];
+  const PageNumber evicted = slot.key.load(std::memory_order_relaxed) != 0
+                                 ? slot.page.load(std::memory_order_relaxed)
+                                 : 0;
   shard.seq.fetch_add(1, std::memory_order_acq_rel);  // Odd: readers stand back.
   slot.key.store(key, std::memory_order_relaxed);
-  slot.page = page;
+  slot.page.store(page, std::memory_order_relaxed);
   slot.referenced.store(1, std::memory_order_relaxed);
   shard.seq.fetch_add(1, std::memory_order_release);  // Even again.
   if (evicted != 0) {
@@ -137,10 +108,10 @@ PageNumber PromoteCache::Erase(Ino ino, uint64_t page_index) {
   std::lock_guard<SpinLock> guard(shard.lock);
   for (Slot& slot : shard.slots) {
     if (slot.key.load(std::memory_order_relaxed) == key) {
-      const PageNumber page = slot.page;
+      const PageNumber page = slot.page.load(std::memory_order_relaxed);
       shard.seq.fetch_add(1, std::memory_order_acq_rel);
       slot.key.store(0, std::memory_order_relaxed);
-      slot.page = 0;
+      slot.page.store(0, std::memory_order_relaxed);
       slot.referenced.store(0, std::memory_order_relaxed);
       shard.seq.fetch_add(1, std::memory_order_release);
       return page;
@@ -165,9 +136,9 @@ void PromoteCache::EraseFile(Ino ino, std::vector<PageNumber>* recycled) {
         shard.seq.fetch_add(1, std::memory_order_acq_rel);
         bumped = true;
       }
-      recycled->push_back(slot.page);
+      recycled->push_back(slot.page.load(std::memory_order_relaxed));
       slot.key.store(0, std::memory_order_relaxed);
-      slot.page = 0;
+      slot.page.store(0, std::memory_order_relaxed);
       slot.referenced.store(0, std::memory_order_relaxed);
     }
     if (bumped) {

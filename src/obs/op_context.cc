@@ -61,8 +61,14 @@ std::vector<TraceEvent> TraceRing::Snapshot() const {
     if (slot.seq.load(std::memory_order_acquire) != seq + 1) {
       continue;  // In-progress or already overwritten by a newer event.
     }
-    TraceEvent copy = slot.event;
-    if (slot.seq.load(std::memory_order_acquire) != seq + 1) {
+    TraceEvent copy;
+    copy.op_id = slot.op_id.load(std::memory_order_relaxed);
+    copy.name = slot.name.load(std::memory_order_relaxed);
+    copy.begin_ns = slot.begin_ns.load(std::memory_order_relaxed);
+    copy.end_ns = slot.end_ns.load(std::memory_order_relaxed);
+    copy.depth = slot.depth.load(std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (slot.seq.load(std::memory_order_relaxed) != seq + 1) {
       continue;  // Overwritten while we copied; drop the torn read.
     }
     events.push_back(copy);

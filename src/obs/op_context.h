@@ -8,8 +8,8 @@
 // process-global flag with __builtin_expect — the disabled cost is one predicted branch
 // per span and zero clock reads, verified by bench_delegation staying within noise of its
 // committed baseline. When tracing is enabled, spans additionally record begin/end events
-// into a lock-free per-thread ring buffer (single producer, torn reads tolerated by
-// sequence-checking snapshots).
+// into a lock-free per-thread ring buffer (single producer, torn reads detected and
+// dropped by sequence-checking snapshots).
 
 #ifndef SRC_OBS_OP_CONTEXT_H_
 #define SRC_OBS_OP_CONTEXT_H_
@@ -53,8 +53,7 @@ struct OpContext {
   static OpContext* Current();
 };
 
-// One recorded span. `name` points at a static string; events are POD so the ring can
-// copy them without synchronization beyond the sequence counter.
+// One recorded span. `name` points at a static string.
 struct TraceEvent {
   uint64_t op_id = 0;
   const char* name = "";
@@ -63,9 +62,11 @@ struct TraceEvent {
   uint32_t depth = 0;
 };
 
-// Lock-free single-producer ring buffer of TraceEvents, one per thread. The producing
-// thread pushes with a release-published sequence number; snapshots from other threads
-// re-check the sequence around each copy and drop events that were overwritten mid-read.
+// Lock-free single-producer ring buffer of TraceEvents, one per thread, with a seqlock
+// per slot. The producer marks the slot in progress, stores the event fields as relaxed
+// atomics, and publishes the slot's sequence number with a release store. A snapshot
+// from another thread loads the sequence (acquire), the fields (relaxed), issues an
+// acquire fence and re-checks the sequence, dropping events overwritten mid-read.
 class TraceRing {
  public:
   static constexpr size_t kCapacity = 4096;  // Power of two.
@@ -73,8 +74,13 @@ class TraceRing {
   void Push(const TraceEvent& event) {
     const uint64_t seq = head_.load(std::memory_order_relaxed);
     Slot& slot = slots_[seq & (kCapacity - 1)];
-    slot.seq.store(0, std::memory_order_release);  // Mark in-progress.
-    slot.event = event;
+    slot.seq.store(0, std::memory_order_relaxed);  // Mark in-progress...
+    std::atomic_thread_fence(std::memory_order_release);  // ...before any field store.
+    slot.op_id.store(event.op_id, std::memory_order_relaxed);
+    slot.name.store(event.name, std::memory_order_relaxed);
+    slot.begin_ns.store(event.begin_ns, std::memory_order_relaxed);
+    slot.end_ns.store(event.end_ns, std::memory_order_relaxed);
+    slot.depth.store(event.depth, std::memory_order_relaxed);
     slot.seq.store(seq + 1, std::memory_order_release);
     head_.store(seq + 1, std::memory_order_release);
   }
@@ -93,7 +99,11 @@ class TraceRing {
  private:
   struct Slot {
     std::atomic<uint64_t> seq{0};  // 0 = empty/in-progress, else producer seq + 1.
-    TraceEvent event;
+    std::atomic<uint64_t> op_id{0};
+    std::atomic<const char*> name{""};
+    std::atomic<uint64_t> begin_ns{0};
+    std::atomic<uint64_t> end_ns{0};
+    std::atomic<uint32_t> depth{0};
   };
   std::atomic<uint64_t> head_{0};
   Slot slots_[kCapacity];

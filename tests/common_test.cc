@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 #include <vector>
@@ -9,6 +11,7 @@
 #include "src/common/clock.h"
 #include "src/common/hash.h"
 #include "src/common/mpmc_ring.h"
+#include "src/common/parker.h"
 #include "src/common/per_cpu.h"
 #include "src/common/random.h"
 #include "src/common/range_lock.h"
@@ -373,6 +376,123 @@ TEST(SpscRingTest, BatchHooksUseFastPath) {
     EXPECT_EQ(out[i], items[i]);
   }
   EXPECT_TRUE(ring.ApproxEmpty());
+}
+
+// Polls `pred` (yielding) until it holds or `limit` passes; returns whether it held.
+template <typename Pred>
+bool WaitFor(const Pred& pred, std::chrono::seconds limit = std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ParkerTest, NoLostWakeupAcrossManyParkRounds) {
+  constexpr uint64_t kRounds = 10000;
+  Parker parker;
+  std::atomic<uint64_t> published{0};  // Last round the notifier released.
+  std::atomic<uint64_t> consumed{0};   // Last round the waiter observed.
+  std::atomic<uint64_t> parks{0};
+  std::thread waiter([&] {
+    for (uint64_t round = 1; round <= kRounds; ++round) {
+      const auto ready = [&] { return published.load(std::memory_order_acquire) >= round; };
+      while (!ready()) {
+        if (parker.Await(ready)) {
+          parks.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      consumed.store(round, std::memory_order_release);
+    }
+  });
+  uint64_t lost_round = 0;
+  for (uint64_t round = 1; round <= kRounds && lost_round == 0; ++round) {
+    // Publish only once the waiter has registered as a sleeper, so every round races the
+    // notify against the waiter's final check and sleep: the window a lost wakeup needs.
+    // A round-dependent delay moves the publish across that window.
+    const bool registered = WaitFor([&] { return parker.sleepers() != 0; });
+    for (uint64_t i = 0; i < round % 32; ++i) {
+      CpuRelax();
+    }
+    published.store(round, std::memory_order_release);
+    parker.NotifyOne();
+    if (!registered ||
+        !WaitFor([&] { return consumed.load(std::memory_order_acquire) == round; })) {
+      lost_round = round;
+    }
+  }
+  if (lost_round != 0) {
+    published.store(kRounds, std::memory_order_release);  // Let the waiter finish.
+    parker.NotifyAll();
+  }
+  waiter.join();
+  EXPECT_EQ(lost_round, 0u) << "round " << lost_round << " never reached the waiter";
+  EXPECT_GT(parks.load(), 0u) << "the waiter never slept, so no round tested the park path";
+}
+
+TEST(ParkerTest, NotifyAllWakesEverySleeper) {
+  constexpr uint32_t kSleepers = 4;
+  Parker parker;
+  std::atomic<bool> released{false};
+  std::atomic<uint32_t> woken{0};
+  const auto is_released = [&] { return released.load(std::memory_order_acquire); };
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kSleepers; ++t) {
+    threads.emplace_back([&] {
+      if (parker.Await(is_released)) {
+        woken.fetch_add(1);
+      }
+    });
+  }
+  const bool all_parked = WaitFor([&] { return parker.sleepers() == kSleepers; });
+  parker.NotifyAll();  // `released` is still false: only the notify ends these Awaits.
+  const bool all_woken = WaitFor([&] { return woken.load() == kSleepers; });
+  released.store(true, std::memory_order_release);
+  parker.NotifyAll();
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_TRUE(all_parked);
+  EXPECT_TRUE(all_woken) << woken.load() << " of " << kSleepers << " sleepers woke";
+}
+
+TEST(ParkerTest, NotifyWakesSleeperWhoseConditionIsStillFalse) {
+  Parker parker;
+  std::atomic<int> slept{-1};  // -1 while the sleeper is still inside Await.
+  std::thread sleeper([&] {
+    slept.store(parker.Await([] { return false; }) ? 1 : 0, std::memory_order_release);
+  });
+  const bool parked = WaitFor([&] { return parker.sleepers() == 1; });
+  parker.NotifyOne();
+  const bool returned = WaitFor([&] { return slept.load(std::memory_order_acquire) != -1; });
+  if (!returned) {
+    parker.NotifyAll();
+  }
+  sleeper.join();
+  EXPECT_TRUE(parked);
+  EXPECT_TRUE(returned) << "a notify must end Await even though its condition is false";
+  EXPECT_EQ(slept.load(), 1);
+  EXPECT_EQ(parker.sleepers(), 0u);
+}
+
+TEST(ParkerTest, AwaitWithConditionAlreadyTrueReturnsWithoutSleeping) {
+  Parker parker;
+  int checks = 0;
+  EXPECT_FALSE(parker.Await([&] {
+    ++checks;
+    return true;
+  }));
+  EXPECT_EQ(checks, 1);
+  // A condition that turns true during the spin phase does not sleep either.
+  checks = 0;
+  EXPECT_FALSE(parker.Await([&] { return ++checks == 10; }));
+  EXPECT_EQ(checks, 10);
+  EXPECT_EQ(parker.sleepers(), 0u);
+  parker.NotifyOne();  // Nobody parked: no-ops.
+  parker.NotifyAll();
 }
 
 TEST(PerCpuTest, ShardsAreIndependent) {

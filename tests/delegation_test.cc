@@ -27,14 +27,6 @@ NumaTopology Topo(int nodes, int threads_per_node) {
   return topo;
 }
 
-// Tiny spin budgets so tests reach the park path quickly.
-DelegationConfig FastParkConfig() {
-  DelegationConfig config;
-  config.worker_spin = 64;
-  config.waiter_spin = 64;
-  return config;
-}
-
 // Polls until all workers are parked (or the deadline passes); returns success.
 bool WaitForAllParked(const DelegationPool& delegation, uint32_t expected,
                       std::chrono::milliseconds deadline = std::chrono::seconds(10)) {
@@ -175,7 +167,7 @@ TEST(DelegationTest, BatchedWriteIsDurableInTrackingMode) {
 }
 
 TEST(DelegationTest, NodeRoutingCorrectness) {
-  DelegationConfig config = FastParkConfig();
+  DelegationConfig config;
   config.steal = false;  // Deterministic routing: completions stay on the home node.
   NvmPool pool(64, NvmMode::kFast, Topo(4, 1));
   DelegationPool delegation(pool, config);
@@ -246,7 +238,7 @@ TEST(DelegationTest, ConcurrentBatchSubmitDrainFromEightThreads) {
 
 TEST(DelegationTest, IdlePoolParksAllWorkersAndWakeupsStayFlat) {
   NvmPool pool(64, NvmMode::kFast, Topo(2, 2));
-  DelegationPool delegation(pool, FastParkConfig());
+  DelegationPool delegation(pool);
   const uint32_t total_workers = 2 * 2;
 
   ASSERT_TRUE(WaitForAllParked(delegation, total_workers))
@@ -269,7 +261,7 @@ TEST(DelegationTest, IdlePoolParksAllWorkersAndWakeupsStayFlat) {
 
 TEST(DelegationTest, ParkWakeStressNoLostWakeup) {
   NvmPool pool(64, NvmMode::kFast, Topo(2, 1));
-  DelegationPool delegation(pool, FastParkConfig());
+  DelegationPool delegation(pool);
   std::vector<char> src(256, 's');
   for (int i = 0; i < 100; ++i) {
     // Let every worker park, then submit: the submission must always complete.
@@ -284,17 +276,18 @@ TEST(DelegationTest, ParkWakeStressNoLostWakeup) {
 }
 
 TEST(DelegationTest, WorkStealingDrainsSkewedLoad) {
-  DelegationConfig config = FastParkConfig();
-  config.steal = true;
-  config.steal_wake_threshold = 8;
   NvmPool pool(1 << 10, NvmMode::kFast, Topo(2, 1));
-  DelegationPool delegation(pool, config);
+  DelegationPool delegation(pool);
+  ASSERT_TRUE(delegation.config().steal);
   const size_t stripe = pool.NodeStripeBytes();
 
   std::vector<char> src(kPageSize, 'z');
-  // Everything targets node 0; node 1's worker should steal into the burst. Repeat a few
-  // rounds: stealing is opportunistic, but across rounds it must kick in.
-  for (int round = 0; round < 20 && delegation.steals() == 0; ++round) {
+  // Everything targets node 0; node 1's worker should steal into the burst. Stealing is
+  // opportunistic and needs node 1's worker to get a CPU while the burst is still
+  // queued, so keep submitting bursts (each wakes it) until it does, or give up at 10 s.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (delegation.node_stats(1).steals.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
     DelegationBatch batch(delegation);
     for (int i = 0; i < 256; ++i) {
       batch.AddWrite(pool.base() + (i % static_cast<int>(stripe / kPageSize)) * kPageSize,
@@ -311,7 +304,7 @@ TEST(DelegationTest, WorkStealingDrainsSkewedLoad) {
 TEST(DelegationTest, StopWithInflightRequestsNeverStrandsWaiter) {
   for (int round = 0; round < 10; ++round) {
     NvmPool pool(1 << 10, NvmMode::kFast, Topo(2, 1));
-    DelegationPool delegation(pool, FastParkConfig());
+    DelegationPool delegation(pool);
     std::vector<char> src(kPageSize, 'q');
     DelegationBatch batch(delegation);
     for (int i = 0; i < 128; ++i) {
@@ -356,7 +349,7 @@ TEST(DelegationTest, SubmitAfterStopExecutesInline) {
 
 TEST(DelegationTest, StopIsIdempotent) {
   NvmPool pool(16);
-  DelegationPool delegation(pool, FastParkConfig());
+  DelegationPool delegation(pool);
   delegation.Stop();
   delegation.Stop();
 }

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <regex>
@@ -160,6 +162,49 @@ TEST(OpContextTest, RingSurvivesManyEventsFromManyThreads) {
   for (const obs::TraceEvent& e : events) {
     EXPECT_STREQ(e.name, "Churn");
   }
+  obs::SetTracing(false);
+  obs::ClearTraceEvents();
+}
+
+TEST(OpContextTest, SnapshotWhileThreadsPushSeesOnlyWholeEvents) {
+  obs::SetTracing(true);
+  obs::ClearTraceEvents();
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> pushed{0};
+  std::vector<std::thread> pushers;
+  for (int t = 0; t < 2; ++t) {
+    pushers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        { obs::OpScope op("Pushed"); }
+        pushed.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  // Snapshot until the pushers have lapped their rings several times and a few snapshots
+  // have returned events (bounded: a loaded machine may starve either side for a while).
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  size_t snapshots = 0;
+  size_t seen = 0;
+  size_t torn = 0;
+  while ((pushed.load(std::memory_order_relaxed) < 16 * obs::TraceRing::kCapacity ||
+          snapshots < 20) &&
+         std::chrono::steady_clock::now() < deadline) {
+    const std::vector<obs::TraceEvent> events = obs::SnapshotAllTraceEvents();
+    snapshots += events.empty() ? 0 : 1;
+    for (const obs::TraceEvent& e : events) {
+      ++seen;
+      if (std::string(e.name) != "Pushed" || e.op_id == 0 || e.end_ns < e.begin_ns ||
+          e.depth != 0) {
+        ++torn;
+      }
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : pushers) {
+    t.join();
+  }
+  EXPECT_GT(seen, 0u);
+  EXPECT_EQ(torn, 0u) << "a snapshot returned an event mixing two pushes";
   obs::SetTracing(false);
   obs::ClearTraceEvents();
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -17,6 +18,7 @@
 #include "src/core/core_state.h"
 #include "src/kernel/controller.h"
 #include "src/libfs/arckfs.h"
+#include "src/libfs/promote_cache.h"
 #include "src/sim/backend.h"
 #include "src/sim/crash_explorer.h"
 #include "src/verifier/verify_error.h"
@@ -295,6 +297,62 @@ TEST_F(TierTest, ForgedTierMappingStealingAnotherFilesSlotIsQuarantined) {
   ASSERT_TRUE(fs_->Pread(*fd, buffer.data(), buffer.size(), 0).ok());
   EXPECT_EQ(buffer[1], 't');
   ASSERT_TRUE(fs_->Close(*fd).ok());
+}
+
+// ---- Promote cache ----
+
+// Lock-free read hits racing Insert/Erase of the same key. Every hit must copy the cached
+// page's bytes, and every slot field a reader consults inside its seqlock read section
+// must be an atomic, so the race is clean under TSan.
+TEST_F(TierTest, PromoteCacheReadHitRacesInsertAndErase) {
+  pool_ = std::make_unique<NvmPool>(64);
+  PromoteCache cache(*pool_, 16);
+  constexpr Ino kIno = 7;
+  constexpr uint64_t kIndex = 3;
+  // Two pages with identical contents, installed alternately: a hit may copy either.
+  const PageNumber pages[2] = {10, 11};
+  const std::string pattern(kPageSize, 'p');
+  for (PageNumber page : pages) {
+    pool_->Write(pool_->PageAddress(page), pattern.data(), pattern.size());
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> torn{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      char buf[64];
+      while (!done.load(std::memory_order_acquire)) {
+        std::memset(buf, 0, sizeof(buf));
+        if (cache.ReadHit(kIno, kIndex, 128, buf, sizeof(buf))) {
+          hits.fetch_add(1, std::memory_order_relaxed);
+          if (std::string(buf, sizeof(buf)) != pattern.substr(0, sizeof(buf))) {
+            torn.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  // At least 20k insert/erase rounds, and on until the readers have hit a few times
+  // (bounded, in case they never get a CPU while the key is installed).
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto keep_going = [&](int i) {
+    return i < 20000 || (hits.load() < 100 && std::chrono::steady_clock::now() < deadline);
+  };
+  uint64_t bad_returns = 0;
+  for (int i = 0; keep_going(i); ++i) {
+    const PageNumber page = pages[i % 2];
+    bad_returns += cache.Insert(kIno, kIndex, page) != 0 ? 1 : 0;
+    bad_returns += cache.Erase(kIno, kIndex) != page ? 1 : 0;
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& reader : readers) {
+    reader.join();
+  }
+  EXPECT_EQ(bad_returns, 0u) << "Insert/Erase of a lone key displaced the wrong page";
+  EXPECT_EQ(torn.load(), 0u) << "a read hit returned bytes that were never cached";
+  EXPECT_GT(hits.load(), 0u);
 }
 
 // ---- LeaseCache satellites ----
