@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Builds the concurrency-heavy test binaries (the Parker park/wake primitive, delegation
-# pool, callback watchdog, crash explorer, op-ring drainer, multi-tenant schedule
-# explorer, fuzz corpus, fleet, trace ring) under ThreadSanitizer and AddressSanitizer and
-# runs a smoke subset of each.
+# Builds the concurrency-heavy test binaries (the Parker park/wake primitive, the seqlock,
+# delegation pool, callback watchdog, crash explorer, op-ring drainer, multi-tenant
+# schedule explorer, fuzz corpus, fleet, trace ring) under ThreadSanitizer and
+# AddressSanitizer and runs a smoke subset of each.
 #
 # Usage: scripts/run_sanitizers.sh [thread|address] [--adversarial]
 #   (no sanitizer: both, thread first)
@@ -32,10 +32,11 @@ delegation_filter='DelegationFaultTest.*:DelegationTest.ConcurrentStandaloneSubm
 explorer_filter='FaultSimKernelTest.*:CrashExplorerTest.AppendHeavyWorkloadCleanAtEveryFence'
 # Every OpRingTest crosses the submitter/drainer boundary (SPSC rings, park/wake, epoch
 # close before CQE post) — exactly what TSan needs to see; SpscRingTest adds the raw
-# two-thread ring in isolation, and ParkerTest the park/wake primitive the delegation
-# pool and the drainer share.
+# two-thread ring in isolation, ParkerTest the park/wake primitive the delegation pool
+# and the drainer share, and SeqlockTest the seqlock behind the kernel grant cache, the
+# promote cache and the trace ring.
 ring_filter='OpRingTest.*'
-common_filter='SpscRingTest.*:ParkerTest.*'
+common_filter='SpscRingTest.*:ParkerTest.*:SeqlockTest.*'
 # Schedule explorer smoke: determinism + a full clean sweep (both tenants, crash points);
 # fuzz smoke: one seed variant of every corruption class plus the verifier/quarantine
 # bounds tests.

@@ -11,6 +11,7 @@ namespace trio {
 namespace {
 constexpr size_t kKInodesPerPage = kPageSize / sizeof(SimpleKernelFs::KInode);
 constexpr size_t kKDirentsPerBlock = kPageSize / sizeof(SimpleKernelFs::KDirent);
+constexpr uint64_t kKJournalShards = 8;  // Journal pages used by per-inode / per-CPU modes.
 
 // mkfs-time persistence accounting (static Format has no instance to charge).
 obs::PersistStats& FormatPersistStats() {
@@ -24,8 +25,7 @@ Status SimpleKernelFs::Format(NvmPool& pool, const KernelFsOptions& options) {
       (options.max_inodes + kKInodesPerPage - 1) / kKInodesPerPage;
   const uint64_t bitmap_pages = (pool.num_pages() / 8 + kPageSize - 1) / kPageSize;
   const uint64_t journal_pages =
-      options.journal_mode == JournalMode::kNone ? 0 : std::max<size_t>(1,
-                                                                        options.journal_shards);
+      options.journal_mode == JournalMode::kNone ? 0 : kKJournalShards;
   KSuper super{};
   super.magic = kKMagic;
   super.total_pages = pool.num_pages();

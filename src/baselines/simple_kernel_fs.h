@@ -38,7 +38,6 @@ enum class JournalMode { kNone, kGlobalJournal, kPerInodeLog, kPerCpuJournal };
 struct KernelFsOptions {
   uint32_t max_inodes = 1 << 14;
   JournalMode journal_mode = JournalMode::kGlobalJournal;
-  size_t journal_shards = 8;  // Used by per-inode / per-CPU modes.
 };
 
 class SimpleKernelFs {

@@ -29,6 +29,11 @@ using controller_internal::WmapSlots;
 
 thread_local uint64_t ShardRank::held_mask_ = 0;
 
+namespace {
+// Slots per seqlock cache. Direct-mapped; collisions only cost fast-path misses.
+constexpr size_t kOwnershipCacheSlots = 4096;
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // PageOwnershipTable
 // ---------------------------------------------------------------------------
@@ -127,14 +132,11 @@ KernelController::KernelController(NvmPool& pool, KernelConfig config, Clock* cl
     shards_.push_back(std::make_unique<Shard>());
   }
   shard_mask_ = cap - 1;
-  const size_t cache_slots = config_.lockfree_lookup ? config_.ownership_cache_slots : 0;
+  const size_t cache_slots = config_.lockfree_lookup ? kOwnershipCacheSlots : 0;
   page_table_.Reset(cap, cache_slots);
   ino_cache_.Reset(cache_slots);
   grant_cache_.Reset(cache_slots);
   verifier_ = std::make_unique<IntegrityVerifier>(pool_, *this, *this, clock_);
-  if (config_.start_delegation) {
-    StartDelegation();
-  }
   // Digestion starts at Mount(), not here: its occupancy/cold scans read state the
   // mount rescan builds (file_region_pages_, the record tables).
 }

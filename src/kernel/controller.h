@@ -75,8 +75,6 @@ struct TierConfig {
   size_t batch_pages = 32;         // Pages migrated per digest batch (one fence each).
   bool start_digestion = false;    // Spin up the background digestion thread.
   uint64_t scan_interval_ms = 2;   // Background thread poll period.
-  // Only files whose last grant ended at least this long ago are digestible.
-  uint64_t min_idle_ns = 0;
 };
 
 struct KernelConfig {
@@ -97,14 +95,9 @@ struct KernelConfig {
   // Quarantined files retained at once; the oldest entry is evicted beyond this (a
   // malicious tenant must not grow kernel memory without bound by corrupting files).
   size_t max_quarantined_files = 16;
-  // TEST ONLY: plant a page double-free on ownership transfers that raced a lease
-  // revocation. Exists so the schedule explorer can prove it finds and minimizes a real
-  // cross-tenant interleaving bug; never enable outside tests.
-  bool canary_leak_on_contended_transfer = false;
   // Extra wall-clock grace past the lease deadline before an unresponsive holder's
   // mapping is reclaimed by force.
   uint64_t revoke_grace_ms = 50;
-  bool start_delegation = false;  // Spin up delegation threads at construction.
   // Thresholds, ring sizing, spin/park and stealing knobs for the delegation pool
   // (§4.5); benchmarks sweep these through here.
   DelegationConfig delegation;
@@ -115,9 +108,6 @@ struct KernelConfig {
   // syscall boundary. Off = every lookup goes through the shard/stripe mutexes (the
   // legacy read path; the fleet bench's 1-shard baseline).
   bool lockfree_lookup = true;
-  // Slots per seqlock cache (rounded up to a power of two). Direct-mapped; collisions
-  // only cost fast-path misses.
-  size_t ownership_cache_slots = 4096;
   // NVM absorb tier / slow-backend digestion (DESIGN.md §4.11).
   TierConfig tier;
 };
@@ -154,131 +144,63 @@ struct MapInfo {
 };
 
 // Registered into obs::StatRegistry under layer "kernel" (summed across controllers).
-struct KernelStats {
-  obs::Counter syscalls;
-  obs::Counter maps;
-  obs::Counter unmaps;
-  obs::Counter verifications;
-  obs::Counter verify_failures;
-  obs::Counter corruptions_fixed_by_libfs;
-  obs::Counter corruptions_rolled_back;
-  obs::Counter revocations;
+struct KernelStats : obs::StatGroup {
+  obs::Counter syscalls{this, "syscalls"};
+  obs::Counter maps{this, "maps"};
+  obs::Counter unmaps{this, "unmaps"};
+  obs::Counter verifications{this, "verifications"};
+  obs::Counter verify_failures{this, "verify_failures"};
+  obs::Counter corruptions_fixed_by_libfs{this, "corruptions_fixed_by_libfs"};
+  obs::Counter corruptions_rolled_back{this, "corruptions_rolled_back"};
+  obs::Counter revocations{this, "revocations"};
   // LibFS callbacks run under the deadline watchdog, the callers' wall time spent waiting
   // for them (revoke handoffs included), and those abandoned (hung fix/recovery/revoke).
-  obs::Counter callback_runs;
-  obs::Counter callback_wait_ns;
-  obs::Counter callback_timeouts;
-  obs::Counter forced_releases;  // Leases reclaimed from unresponsive holders.
-  obs::Counter verify_timeouts;  // Verifications that overran verify_timeout_ms.
-  obs::Counter files_quarantined;
-  obs::Counter quarantine_evictions;  // Oldest entries dropped past max_quarantined_files.
-  obs::Counter pages_allocated;
-  obs::Counter pages_freed;
+  obs::Counter callback_runs{this, "callback_runs"};
+  obs::Counter callback_wait_ns{this, "callback_wait_ns"};
+  obs::Counter callback_timeouts{this, "callback_timeouts"};
+  // Leases reclaimed from unresponsive holders.
+  obs::Counter forced_releases{this, "forced_releases"};
+  // Verifications that overran verify_timeout_ms.
+  obs::Counter verify_timeouts{this, "verify_timeouts"};
+  obs::Counter files_quarantined{this, "files_quarantined"};
+  // Oldest entries dropped past max_quarantined_files.
+  obs::Counter quarantine_evictions{this, "quarantine_evictions"};
+  obs::Counter pages_allocated{this, "pages_allocated"};
+  obs::Counter pages_freed{this, "pages_freed"};
   // Sharding telemetry: lock-free grant-lookup hits/misses on the syscall boundary,
   // shard-mutex acquisitions that found the lock held, and multi-shard (two-phase)
   // acquisitions.
-  obs::Counter grant_fast_hits;
-  obs::Counter grant_fast_misses;
-  obs::Counter shard_lock_contended;
-  obs::Counter cross_shard_acquires;
+  obs::Counter grant_fast_hits{this, "grant_fast_hits"};
+  obs::Counter grant_fast_misses{this, "grant_fast_misses"};
+  obs::Counter shard_lock_contended{this, "shard_lock_contended"};
+  obs::Counter cross_shard_acquires{this, "cross_shard_acquires"};
   // Sharing-cost breakdown (Fig 8): cumulative nanoseconds per phase.
-  obs::Counter map_ns;
-  obs::Counter unmap_ns;
-  obs::Counter verify_ns;
-  obs::Counter checkpoint_ns;
+  obs::Counter map_ns{this, "map_ns"};
+  obs::Counter unmap_ns{this, "unmap_ns"};
+  obs::Counter verify_ns{this, "verify_ns"};
+  obs::Counter checkpoint_ns{this, "checkpoint_ns"};
   // Per-syscall latency distribution (boundary entry to exit), recorded by SyscallScope.
-  obs::LatencyHistogram syscall_latency;
-
-  KernelStats()
-      : reg_("kernel", {{"syscalls", &syscalls},
-                        {"maps", &maps},
-                        {"unmaps", &unmaps},
-                        {"verifications", &verifications},
-                        {"verify_failures", &verify_failures},
-                        {"corruptions_fixed_by_libfs", &corruptions_fixed_by_libfs},
-                        {"corruptions_rolled_back", &corruptions_rolled_back},
-                        {"revocations", &revocations},
-                        {"callback_runs", &callback_runs},
-                        {"callback_wait_ns", &callback_wait_ns},
-                        {"callback_timeouts", &callback_timeouts},
-                        {"forced_releases", &forced_releases},
-                        {"verify_timeouts", &verify_timeouts},
-                        {"files_quarantined", &files_quarantined},
-                        {"quarantine_evictions", &quarantine_evictions},
-                        {"pages_allocated", &pages_allocated},
-                        {"pages_freed", &pages_freed},
-                        {"grant_fast_hits", &grant_fast_hits},
-                        {"grant_fast_misses", &grant_fast_misses},
-                        {"shard_lock_contended", &shard_lock_contended},
-                        {"cross_shard_acquires", &cross_shard_acquires},
-                        {"map_ns", &map_ns},
-                        {"unmap_ns", &unmap_ns},
-                        {"verify_ns", &verify_ns},
-                        {"checkpoint_ns", &checkpoint_ns},
-                        {"syscall_latency", &syscall_latency}}) {}
-
-  void Reset() {
-    syscalls = 0;
-    maps = 0;
-    unmaps = 0;
-    verifications = 0;
-    verify_failures = 0;
-    corruptions_fixed_by_libfs = 0;
-    corruptions_rolled_back = 0;
-    revocations = 0;
-    callback_runs = 0;
-    callback_wait_ns = 0;
-    callback_timeouts = 0;
-    forced_releases = 0;
-    verify_timeouts = 0;
-    files_quarantined = 0;
-    quarantine_evictions = 0;
-    pages_allocated = 0;
-    pages_freed = 0;
-    grant_fast_hits = 0;
-    grant_fast_misses = 0;
-    shard_lock_contended = 0;
-    cross_shard_acquires = 0;
-    map_ns = 0;
-    unmap_ns = 0;
-    verify_ns = 0;
-    checkpoint_ns = 0;
-    syscall_latency.Reset();
-  }
+  obs::LatencyHistogram syscall_latency{this, "syscall_latency"};
 
  private:
-  obs::ScopedRegistration reg_;
+  obs::ScopedRegistration reg_{"kernel", *this};
 };
 
 // Kernel-side tier counters, registered under layer "tier" (summed with the backend's
 // own media counters and the LibFS promote-cache counters).
-struct KernelTierStats {
-  obs::Counter digest_batches;     // Digest batches committed (one fence each).
-  obs::Counter digest_pages;       // NVM pages migrated to the backend.
-  obs::Counter digest_bytes;       // Bytes those pages carried.
-  obs::Counter watermark_stalls;   // AllocPages calls that had to digest synchronously.
-  obs::Counter promote_reads;      // PromoteRead calls served from the backend.
-  obs::Counter backend_slots_freed;  // Slots released at reconcile/reclaim.
-
-  KernelTierStats()
-      : reg_("tier", {{"digest_batches", &digest_batches},
-                      {"digest_pages", &digest_pages},
-                      {"digest_bytes", &digest_bytes},
-                      {"watermark_stalls", &watermark_stalls},
-                      {"promote_reads", &promote_reads},
-                      {"backend_slots_freed", &backend_slots_freed}}) {}
-
-  void Reset() {
-    digest_batches = 0;
-    digest_pages = 0;
-    digest_bytes = 0;
-    watermark_stalls = 0;
-    promote_reads = 0;
-    backend_slots_freed = 0;
-  }
+struct KernelTierStats : obs::StatGroup {
+  obs::Counter digest_batches{this, "digest_batches"};  // Committed, one fence each.
+  obs::Counter digest_pages{this, "digest_pages"};      // NVM pages moved to the backend.
+  obs::Counter digest_bytes{this, "digest_bytes"};      // Bytes those pages carried.
+  // AllocPages calls that had to digest synchronously.
+  obs::Counter watermark_stalls{this, "watermark_stalls"};
+  // PromoteRead calls served from the backend.
+  obs::Counter promote_reads{this, "promote_reads"};
+  // Slots released at reconcile/reclaim.
+  obs::Counter backend_slots_freed{this, "backend_slots_freed"};
 
  private:
-  obs::ScopedRegistration reg_;
+  obs::ScopedRegistration reg_{"tier", *this};
 };
 
 // Page-number -> PageState, striped by 64-page runs (an allocation's pages land on one
@@ -395,6 +317,9 @@ class KernelController : public OwnershipView, public VerifyEnv {
   MmuSim& mmu() { return mmu_; }
   KernelStats& stats() { return stats_; }
   IntegrityVerifier& verifier() { return *verifier_; }
+  // Attaches FaultSim (kFaultKernelLeakOnContendedTransfer); nullptr detaches. Set it
+  // while no revocation is in flight.
+  void set_fault_injector(FaultInjector* injector) { fault_injector_ = injector; }
   DelegationPool* delegation() { return delegation_.get(); }
   void StartDelegation();
   Clock* clock() { return clock_; }
@@ -519,9 +444,9 @@ class KernelController : public OwnershipView, public VerifyEnv {
   void ResolveOrphans(const std::shared_ptr<LibFsRecord>& libfs);
 
   // ---- tiering internals (digestion.cc) ----
-  // Cold-file scan: files with no writer, no readers, not busy, idle past min_idle_ns,
-  // with NVM data pages left to migrate; coldest (smallest last_use_ns) first. Each
-  // shard is scanned under its own lock, one at a time.
+  // Cold-file scan: files with no writer, no readers, not busy, with NVM data pages left
+  // to migrate; coldest (smallest last_use_ns) first. Each shard is scanned under its
+  // own lock, one at a time.
   std::vector<Ino> CollectDigestCandidates(size_t max_files);
   // Migrates up to `max_pages` data pages of `ino` to the backend (one fence for the
   // whole batch). Pins the record busy while copying OUTSIDE the shard lock, exactly
@@ -585,9 +510,11 @@ class KernelController : public OwnershipView, public VerifyEnv {
   std::deque<std::pair<uint64_t, Ino>> quarantine_fifo_;  // (sequence, ino), oldest first.
   uint64_t quarantine_sequence_ = 0;
 
-  // Revocation-driven transfers in flight (the canary hook reads this racily by design —
-  // the schedule explorer drives it single-threaded, where it is exact).
-  std::atomic<int> contended_transfer_depth_{0};
+  // FaultSim (not owned; null = off). revokes_in_flight_ counts revocations in flight
+  // only while an injector is attached; kFaultKernelLeakOnContendedTransfer reads it
+  // racily by design (the schedule explorer drives it single-threaded, where it is exact).
+  FaultInjector* fault_injector_ = nullptr;
+  std::atomic<int> revokes_in_flight_{0};
 
   // Free resources. Per-NUMA-node free page lists (per-CPU sharding happens in the
   // LibFS-side allocator cache; the kernel hands out batches).

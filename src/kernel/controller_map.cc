@@ -336,31 +336,35 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
       continue;
     }
 
-    // Pending::kRevoke — ask the holder to release; transfers triggered by this
-    // revocation count as contended while we wait (the canary hook keys off this depth).
+    // Pending::kRevoke — ask the holder to release. With a FaultSim injector attached,
+    // transfers this revocation triggers count as contended while we wait
+    // (kFaultKernelLeakOnContendedTransfer keys off revokes_in_flight_).
     ShardRank::AssertNoneHeld();
     stats_.revocations.fetch_add(1, std::memory_order_relaxed);
-    contended_transfer_depth_.fetch_add(1, std::memory_order_relaxed);
-    if (!config_.guard_callbacks) {
-      revoke(ino);  // Synchronous: the holder unmaps (verify runs on this path).
-      contended_transfer_depth_.fetch_sub(1, std::memory_order_relaxed);
-      already_revoked = conflict;
-      revoked_lease_end = lease_end;
-      continue;  // Re-evaluate from scratch; records may have been reclaimed.
+    FaultInjector* const injector = fault_injector_;
+    if (injector != nullptr) {
+      revokes_in_flight_.fetch_add(1, std::memory_order_relaxed);
     }
-    // Lease enforcement: the holder is trusted to cooperate only until its lease
-    // expires. Wait for the revoke callback at most until the lease deadline (plus
-    // grace), then reclaim the mapping by force — an unresponsive holder cannot stall
-    // a conflicting mapper beyond its lease.
-    const uint64_t now = NowNs();
-    const uint64_t remaining_ms =
-        lease_end > now ? (lease_end - now + 999999ull) / 1000000ull : 0;
-    const uint64_t budget_ms = remaining_ms + config_.revoke_grace_ms;
-    const Ino revoke_ino = ino;
-    auto revoke_fn = revoke;
-    const bool completed =
-        RunGuarded(budget_ms, [revoke_fn, revoke_ino] { revoke_fn(revoke_ino); });
-    contended_transfer_depth_.fetch_sub(1, std::memory_order_relaxed);
+    bool completed = true;
+    if (config_.guard_callbacks) {
+      // Lease enforcement: the holder is trusted to cooperate only until its lease
+      // expires. Wait for the revoke callback at most until the lease deadline (plus
+      // grace), then reclaim the mapping by force — an unresponsive holder cannot stall
+      // a conflicting mapper beyond its lease.
+      const uint64_t now = NowNs();
+      const uint64_t remaining_ms =
+          lease_end > now ? (lease_end - now + 999999ull) / 1000000ull : 0;
+      const uint64_t budget_ms = remaining_ms + config_.revoke_grace_ms;
+      const Ino revoke_ino = ino;
+      auto revoke_fn = revoke;
+      completed =
+          RunGuarded(budget_ms, [revoke_fn, revoke_ino] { revoke_fn(revoke_ino); });
+    } else {
+      revoke(ino);  // Synchronous: the holder unmaps (verify runs on this path).
+    }
+    if (injector != nullptr) {
+      revokes_in_flight_.fetch_sub(1, std::memory_order_relaxed);
+    }
     if (!completed) {
       TRIO_LOG(kWarn) << "revoke of ino " << ino << " from LibFS " << conflict
                       << " overran the lease deadline; forcing release";

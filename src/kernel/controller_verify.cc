@@ -279,14 +279,14 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
       record->backend_slots = std::move(new_slots);
     }
 
-    // TEST ONLY (see KernelConfig::canary_leak_on_contended_transfer): on a transfer
-    // that raced a lease revocation, leak one still-referenced page back onto the free
-    // list. A later allocation hands it to another tenant => durable cross-file double
-    // reference, which only fsck after a crash sees (the online verifier checks one file
-    // at a time). The schedule explorer exists to find exactly this class of bug.
-    if (config_.canary_leak_on_contended_transfer &&
-        contended_transfer_depth_.load(std::memory_order_relaxed) > 0 &&
-        !record->pages.empty()) {
+    // FaultSim (kFaultKernelLeakOnContendedTransfer): on a transfer that raced a lease
+    // revocation, leak one still-referenced page back onto the free list. A later
+    // allocation hands it to another tenant => durable cross-file double reference, which
+    // only fsck after a crash sees (the online verifier checks one file at a time). The
+    // schedule explorer exists to find exactly this class of bug.
+    if (fault_injector_ != nullptr && !record->pages.empty() &&
+        revokes_in_flight_.load(std::memory_order_relaxed) > 0 &&
+        fault_injector_->ShouldFire(kFaultKernelLeakOnContendedTransfer)) {
       const PageNumber leaked =
           *std::max_element(record->pages.begin(), record->pages.end());
       std::lock_guard<std::mutex> guard(alloc_mu_);

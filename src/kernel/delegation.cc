@@ -16,6 +16,9 @@ constexpr size_t kMaxRequestBytes = size_t{1} << 30;
 // A single submission of at least this many requests to one ring wakes one parked worker
 // on every other node so they can steal into the burst.
 constexpr size_t kStealWakeThreshold = 64;
+constexpr size_t kRingCapacity = 1024;  // Requests per node ring.
+// Spins before a faulted chunk's first re-queue; doubles with each further attempt.
+constexpr uint32_t kFaultBackoffSpins = 32;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -23,13 +26,13 @@ constexpr size_t kStealWakeThreshold = 64;
 // ---------------------------------------------------------------------------
 
 DelegationPool::DelegationPool(NvmPool& pool, DelegationConfig config)
-    : pool_(pool), config_(config), num_nodes_(pool.topology().num_nodes) {
-  threads_per_node_ = config_.threads_per_node > 0
-                          ? config_.threads_per_node
-                          : pool.topology().delegation_threads_per_node;
+    : pool_(pool),
+      config_(config),
+      num_nodes_(pool.topology().num_nodes),
+      threads_per_node_(pool.topology().delegation_threads_per_node) {
   nodes_.reserve(num_nodes_);
   for (int n = 0; n < num_nodes_; ++n) {
-    nodes_.push_back(std::make_unique<NodeState>(config_.ring_capacity));
+    nodes_.push_back(std::make_unique<NodeState>(kRingCapacity));
   }
   workers_.reserve(static_cast<size_t>(num_nodes_) * threads_per_node_);
   for (int n = 0; n < num_nodes_; ++n) {
@@ -131,7 +134,7 @@ void DelegationPool::Execute(const DelegationRequest& request, int executing_nod
       DelegationRequest retry = request;
       ++retry.attempts;
       // Exponential backoff before the chunk re-enters the ring.
-      const uint32_t spins = config_.fault_backoff_spins << retry.attempts;
+      const uint32_t spins = kFaultBackoffSpins << retry.attempts;
       for (uint32_t i = 0; i < spins; ++i) {
         CpuRelax();
       }

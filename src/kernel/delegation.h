@@ -41,16 +41,12 @@ inline constexpr size_t kDelegateWriteThreshold = 256;
 struct DelegationConfig {
   size_t read_threshold = kDelegateReadThreshold;
   size_t write_threshold = kDelegateWriteThreshold;
-  size_t ring_capacity = 1024;
-  // 0 = use NumaTopology::delegation_threads_per_node.
-  int threads_per_node = 0;
   // Idle workers steal from sibling-node rings (trades node locality for utilization).
   bool steal = true;
   // FaultSim (kFaultDelegationWorker): a chunk that faults on a worker is re-queued up to
   // this many times, with exponential spin backoff, before being completed inline on the
   // faulting thread (which bypasses further injection, so completion is guaranteed).
   uint32_t fault_max_retries = 3;
-  uint32_t fault_backoff_spins = 32;
 };
 
 // Per-batch, per-node completion group. The LAST worker to finish a node's share of a
@@ -75,32 +71,22 @@ struct DelegationRequest {
 // Sharded per-node counters; one cacheline each so nodes never bounce a counter.
 // Each node's struct registers into obs::StatRegistry under layer "delegation"; the
 // registry sums across nodes, so registry reads equal the Sum() accessors below.
-struct alignas(64) DelegationNodeStats {
-  obs::Counter submitted;
-  obs::Counter completed;
-  obs::Counter batches;
-  obs::Counter wakeups;  // Times a parked worker was actually woken.
-  obs::Counter parks;    // Times a worker went to sleep.
-  obs::Counter steals;   // Requests this node's workers stole from siblings.
+struct alignas(64) DelegationNodeStats : obs::StatGroup {
+  obs::Counter submitted{this, "submitted"};
+  obs::Counter completed{this, "completed"};
+  obs::Counter batches{this, "batches"};
+  obs::Counter wakeups{this, "wakeups"};  // Times a parked worker was actually woken.
+  obs::Counter parks{this, "parks"};      // Times a worker went to sleep.
+  // Requests this node's workers stole from siblings.
+  obs::Counter steals{this, "steals"};
   // FaultSim outcomes: injected chunk failures, retries re-queued after backoff, and
   // chunks completed inline after exhausting retries (or when the ring was full).
-  obs::Counter faults;
-  obs::Counter fault_retries;
-  obs::Counter inline_fallbacks;
-
-  DelegationNodeStats()
-      : reg_("delegation", {{"submitted", &submitted},
-                            {"completed", &completed},
-                            {"batches", &batches},
-                            {"wakeups", &wakeups},
-                            {"parks", &parks},
-                            {"steals", &steals},
-                            {"faults", &faults},
-                            {"fault_retries", &fault_retries},
-                            {"inline_fallbacks", &inline_fallbacks}}) {}
+  obs::Counter faults{this, "faults"};
+  obs::Counter fault_retries{this, "fault_retries"};
+  obs::Counter inline_fallbacks{this, "inline_fallbacks"};
 
  private:
-  obs::ScopedRegistration reg_;
+  obs::ScopedRegistration reg_{"delegation", *this};
 };
 
 class DelegationBatch;
@@ -176,7 +162,7 @@ class DelegationPool {
   NvmPool& pool_;
   const DelegationConfig config_;
   const int num_nodes_;
-  int threads_per_node_ = 0;
+  const int threads_per_node_;
   // Worker-side persistence accounting (chunk persists, batch/standalone fences).
   obs::PersistStats persist_stats_{"delegation"};
   std::vector<std::unique_ptr<NodeState>> nodes_;

@@ -97,7 +97,6 @@ double KernelController::NvmOccupancy() const {
 }
 
 std::vector<Ino> KernelController::CollectDigestCandidates(size_t max_files) {
-  const uint64_t now = NowNs();
   std::vector<std::pair<uint64_t, Ino>> cold;  // (last_use_ns, ino)
   for (size_t si = 0; si < shards_.size(); ++si) {
     ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
@@ -108,10 +107,6 @@ std::vector<Ino> KernelController::CollectDigestCandidates(size_t max_files) {
       }
       // pages holds the index chain too; a file with <= 1 page has no data to migrate.
       if (record.pages.size() < 2) {
-        continue;
-      }
-      if (config_.tier.min_idle_ns != 0 &&
-          now - record.last_use_ns < config_.tier.min_idle_ns) {
         continue;
       }
       cold.emplace_back(record.last_use_ns, ino);

@@ -2,10 +2,10 @@
 //
 //  * SeqlockCache — a fixed-size, direct-mapped, seqlock-published cache giving the
 //    syscall boundary LOCK-FREE reads of read-mostly ownership and grant state. Writers
-//    (who hold the authoritative shard/stripe lock for the key they publish) win a slot
-//    by CAS-ing its sequence odd, store the payload, and release it even; readers retry
-//    on a torn sequence and fall back to the locked slow path on a miss. Collisions
-//    simply evict (the cache may forget, it must never lie).
+//    (who hold the authoritative shard/stripe lock for the key they publish) take the
+//    slot's Seqlock, store the payload and release it; readers retry a torn read and
+//    fall back to the locked slow path on a miss. Collisions simply evict (the cache may
+//    forget, it must never lie).
 //  * ShardRank — an always-on, thread-local lock-order guard. Shard mutexes are plain
 //    (non-recursive) std::mutex; the one legal order is ascending shard index, and any
 //    acquisition that would violate it aborts immediately instead of deadlocking later.
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/common/seqlock.h"
 #include "src/obs/stats.h"
 
 namespace trio {
@@ -159,13 +160,8 @@ class OrderedShardSpan {
 // SeqlockCache
 // ---------------------------------------------------------------------------
 
-// Direct-mapped cache of key -> kWords-word payload with lock-free readers.
-//
-// Memory ordering: a writer CAS-es `seq` from even to odd (acquire), stores key and
-// payload with relaxed stores, then publishes with a release store of seq+2 (even). A
-// reader loads seq (acquire), the fields (relaxed), issues an acquire fence, and re-reads
-// seq: any concurrent writer moves seq, so a stable pair of reads brackets an untorn
-// snapshot. Every access is an atomic, so the scheme is exactly representable to TSan.
+// Direct-mapped cache of key -> kWords-word payload with lock-free readers; each slot is
+// one Seqlock (src/common/seqlock.h) over its key and payload words.
 //
 // Eviction: a colliding insert simply takes over the slot; the evicted key misses and
 // its readers fall back to the authoritative (locked) tables. The ONE coherence rule is
@@ -200,17 +196,13 @@ class SeqlockCache {
     }
     const Slot& slot = slots_[Index(key)];
     for (int attempt = 0; attempt < 4; ++attempt) {
-      const uint64_t s0 = slot.seq.load(std::memory_order_acquire);
-      if (s0 & 1) {
-        continue;  // Mid-write; retry.
-      }
+      const uint64_t begin = slot.lock.ReadBegin();
       const uint64_t k = slot.key.load(std::memory_order_relaxed);
       uint64_t v[kWords];
       for (size_t w = 0; w < kWords; ++w) {
         v[w] = slot.words[w].load(std::memory_order_relaxed);
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot.seq.load(std::memory_order_relaxed) != s0) {
+      if (!slot.lock.ReadValidate(begin)) {
         continue;  // Torn by a concurrent writer; retry.
       }
       if (k != key + 1) {  // +1 so an all-zero slot is unambiguously empty.
@@ -225,18 +217,18 @@ class SeqlockCache {
   }
 
   // Publish `key -> words`. Caller holds the authoritative lock for `key`; writers for
-  // DIFFERENT keys colliding on the slot are excluded by the seq CAS spin.
+  // DIFFERENT keys colliding on the slot are excluded by the slot's Seqlock.
   void Store(uint64_t key, const uint64_t words[kWords]) {
     if (slots_.empty()) {
       return;
     }
     Slot& slot = slots_[Index(key)];
-    const uint64_t seq = LockSlot(slot);
+    slot.lock.WriteLock();
     slot.key.store(key + 1, std::memory_order_relaxed);
     for (size_t w = 0; w < kWords; ++w) {
       slot.words[w].store(words[w], std::memory_order_relaxed);
     }
-    slot.seq.store(seq + 2, std::memory_order_release);
+    slot.lock.WriteUnlock();
   }
 
   // Drop `key` if the slot still holds it (a collision may already have evicted it).
@@ -248,26 +240,26 @@ class SeqlockCache {
     if (slot.key.load(std::memory_order_relaxed) != key + 1) {
       return;
     }
-    const uint64_t seq = LockSlot(slot);
+    slot.lock.WriteLock();
     if (slot.key.load(std::memory_order_relaxed) == key + 1) {
       slot.key.store(0, std::memory_order_relaxed);
     }
-    slot.seq.store(seq + 2, std::memory_order_release);
+    slot.lock.WriteUnlock();
   }
 
   // Invalidate everything (mount/recovery table rebuild). Not lock-free; callers hold
   // every shard.
   void Clear() {
     for (Slot& slot : slots_) {
-      const uint64_t seq = LockSlot(slot);
+      slot.lock.WriteLock();
       slot.key.store(0, std::memory_order_relaxed);
-      slot.seq.store(seq + 2, std::memory_order_release);
+      slot.lock.WriteUnlock();
     }
   }
 
  private:
   struct Slot {
-    std::atomic<uint64_t> seq{0};
+    Seqlock lock;
     std::atomic<uint64_t> key{0};  // 0 = empty; otherwise stored key + 1.
     std::atomic<uint64_t> words[kWords];
   };
@@ -275,20 +267,6 @@ class SeqlockCache {
   size_t Index(uint64_t key) const {
     // Fibonacci hashing spreads sequential inos/pages across slots.
     return (key * 0x9e3779b97f4a7c15ull >> 32) & mask_;
-  }
-
-  // Win the slot: CAS seq even -> odd, spinning out a colliding writer (their critical
-  // section is a handful of relaxed stores, so the spin is short and never blocks on a
-  // lock — safe at any rank).
-  static uint64_t LockSlot(Slot& slot) {
-    for (;;) {
-      uint64_t seq = slot.seq.load(std::memory_order_relaxed);
-      if ((seq & 1) == 0 &&
-          slot.seq.compare_exchange_weak(seq, seq + 1, std::memory_order_acquire,
-                                         std::memory_order_relaxed)) {
-        return seq;
-      }
-    }
   }
 
   std::vector<Slot> slots_;

@@ -7,7 +7,6 @@
 
 #include "src/libfs/arckfs.h"
 
-#include <algorithm>
 #include <atomic>
 
 #include "src/libfs/arckfs_internal.h"
@@ -76,6 +75,9 @@ ArckFs::~ArckFs() {
 // ---------------------------------------------------------------------------
 
 namespace {
+// Undo journals per LibFS; each thread journals into one, picked by its shard index.
+constexpr size_t kJournalShards = 4;
+
 // The drainer thread's pass-wide DelegationBatch. A plain thread_local works because a
 // drainer thread belongs to exactly one ArckFs, and the hooks bracket every use.
 thread_local DelegationBatch* tls_pass_batch = nullptr;
@@ -113,7 +115,7 @@ UndoJournal& ArckFs::JournalShard() {
   {
     std::lock_guard<std::mutex> guard(journal_init_mutex_);
     if (journals_.empty()) {
-      for (size_t i = 0; i < std::max<size_t>(1, config_.journal_shards); ++i) {
+      for (size_t i = 0; i < kJournalShards; ++i) {
         Result<PageNumber> page = leases_.AllocPage(0);
         TRIO_CHECK(page.ok()) << "cannot allocate journal page";
         journals_.push_back(

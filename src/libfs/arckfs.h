@@ -51,7 +51,6 @@ struct ArckFsConfig {
   bool use_delegation = false;
   size_t page_batch = 64;
   size_t ino_batch = 64;
-  size_t journal_shards = 4;
   // §4.4: "Extending the LibFS to support other consistency modes is simple by following
   // the prior approaches." sync_data=false is the relaxed-data mode: data writes skip the
   // per-write flush and become durable at fsync/release; metadata stays synchronous and
@@ -77,31 +76,20 @@ struct ArckFsConfig {
 };
 
 // Registered into obs::StatRegistry under layer "libfs" (summed across instances).
-struct LibFsStats {
-  obs::Counter rebuilds;
-  obs::Counter rebuild_ns;
-  obs::Counter reads;
-  obs::Counter writes;
-  obs::Counter creates;
-  obs::Counter unlinks;
-  obs::Counter lookups;
-  obs::Counter revocations;
+struct LibFsStats : obs::StatGroup {
+  obs::Counter rebuilds{this, "rebuilds"};
+  obs::Counter rebuild_ns{this, "rebuild_ns"};
+  obs::Counter reads{this, "reads"};
+  obs::Counter writes{this, "writes"};
+  obs::Counter creates{this, "creates"};
+  obs::Counter unlinks{this, "unlinks"};
+  obs::Counter lookups{this, "lookups"};
+  obs::Counter revocations{this, "revocations"};
   // Cumulative ns ops spent waiting in LockForOp, attributed per-op when tracing is on.
-  obs::Counter lock_wait_ns;
-
-  LibFsStats()
-      : reg_("libfs", {{"rebuilds", &rebuilds},
-                       {"rebuild_ns", &rebuild_ns},
-                       {"reads", &reads},
-                       {"writes", &writes},
-                       {"creates", &creates},
-                       {"unlinks", &unlinks},
-                       {"lookups", &lookups},
-                       {"revocations", &revocations},
-                       {"lock_wait_ns", &lock_wait_ns}}) {}
+  obs::Counter lock_wait_ns{this, "lock_wait_ns"};
 
  private:
-  obs::ScopedRegistration reg_;
+  obs::ScopedRegistration reg_{"libfs", *this};
 };
 
 class ArckFs : public FsInterface, private RingPassHooks {

@@ -56,9 +56,6 @@ struct OpRingConfig {
   // SQ capacity per thread ring (power of two). The CQ holds 2x so a full pass of
   // completions never blocks the drainer behind a slow reaper in the common case.
   size_t depth = 64;
-  // Rings one engine can hand out (fixed at construction so the published-ring array
-  // never reallocates under the drainer).
-  size_t max_rings = 64;
 };
 
 // Fixed-size submission queue entry. Buffers (`buf`) stay application-owned and must
@@ -142,28 +139,20 @@ class RingPassHooks {
 };
 
 // Registered into obs::StatRegistry under layer "ring".
-struct OpRingStats {
-  obs::Counter submitted;     // SQEs accepted.
-  obs::Counter completed;     // CQEs posted.
-  obs::Counter barriers;      // Barrier (fsync) SQEs executed.
-  obs::Counter drain_passes;  // Passes that executed at least one SQE.
-  obs::Counter pass_ops;      // SQEs summed over passes (avg depth = pass_ops/passes).
-  obs::Counter cq_stalls;     // Spins because a CQ was full (slow reaper).
-  obs::Counter parks;         // Drainer park events.
-  obs::Counter wakeups;       // Times the parked drainer was woken.
-
-  OpRingStats()
-      : reg_("ring", {{"submitted", &submitted},
-                      {"completed", &completed},
-                      {"barriers", &barriers},
-                      {"drain_passes", &drain_passes},
-                      {"pass_ops", &pass_ops},
-                      {"cq_stalls", &cq_stalls},
-                      {"parks", &parks},
-                      {"wakeups", &wakeups}}) {}
+struct OpRingStats : obs::StatGroup {
+  obs::Counter submitted{this, "submitted"};  // SQEs accepted.
+  obs::Counter completed{this, "completed"};  // CQEs posted.
+  obs::Counter barriers{this, "barriers"};    // Barrier (fsync) SQEs executed.
+  // Passes that executed at least one SQE.
+  obs::Counter drain_passes{this, "drain_passes"};
+  // SQEs summed over passes (avg depth = pass_ops/passes).
+  obs::Counter pass_ops{this, "pass_ops"};
+  obs::Counter cq_stalls{this, "cq_stalls"};  // Spins because a CQ was full (slow reaper).
+  obs::Counter parks{this, "parks"};          // Drainer park events.
+  obs::Counter wakeups{this, "wakeups"};      // Times the parked drainer was woken.
 
  private:
-  obs::ScopedRegistration reg_;
+  obs::ScopedRegistration reg_{"ring", *this};
 };
 
 class OpRingEngine {
@@ -234,7 +223,7 @@ class OpRingEngine {
   const uint64_t engine_id_;
 
   std::mutex rings_mutex_;
-  std::vector<std::unique_ptr<OpRing>> rings_;  // Capacity fixed at max_rings.
+  std::vector<std::unique_ptr<OpRing>> rings_;  // Capacity fixed at kMaxRings.
   std::atomic<size_t> published_rings_{0};
 
   std::atomic<bool> stop_{false};

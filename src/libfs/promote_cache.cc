@@ -35,10 +35,7 @@ bool PromoteCache::ReadHit(Ino ino, uint64_t page_index, uint64_t in_page, void*
   }
   Shard& shard = ShardFor(key);
   for (int attempt = 0; attempt < 4; ++attempt) {
-    const uint64_t seq0 = shard.seq.load(std::memory_order_acquire);
-    if (seq0 & 1) {
-      continue;  // Writer in flight; one retry is usually enough.
-    }
+    const uint64_t begin = shard.seqlock.ReadBegin();
     PageNumber page = 0;
     Slot* found = nullptr;
     for (Slot& slot : shard.slots) {
@@ -50,8 +47,7 @@ bool PromoteCache::ReadHit(Ino ino, uint64_t page_index, uint64_t in_page, void*
     }
     if (found == nullptr) {
       // Key-absence is only trustworthy if no writer raced the scan.
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (shard.seq.load(std::memory_order_relaxed) == seq0) {
+      if (shard.seqlock.ReadValidate(begin)) {
         break;
       }
       continue;
@@ -60,8 +56,7 @@ bool PromoteCache::ReadHit(Ino ino, uint64_t page_index, uint64_t in_page, void*
     // Copy the bytes, then revalidate: if a writer evicted this slot mid-copy the page
     // may already be recycled and rewritten, so the copy is discarded and retried.
     pool_.Read(dst, pool_.PageAddress(page) + in_page, len);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (shard.seq.load(std::memory_order_relaxed) == seq0) {
+    if (shard.seqlock.ReadValidate(begin)) {
       stats_.promote_hits.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
@@ -88,11 +83,11 @@ PageNumber PromoteCache::Insert(Ino ino, uint64_t page_index, PageNumber page) {
   const PageNumber evicted = slot.key.load(std::memory_order_relaxed) != 0
                                  ? slot.page.load(std::memory_order_relaxed)
                                  : 0;
-  shard.seq.fetch_add(1, std::memory_order_acq_rel);  // Odd: readers stand back.
+  shard.seqlock.WriteLock();
   slot.key.store(key, std::memory_order_relaxed);
   slot.page.store(page, std::memory_order_relaxed);
   slot.referenced.store(1, std::memory_order_relaxed);
-  shard.seq.fetch_add(1, std::memory_order_release);  // Even again.
+  shard.seqlock.WriteUnlock();
   if (evicted != 0) {
     stats_.promote_evictions.fetch_add(1, std::memory_order_relaxed);
   }
@@ -109,11 +104,11 @@ PageNumber PromoteCache::Erase(Ino ino, uint64_t page_index) {
   for (Slot& slot : shard.slots) {
     if (slot.key.load(std::memory_order_relaxed) == key) {
       const PageNumber page = slot.page.load(std::memory_order_relaxed);
-      shard.seq.fetch_add(1, std::memory_order_acq_rel);
+      shard.seqlock.WriteLock();
       slot.key.store(0, std::memory_order_relaxed);
       slot.page.store(0, std::memory_order_relaxed);
       slot.referenced.store(0, std::memory_order_relaxed);
-      shard.seq.fetch_add(1, std::memory_order_release);
+      shard.seqlock.WriteUnlock();
       return page;
     }
   }
@@ -126,23 +121,23 @@ void PromoteCache::EraseFile(Ino ino, std::vector<PageNumber>* recycled) {
   }
   for (Shard& shard : shards_) {
     std::lock_guard<SpinLock> guard(shard.lock);
-    bool bumped = false;
+    bool writing = false;
     for (Slot& slot : shard.slots) {
       const uint64_t key = slot.key.load(std::memory_order_relaxed);
       if (key == 0 || (key >> kIndexKeyBits) != ino) {
         continue;
       }
-      if (!bumped) {
-        shard.seq.fetch_add(1, std::memory_order_acq_rel);
-        bumped = true;
+      if (!writing) {
+        shard.seqlock.WriteLock();
+        writing = true;
       }
       recycled->push_back(slot.page.load(std::memory_order_relaxed));
       slot.key.store(0, std::memory_order_relaxed);
       slot.page.store(0, std::memory_order_relaxed);
       slot.referenced.store(0, std::memory_order_relaxed);
     }
-    if (bumped) {
-      shard.seq.fetch_add(1, std::memory_order_release);
+    if (writing) {
+      shard.seqlock.WriteUnlock();
     }
   }
 }

@@ -4,10 +4,10 @@
 // entry in the file's index page stays the authoritative mapping; losing the cache (or
 // the whole process) merely re-promotes on the next read.
 //
-// Concurrency model mirrors the kernel's SeqlockCache: reads are lock-free, one seqlock
-// per shard. A reader loads the shard sequence (even = stable), scans the fixed slot
-// array for its key, copies the bytes out of the cached NVM page, then re-checks the
-// sequence — a concurrent insert/evict bumps it and the reader falls back to a miss.
+// Concurrency model mirrors the kernel's SeqlockCache: reads are lock-free, one Seqlock
+// (src/common/seqlock.h) per shard. A reader begins a read, scans the fixed slot array
+// for its key, copies the bytes out of the cached NVM page, then validates the read — a
+// concurrent insert/evict fails it and the reader retries or falls back to a miss.
 // Copying the *bytes* under the seqlock (not just the page number) is what makes reuse
 // safe: an evicted page may be recycled through the LeaseCache and rewritten by anyone,
 // so a page number alone could go stale between lookup and copy. Eviction is CLOCK over
@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/seqlock.h"
 #include "src/common/spinlock.h"
 #include "src/core/format.h"
 #include "src/nvm/nvm.h"
@@ -32,18 +33,16 @@
 namespace trio {
 
 // Registered under layer "tier" alongside the kernel and backend tier counters.
-struct PromoteCacheStats {
-  obs::Counter promote_hits;        // Lock-free read hits served from a cached page.
-  obs::Counter promote_misses;      // Lookups that fell through to a backend promote.
-  obs::Counter promote_evictions;   // Cached pages displaced by CLOCK.
-
-  PromoteCacheStats()
-      : reg_("tier", {{"promote_hits", &promote_hits},
-                      {"promote_misses", &promote_misses},
-                      {"promote_evictions", &promote_evictions}}) {}
+struct PromoteCacheStats : obs::StatGroup {
+  // Lock-free read hits served from a cached page.
+  obs::Counter promote_hits{this, "promote_hits"};
+  // Lookups that fell through to a backend promote.
+  obs::Counter promote_misses{this, "promote_misses"};
+  // Cached pages displaced by CLOCK.
+  obs::Counter promote_evictions{this, "promote_evictions"};
 
  private:
-  obs::ScopedRegistration reg_;
+  obs::ScopedRegistration reg_{"tier", *this};
 };
 
 class PromoteCache {
@@ -84,11 +83,13 @@ class PromoteCache {
     std::atomic<uint32_t> referenced{0};  // CLOCK access bit, set by read hits.
   };
 
+  // Writers take `lock` for the whole update, CLOCK sweep included, and the seqlock only
+  // around the slot stores, so readers are turned away for as short a time as possible.
   struct Shard {
-    SpinLock lock;                   // Writers only.
-    std::atomic<uint64_t> seq{0};    // Seqlock: odd while a writer mutates.
+    SpinLock lock;
+    Seqlock seqlock;
     std::vector<Slot> slots;
-    size_t hand = 0;                 // CLOCK hand.
+    size_t hand = 0;  // CLOCK hand.
   };
 
   // CLOCK: sweeps from the shard's hand, clearing access bits, and returns the first slot

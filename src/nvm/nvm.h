@@ -70,27 +70,14 @@ struct NvmCostModel {
 
 // Statistics the cost models and benches read. Relaxed counters; cheap enough to keep
 // on. Registered into obs::StatRegistry under layer "nvm" (summed across pools).
-struct NvmStats {
-  obs::Counter bytes_written;
-  obs::Counter bytes_read;
-  obs::Counter lines_flushed;
-  obs::Counter fences;
-
-  NvmStats()
-      : reg_("nvm", {{"bytes_written", &bytes_written},
-                     {"bytes_read", &bytes_read},
-                     {"lines_flushed", &lines_flushed},
-                     {"fences", &fences}}) {}
-
-  void Reset() {
-    bytes_written = 0;
-    bytes_read = 0;
-    lines_flushed = 0;
-    fences = 0;
-  }
+struct NvmStats : obs::StatGroup {
+  obs::Counter bytes_written{this, "bytes_written"};
+  obs::Counter bytes_read{this, "bytes_read"};
+  obs::Counter lines_flushed{this, "lines_flushed"};
+  obs::Counter fences{this, "fences"};
 
  private:
-  obs::ScopedRegistration reg_;
+  obs::ScopedRegistration reg_{"nvm", *this};
 };
 
 class NvmPool {

@@ -56,20 +56,18 @@ std::vector<TraceEvent> TraceRing::Snapshot() const {
   const uint64_t head = head_.load(std::memory_order_acquire);
   const uint64_t begin = head > kCapacity ? head - kCapacity : 0;
   events.reserve(static_cast<size_t>(head - begin));
-  for (uint64_t seq = begin; seq < head; ++seq) {
-    const Slot& slot = slots_[seq & (kCapacity - 1)];
-    if (slot.seq.load(std::memory_order_acquire) != seq + 1) {
-      continue;  // In-progress or already overwritten by a newer event.
-    }
+  for (uint64_t index = begin; index < head; ++index) {
+    const Slot& slot = slots_[index & (kCapacity - 1)];
+    const uint64_t seq = slot.lock.ReadBegin();
+    const uint64_t held = slot.index.load(std::memory_order_relaxed);
     TraceEvent copy;
     copy.op_id = slot.op_id.load(std::memory_order_relaxed);
     copy.name = slot.name.load(std::memory_order_relaxed);
     copy.begin_ns = slot.begin_ns.load(std::memory_order_relaxed);
     copy.end_ns = slot.end_ns.load(std::memory_order_relaxed);
     copy.depth = slot.depth.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != seq + 1) {
-      continue;  // Overwritten while we copied; drop the torn read.
+    if (!slot.lock.ReadValidate(seq) || held != index) {
+      continue;  // Torn by a concurrent push, or already overwritten by a newer event.
     }
     events.push_back(copy);
   }
@@ -96,7 +94,7 @@ void ClearTraceEvents() {
   std::lock_guard<std::mutex> guard(registry.mutex);
   // Reset rings in place: threads cache their ring pointer for life, so the registry
   // entries must stay. Callers quiesce spans first (tests do this between phases); a
-  // concurrent push at worst survives the clear or is dropped by the seq check.
+  // concurrent push at worst survives the clear or is dropped by the index check.
   for (const auto& ring : registry.rings) {
     ring->Reset();
   }

@@ -19,6 +19,8 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/seqlock.h"
+
 #define TRIO_OBS_UNLIKELY(x) (__builtin_expect(!!(x), 0))
 
 namespace trio {
@@ -62,27 +64,26 @@ struct TraceEvent {
   uint32_t depth = 0;
 };
 
-// Lock-free single-producer ring buffer of TraceEvents, one per thread, with a seqlock
-// per slot. The producer marks the slot in progress, stores the event fields as relaxed
-// atomics, and publishes the slot's sequence number with a release store. A snapshot
-// from another thread loads the sequence (acquire), the fields (relaxed), issues an
-// acquire fence and re-checks the sequence, dropping events overwritten mid-read.
+// Lock-free single-producer ring buffer of TraceEvents, one per thread. Each slot is a
+// Seqlock (src/common/seqlock.h) over the event fields and the index of the event it
+// holds; a snapshot from another thread drops a slot whose read was torn or whose index
+// shows it was overwritten by a newer event.
 class TraceRing {
  public:
   static constexpr size_t kCapacity = 4096;  // Power of two.
 
   void Push(const TraceEvent& event) {
-    const uint64_t seq = head_.load(std::memory_order_relaxed);
-    Slot& slot = slots_[seq & (kCapacity - 1)];
-    slot.seq.store(0, std::memory_order_relaxed);  // Mark in-progress...
-    std::atomic_thread_fence(std::memory_order_release);  // ...before any field store.
+    const uint64_t index = head_.load(std::memory_order_relaxed);
+    Slot& slot = slots_[index & (kCapacity - 1)];
+    slot.lock.WriteLock();
+    slot.index.store(index, std::memory_order_relaxed);
     slot.op_id.store(event.op_id, std::memory_order_relaxed);
     slot.name.store(event.name, std::memory_order_relaxed);
     slot.begin_ns.store(event.begin_ns, std::memory_order_relaxed);
     slot.end_ns.store(event.end_ns, std::memory_order_relaxed);
     slot.depth.store(event.depth, std::memory_order_relaxed);
-    slot.seq.store(seq + 1, std::memory_order_release);
-    head_.store(seq + 1, std::memory_order_release);
+    slot.lock.WriteUnlock();
+    head_.store(index + 1, std::memory_order_release);
   }
 
   // Oldest-to-newest copy of the events still resident in the ring.
@@ -91,14 +92,19 @@ class TraceRing {
   // Drops all resident events. Only safe while the producing thread is quiescent.
   void Reset() {
     for (Slot& slot : slots_) {
-      slot.seq.store(0, std::memory_order_relaxed);
+      slot.lock.WriteLock();
+      slot.index.store(kNoEvent, std::memory_order_relaxed);
+      slot.lock.WriteUnlock();
     }
     head_.store(0, std::memory_order_release);
   }
 
  private:
+  static constexpr uint64_t kNoEvent = ~uint64_t{0};
+
   struct Slot {
-    std::atomic<uint64_t> seq{0};  // 0 = empty/in-progress, else producer seq + 1.
+    Seqlock lock;
+    std::atomic<uint64_t> index{kNoEvent};  // Index of the event held, in push order.
     std::atomic<uint64_t> op_id{0};
     std::atomic<const char*> name{""};
     std::atomic<uint64_t> begin_ns{0};

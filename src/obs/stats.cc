@@ -12,6 +12,16 @@ StatRegistry& StatRegistry::Global() {
   return *registry;
 }
 
+void StatGroup::Reset() {
+  for (const StatRef& stat : stats_) {
+    if (stat.counter != nullptr) {
+      stat.counter->store(0);
+    } else {
+      stat.histogram->Reset();
+    }
+  }
+}
+
 uint64_t StatRegistry::Register(std::string layer, std::vector<StatRef> stats) {
   std::lock_guard<std::mutex> guard(mutex_);
   Group group;

@@ -6,10 +6,19 @@
 // persisted) next to its throughput numbers, and tests can assert on per-layer values
 // without reaching into component internals.
 //
-// Multiple instances of a layer (two ArckFs, eight delegation nodes) each register their
-// own group; reads and the JSON snapshot sum per (layer, name). Registration happens once
-// at component construction; the hot path is exactly the relaxed atomic increment the old
-// ad-hoc structs already paid.
+// A stats struct derives from StatGroup and names each stat once, where it declares it:
+//
+//   struct KernelStats : obs::StatGroup {
+//     obs::Counter maps{this, "maps"};
+//     ...
+//    private:
+//     obs::ScopedRegistration reg_{"kernel", *this};  // Last member.
+//   };
+//
+// Registration is the last member, so it is constructed after every stat it lists and
+// destroyed before any of them. Multiple instances of a layer (two ArckFs, eight
+// delegation nodes) each register their own group; reads and the JSON snapshot sum per
+// (layer, name). The hot path is one relaxed atomic increment.
 
 #ifndef SRC_OBS_STATS_H_
 #define SRC_OBS_STATS_H_
@@ -25,12 +34,15 @@
 namespace trio {
 namespace obs {
 
-// Drop-in replacement for the std::atomic<uint64_t> fields of the old stats structs:
-// same memory layout, same relaxed-by-default operations, plus assignment-from-integer so
-// existing `stats.field = 0` reset code keeps compiling.
+class StatGroup;
+
+// One atomic word with relaxed-by-default operations. `Counter name{this, "name"}` inside
+// a StatGroup declares it as that group's stat "name"; a default-constructed Counter
+// belongs to no group.
 class Counter {
  public:
   Counter() = default;
+  Counter(StatGroup* group, const char* name);
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
@@ -54,6 +66,7 @@ class Counter {
  private:
   std::atomic<uint64_t> value_{0};
 };
+static_assert(sizeof(Counter) == 8, "a Counter is one atomic word");
 
 // Log-binned latency histogram: Record(ns) lands in bin floor(log2(ns)) (bin 0 for 0–1ns).
 // 64 bins cover the full uint64 range; recording is two relaxed fetch_adds.
@@ -62,6 +75,7 @@ class LatencyHistogram {
   static constexpr size_t kBins = 64;
 
   LatencyHistogram() = default;
+  LatencyHistogram(StatGroup* group, const char* name);  // As for Counter.
   LatencyHistogram(const LatencyHistogram&) = delete;
   LatencyHistogram& operator=(const LatencyHistogram&) = delete;
 
@@ -105,12 +119,38 @@ class LatencyHistogram {
 // One named stat inside a registered group: exactly one of counter / histogram is set.
 struct StatRef {
   const char* name = "";
-  const Counter* counter = nullptr;
-  const LatencyHistogram* histogram = nullptr;
+  Counter* counter = nullptr;
+  LatencyHistogram* histogram = nullptr;
 
-  StatRef(const char* n, const Counter* c) : name(n), counter(c) {}
-  StatRef(const char* n, const LatencyHistogram* h) : name(n), histogram(h) {}
+  StatRef(const char* n, Counter* c) : name(n), counter(c) {}
+  StatRef(const char* n, LatencyHistogram* h) : name(n), histogram(h) {}
 };
+
+// Base of every stats struct: the stats its members declare, in declaration order.
+class StatGroup {
+ public:
+  StatGroup() = default;
+  StatGroup(const StatGroup&) = delete;
+  StatGroup& operator=(const StatGroup&) = delete;
+
+  // Zeroes every counter and histogram of the group.
+  void Reset();
+
+  const std::vector<StatRef>& stats() const { return stats_; }
+
+ private:
+  friend class Counter;
+  friend class LatencyHistogram;
+  std::vector<StatRef> stats_;
+};
+
+inline Counter::Counter(StatGroup* group, const char* name) {
+  group->stats_.emplace_back(name, this);
+}
+
+inline LatencyHistogram::LatencyHistogram(StatGroup* group, const char* name) {
+  group->stats_.emplace_back(name, this);
+}
 
 // Process-global registry. Components register a (layer, stats) group at construction and
 // unregister at destruction (via ScopedRegistration); snapshots sum per (layer, name).
@@ -144,64 +184,34 @@ class StatRegistry {
 // RAII registration handle owned by each stats struct.
 class ScopedRegistration {
  public:
-  ScopedRegistration() = default;
   ScopedRegistration(std::string layer, std::vector<StatRef> stats)
       : id_(StatRegistry::Global().Register(std::move(layer), std::move(stats))) {}
-  ~ScopedRegistration() { Release(); }
+  ScopedRegistration(std::string layer, const StatGroup& group)
+      : ScopedRegistration(std::move(layer), group.stats()) {}
+  ~ScopedRegistration() { StatRegistry::Global().Unregister(id_); }
   ScopedRegistration(const ScopedRegistration&) = delete;
   ScopedRegistration& operator=(const ScopedRegistration&) = delete;
-  ScopedRegistration(ScopedRegistration&& other) noexcept : id_(other.id_) {
-    other.id_ = 0;
-  }
-  ScopedRegistration& operator=(ScopedRegistration&& other) noexcept {
-    if (this != &other) {
-      Release();
-      id_ = other.id_;
-      other.id_ = 0;
-    }
-    return *this;
-  }
 
  private:
-  void Release() {
-    if (id_ != 0) {
-      StatRegistry::Global().Unregister(id_);
-      id_ = 0;
-    }
-  }
-  uint64_t id_ = 0;
+  const uint64_t id_;
 };
 
 // Per-layer persistence counters fed by PersistSpan (src/obs/persist_span.h): every layer
 // that issues persists owns one of these, so fence accounting is attributable per layer.
-struct PersistStats {
-  Counter persists;          // Persist() calls.
-  Counter bytes_persisted;   // Bytes covered by those calls.
-  Counter fences;            // Fences actually issued to the pool.
-  Counter coalesced_fences;  // Fence() calls skipped because nothing was pending.
-  Counter commit_stores;     // 8-byte atomic durable commits (CommitStore64).
-  Counter deferred_fences;   // Span fences absorbed into a group-commit epoch.
-  Counter epoch_fences;      // Epoch Close() fences (each covering >=1 deferral).
+struct PersistStats : StatGroup {
+  Counter persists{this, "persists"};                // Persist() calls.
+  Counter bytes_persisted{this, "bytes_persisted"};  // Bytes covered by those calls.
+  Counter fences{this, "fences"};                    // Fences actually issued to the pool.
+  // Fence() calls skipped because nothing was pending.
+  Counter coalesced_fences{this, "coalesced_fences"};
+  // 8-byte atomic durable commits (CommitStore64).
+  Counter commit_stores{this, "commit_stores"};
+  // Span fences absorbed into a group-commit epoch.
+  Counter deferred_fences{this, "deferred_fences"};
+  // Epoch Close() fences (each covering >=1 deferral).
+  Counter epoch_fences{this, "epoch_fences"};
 
-  explicit PersistStats(std::string layer)
-      : reg_(std::move(layer),
-             {{"persists", &persists},
-              {"bytes_persisted", &bytes_persisted},
-              {"fences", &fences},
-              {"coalesced_fences", &coalesced_fences},
-              {"commit_stores", &commit_stores},
-              {"deferred_fences", &deferred_fences},
-              {"epoch_fences", &epoch_fences}}) {}
-
-  void Reset() {
-    persists = 0;
-    bytes_persisted = 0;
-    fences = 0;
-    coalesced_fences = 0;
-    commit_stores = 0;
-    deferred_fences = 0;
-    epoch_fences = 0;
-  }
+  explicit PersistStats(std::string layer) : reg_(std::move(layer), *this) {}
 
  private:
   ScopedRegistration reg_;

@@ -49,20 +49,14 @@ struct BackendCostModel {
 };
 
 // Registered under layer "tier" (summed with the kernel/LibFS tier counters).
-struct BackendStats {
-  obs::Counter backend_pages_written;
-  obs::Counter backend_pages_read;
-  obs::Counter backend_bytes_written;
-  obs::Counter backend_bytes_read;
-
-  BackendStats()
-      : reg_("tier", {{"backend_pages_written", &backend_pages_written},
-                      {"backend_pages_read", &backend_pages_read},
-                      {"backend_bytes_written", &backend_bytes_written},
-                      {"backend_bytes_read", &backend_bytes_read}}) {}
+struct BackendStats : obs::StatGroup {
+  obs::Counter backend_pages_written{this, "backend_pages_written"};
+  obs::Counter backend_pages_read{this, "backend_pages_read"};
+  obs::Counter backend_bytes_written{this, "backend_bytes_written"};
+  obs::Counter backend_bytes_read{this, "backend_bytes_read"};
 
  private:
-  obs::ScopedRegistration reg_;
+  obs::ScopedRegistration reg_{"tier", *this};
 };
 
 class SlowBackend {

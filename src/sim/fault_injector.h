@@ -11,6 +11,11 @@
 //                           media error, in both the live and persisted images.
 //   kFaultDelegationWorker  DelegationPool::Execute — a worker's chunk copy fails; the
 //                           pool retries with backoff, then completes inline.
+//   kFaultKernelLeakOnContendedTransfer
+//                           KernelController reconcile — an ownership transfer that
+//                           raced a lease revocation leaks one still-referenced page back
+//                           onto the free list (a planted cross-tenant double reference
+//                           the schedule explorer must find).
 //
 // Firing decisions and the random stream are deterministic from the constructor seed, so
 // any failure a fault-injection test finds is replayable from the logged seed.
@@ -31,6 +36,8 @@ namespace trio {
 inline constexpr const char kFaultNvmTornPersist[] = "nvm.torn_persist";
 inline constexpr const char kFaultNvmBitFlip[] = "nvm.bitflip";
 inline constexpr const char kFaultDelegationWorker[] = "delegation.worker_fault";
+inline constexpr const char kFaultKernelLeakOnContendedTransfer[] =
+    "kernel.leak_on_contended_transfer";
 
 // When an armed point fires. Hits are counted per point, across all threads.
 struct FaultPolicy {

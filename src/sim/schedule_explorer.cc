@@ -44,7 +44,7 @@ bool IsSequentialSchedule(const Schedule& schedule) {
 }
 
 ScheduleExplorer::ScheduleExplorer(ScheduleExplorerOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)), injector_(options_.seed) {}
 
 Schedule ScheduleExplorer::GenerateSchedule(size_t index, size_t steps_a,
                                             size_t steps_b) const {
@@ -98,6 +98,7 @@ ScheduleExplorer::RunOutcome ScheduleExplorer::RunSchedule(const TenantScript& a
   KernelConfig kernel_config = options_.kernel_config;
   kernel_config.guard_callbacks = false;
   KernelController kernel(pool, kernel_config);
+  kernel.set_fault_injector(&injector_);
   Status mounted = kernel.Mount();
   if (!mounted.ok()) {
     out.failed = true;

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/common/result.h"
+#include "src/sim/fault_injector.h"
 #include "src/sim/remount.h"
 
 namespace trio {
@@ -51,14 +52,14 @@ struct ScheduleExplorerOptions {
   // PCT-style bound: at most this many context switches per generated schedule. Low
   // bounds find most real races (PCT's insight) while keeping schedules minimizable.
   size_t max_preemptions = 4;
+  // Seeds the generated schedules and the injector's Rng.
   uint64_t seed = 2026;
   // Crash points per schedule: 0 = every fence; otherwise an evenly spaced sample
   // (first/last kept, truncation counted in stats().sampled_out).
   size_t max_crash_points = 0;
-  // Kernel config for the WORKLOAD phase (e.g. canary_leak_on_contended_transfer for the
-  // planted-bug acceptance test). guard_callbacks is forced off during schedule execution
-  // so revocations run inline on the stepping thread — fully deterministic. Recovery
-  // boots always use a default config.
+  // Kernel config for the WORKLOAD phase. guard_callbacks is forced off during schedule
+  // execution so revocations run inline on the stepping thread — fully deterministic.
+  // Recovery boots always use a default config.
   KernelConfig kernel_config;
   // ArckFs configs for the two tenants (uid/gid, page_batch, ...).
   ArckFsConfig tenant_a;
@@ -113,6 +114,9 @@ class ScheduleExplorer {
   Schedule GenerateSchedule(size_t index, size_t steps_a, size_t steps_b) const;
 
   const ScheduleExplorerStats& stats() const { return stats_; }
+  // Attached to every workload-phase kernel; arm kFaultKernelLeakOnContendedTransfer here
+  // to plant a cross-tenant bug.
+  FaultInjector& injector() { return injector_; }
 
  private:
   struct RunOutcome {
@@ -125,6 +129,7 @@ class ScheduleExplorer {
   Schedule Minimize(const TenantScript& a, const TenantScript& b, Schedule failing);
 
   ScheduleExplorerOptions options_;
+  FaultInjector injector_;
   ScheduleExplorerStats stats_;
 };
 

@@ -19,7 +19,6 @@
 #ifndef SRC_VERIFIER_VERIFIER_H_
 #define SRC_VERIFIER_VERIFIER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -31,6 +30,7 @@
 #include "src/core/format.h"
 #include "src/core/ownership.h"
 #include "src/nvm/nvm.h"
+#include "src/obs/stats.h"
 #include "src/sim/fault_injector.h"
 #include "src/verifier/verify_error.h"
 
@@ -126,12 +126,18 @@ struct VerifyRequest {
   uint64_t deadline_ns = 0;
 };
 
-struct VerifierStats {
-  std::atomic<uint64_t> files_verified{0};
-  std::atomic<uint64_t> failures{0};
-  std::atomic<uint64_t> pages_scanned{0};
-  std::atomic<uint64_t> deadline_exceeded{0};  // Verifications that overran deadline_ns.
-  std::atomic<uint64_t> media_retries{0};      // Re-runs after a transient media fault.
+// Registered into obs::StatRegistry under layer "verifier".
+struct VerifierStats : obs::StatGroup {
+  obs::Counter files_verified{this, "files_verified"};
+  obs::Counter failures{this, "failures"};
+  obs::Counter pages_scanned{this, "pages_scanned"};
+  // Verifications that overran deadline_ns.
+  obs::Counter deadline_exceeded{this, "deadline_exceeded"};
+  // Re-runs after a transient media fault.
+  obs::Counter media_retries{this, "media_retries"};
+
+ private:
+  obs::ScopedRegistration reg_{"verifier", *this};
 };
 
 class IntegrityVerifier {

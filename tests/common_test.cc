@@ -4,7 +4,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <regex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "src/common/range_lock.h"
 #include "src/common/result.h"
 #include "src/common/rwlock.h"
+#include "src/common/seqlock.h"
 #include "tests/test_seed.h"
 #include "src/common/spinlock.h"
 #include "src/common/status.h"
@@ -493,6 +498,118 @@ TEST(ParkerTest, AwaitWithConditionAlreadyTrueReturnsWithoutSleeping) {
   EXPECT_EQ(parker.sleepers(), 0u);
   parker.NotifyOne();  // Nobody parked: no-ops.
   parker.NotifyAll();
+}
+
+// Two writers store one value into all four words of a Seqlock-protected record and bump
+// a plain counter, while readers validate reads of the record. Every thread waits at a
+// start line so the writers really contend.
+TEST(SeqlockTest, ValidatedReadsAreWholeAndWritersExcludeEachOther) {
+  constexpr uint64_t kWritesPerWriter = 200000;
+  constexpr int kReaders = 3;
+  std::atomic<int> at_start{0};
+  const auto start_line = [&] {
+    at_start.fetch_add(1);
+    while (at_start.load() < kReaders + 2) {
+      std::this_thread::yield();
+    }
+  };
+  Seqlock lock;
+  std::atomic<uint64_t> words[4] = {};
+  uint64_t writes = 0;  // Plain: only writer exclusion keeps the increments whole.
+  std::atomic<int> writers_inside{0};
+  std::atomic<uint64_t> overlaps{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> validated{0};
+  std::atomic<uint64_t> torn{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      start_line();
+      // Read until the writers are done and one more read has validated.
+      for (;;) {
+        const uint64_t begin = lock.ReadBegin();
+        uint64_t v[4];
+        for (int w = 0; w < 4; ++w) {
+          v[w] = words[w].load(std::memory_order_relaxed);
+        }
+        const bool stopping = done.load(std::memory_order_acquire);
+        if (!lock.ReadValidate(begin)) {
+          continue;
+        }
+        validated.fetch_add(1, std::memory_order_relaxed);
+        if (v[1] != v[0] || v[2] != v[0] || v[3] != v[0]) {
+          torn.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (stopping) {
+          return;
+        }
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (uint64_t t = 1; t <= 2; ++t) {
+    writers.emplace_back([&, t] {
+      start_line();
+      for (uint64_t i = 0; i < kWritesPerWriter; ++i) {
+        lock.WriteLock();
+        if (writers_inside.fetch_add(1, std::memory_order_relaxed) != 0) {
+          overlaps.fetch_add(1, std::memory_order_relaxed);
+        }
+        for (int w = 0; w < 4; ++w) {
+          words[w].store(t << 32 | i, std::memory_order_relaxed);
+        }
+        ++writes;
+        writers_inside.fetch_sub(1, std::memory_order_relaxed);
+        lock.WriteUnlock();
+      }
+    });
+  }
+  for (auto& th : writers) {
+    th.join();
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& th : readers) {
+    th.join();
+  }
+  EXPECT_EQ(overlaps.load(), 0u) << "two writers held the lock at once";
+  EXPECT_EQ(writes, 2 * kWritesPerWriter);
+  EXPECT_EQ(torn.load(), 0u) << "a validated read mixed two writes";
+  EXPECT_GE(validated.load(), static_cast<uint64_t>(kReaders));
+}
+
+// Acquire and release fences belong to the one seqlock protocol: a second hand-rolled
+// copy would have to get the same ordering argument right again.
+TEST(SeqlockEnforcementTest, NoAcquireOrReleaseFenceOutsideSeqlockHeader) {
+  const std::filesystem::path root(TRIO_SOURCE_DIR);
+  ASSERT_TRUE(std::filesystem::exists(root / "src")) << root;
+  const std::regex fence(
+      R"(atomic_thread_fence\s*\(\s*std::memory_order_(acquire|release|acq_rel)\b)");
+  std::vector<std::string> violations;
+  for (const char* dir : {"src", "bench"}) {
+    for (const auto& entry : std::filesystem::recursive_directory_iterator(root / dir)) {
+      const std::string ext = entry.path().extension().string();
+      if (!entry.is_regular_file() || (ext != ".cc" && ext != ".h") ||
+          entry.path() == root / "src/common/seqlock.h") {
+        continue;
+      }
+      std::ifstream in(entry.path());
+      std::string line;
+      size_t lineno = 0;
+      while (std::getline(in, line)) {
+        ++lineno;
+        if (std::regex_search(line, fence)) {
+          violations.push_back(entry.path().string() + ":" + std::to_string(lineno));
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(violations.empty()) << [&] {
+    std::string all = "acquire/release fences outside src/common/seqlock.h:\n";
+    for (const std::string& v : violations) {
+      all += "  " + v + "\n";
+    }
+    return all;
+  }();
 }
 
 TEST(PerCpuTest, ShardsAreIndependent) {

@@ -11,14 +11,19 @@
 #include <filesystem>
 #include <fstream>
 #include <regex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/core/format.h"
+#include "src/kernel/controller.h"
+#include "src/libfs/arckfs.h"
 #include "src/nvm/nvm.h"
 #include "src/obs/op_context.h"
 #include "src/obs/persist_span.h"
 #include "src/obs/stats.h"
+#include "src/sim/backend.h"
 
 namespace trio {
 namespace {
@@ -81,6 +86,119 @@ TEST(StatRegistryTest, ToJsonContainsLayersCountersAndHistograms) {
   EXPECT_NE(json.find("\"ops\":42"), std::string::npos);
   EXPECT_NE(json.find("\"latency\""), std::string::npos);
   EXPECT_NE(json.find("\"sum_ns\":100"), std::string::npos);
+}
+
+// The "layer.name" of every stat in StatRegistry::ToJson(): the object keys at depths 1
+// and 2 (a histogram's own count/sum_ns/bins sit deeper and are skipped).
+std::set<std::string> RegistryKeys() {
+  const std::string json = obs::StatRegistry::Global().ToJson();
+  std::set<std::string> keys;
+  std::string layer;
+  int depth = 0;
+  for (size_t i = 0; i < json.size(); ++i) {
+    if (json[i] == '{') {
+      ++depth;
+    } else if (json[i] == '}') {
+      --depth;
+    } else if (json[i] == '"') {
+      const size_t end = json.find('"', i + 1);
+      const std::string key = json.substr(i + 1, end - i - 1);
+      i = end;
+      if (depth == 1) {
+        layer = key;
+      } else if (depth == 2) {
+        keys.insert(layer + "." + key);
+      }
+    }
+  }
+  return keys;
+}
+
+// One of each registering component. The expected set pins every registry key: e2ebench
+// reads its kernel, libfs, delegation and nvm keys by these names, so a stat that is
+// renamed or dropped must fail here.
+TEST(StatRegistryTest, KeysUnchanged) {
+  NvmPool pool(1024);
+  FormatOptions format;
+  format.max_inodes = 256;
+  ASSERT_TRUE(Format(pool, format).ok());
+  SlowBackend backend;
+  KernelConfig kernel_config;
+  kernel_config.tier.backend = &backend;
+  KernelController kernel(pool, kernel_config);
+  kernel.StartDelegation();
+  ASSERT_TRUE(kernel.Mount().ok());
+  ArckFsConfig fs_config;
+  fs_config.ring.enabled = true;
+  fs_config.promote_cache_slots = 64;
+  ArckFs fs(kernel, fs_config);
+
+  const std::set<std::string> expected = {
+      "core.bytes_persisted", "core.coalesced_fences", "core.commit_stores",
+      "core.deferred_fences", "core.epoch_fences", "core.fences", "core.persists",
+      "delegation.batches", "delegation.bytes_persisted", "delegation.coalesced_fences",
+      "delegation.commit_stores", "delegation.completed", "delegation.deferred_fences",
+      "delegation.epoch_fences", "delegation.fault_retries", "delegation.faults",
+      "delegation.fences", "delegation.inline_fallbacks", "delegation.parks",
+      "delegation.persists", "delegation.steals", "delegation.submitted",
+      "delegation.wakeups",
+      "kernel.bytes_persisted", "kernel.callback_runs", "kernel.callback_timeouts",
+      "kernel.callback_wait_ns", "kernel.checkpoint_ns", "kernel.coalesced_fences",
+      "kernel.commit_stores", "kernel.corruptions_fixed_by_libfs",
+      "kernel.corruptions_rolled_back", "kernel.cross_shard_acquires",
+      "kernel.deferred_fences", "kernel.epoch_fences", "kernel.fences",
+      "kernel.files_quarantined", "kernel.forced_releases", "kernel.grant_fast_hits",
+      "kernel.grant_fast_misses", "kernel.map_ns", "kernel.maps",
+      "kernel.pages_allocated", "kernel.pages_freed", "kernel.persists",
+      "kernel.quarantine_evictions", "kernel.revocations", "kernel.shard_lock_contended",
+      "kernel.syscall_latency", "kernel.syscalls", "kernel.unmap_ns", "kernel.unmaps",
+      "kernel.verifications", "kernel.verify_failures", "kernel.verify_ns",
+      "kernel.verify_timeouts",
+      "libfs.bytes_persisted", "libfs.coalesced_fences", "libfs.commit_stores",
+      "libfs.creates", "libfs.deferred_fences", "libfs.epoch_fences", "libfs.fences",
+      "libfs.lock_wait_ns", "libfs.lookups", "libfs.persists", "libfs.reads",
+      "libfs.rebuild_ns", "libfs.rebuilds", "libfs.revocations", "libfs.unlinks",
+      "libfs.writes",
+      "nvm.bytes_read", "nvm.bytes_written", "nvm.fences", "nvm.lines_flushed",
+      "ring.barriers", "ring.completed", "ring.cq_stalls", "ring.drain_passes",
+      "ring.parks", "ring.pass_ops", "ring.submitted", "ring.wakeups",
+      "tier.backend_bytes_read", "tier.backend_bytes_written", "tier.backend_pages_read",
+      "tier.backend_pages_written", "tier.backend_slots_freed", "tier.digest_batches",
+      "tier.digest_bytes", "tier.digest_pages", "tier.promote_evictions",
+      "tier.promote_hits", "tier.promote_misses", "tier.promote_reads",
+      "tier.watermark_stalls",
+      "verifier.deadline_exceeded", "verifier.failures", "verifier.files_verified",
+      "verifier.media_retries", "verifier.pages_scanned",
+  };
+  EXPECT_EQ(RegistryKeys(), expected);
+}
+
+struct ResetTestStats : obs::StatGroup {
+  obs::Counter first{this, "first"};
+  obs::LatencyHistogram latency{this, "latency"};
+  obs::Counter last{this, "last"};
+
+ private:
+  obs::ScopedRegistration reg_{"resettest", *this};
+};
+
+TEST(StatRegistryTest, ResetZeroesEveryStatInGroup) {
+  ResetTestStats stats;
+  stats.first.fetch_add(3);
+  stats.latency.Record(100);
+  stats.last.fetch_add(5);
+  obs::Counter outside;  // Belongs to no group.
+  outside.fetch_add(7);
+  ASSERT_EQ(obs::StatRegistry::Global().CounterValue("resettest", "first"), 3u);
+  ASSERT_EQ(obs::StatRegistry::Global().CounterValue("resettest", "last"), 5u);
+
+  stats.Reset();
+  EXPECT_EQ(stats.first.load(), 0u);
+  EXPECT_EQ(stats.latency.TotalCount(), 0u);
+  EXPECT_EQ(stats.latency.SumNs(), 0u);
+  EXPECT_EQ(stats.last.load(), 0u);
+  EXPECT_EQ(outside.load(), 7u);
+  EXPECT_EQ(obs::StatRegistry::Global().CounterValue("resettest", "last"), 0u);
 }
 
 // ---------------------------------------------------------------------------

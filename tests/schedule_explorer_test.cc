@@ -1,11 +1,11 @@
 // Multi-tenant schedule exploration: two LibFS instances race on a shared file under
 // seeded PCT-style interleavings, with a crash materialized at every fence of every
-// schedule. The acceptance gate for the explorer is a planted cross-tenant bug: a
-// test-only kernel flag (canary_leak_on_contended_transfer) double-frees a page during
-// contended ownership transfers. With the flag on, the explorer must find a failing
+// schedule. The acceptance gate for the explorer is a planted cross-tenant bug: the
+// FaultSim point kFaultKernelLeakOnContendedTransfer double-frees a page during
+// contended ownership transfers. With the point armed, the explorer must find a failing
 // interleaving, shrink it, and the shrunken schedule must replay to the same verdict
 // from nothing but its bit-vector; the no-preemption baselines stay clean (the bug needs
-// contention). With the flag off, a full sweep passes clean.
+// contention). With nothing armed, a full sweep passes clean.
 
 #include "src/sim/schedule_explorer.h"
 
@@ -124,9 +124,9 @@ TEST(ScheduleExplorerTest, CleanKernelSweepsClean) {
 
 TEST(ScheduleExplorerTest, PlantedCanaryFoundMinimizedAndReplayable) {
   ScheduleExplorerOptions options = BaseOptions();
-  options.kernel_config.canary_leak_on_contended_transfer = true;
   options.schedules = 24;  // Enough seeded interleavings to hit a contended transfer.
   ScheduleExplorer explorer(options);
+  explorer.injector().Arm(kFaultKernelLeakOnContendedTransfer, FaultPolicy::Always());
 
   Result<ScheduleExplorerReport> report = explorer.Explore(TenantA(), TenantB());
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -151,11 +151,12 @@ TEST(ScheduleExplorerTest, PlantedCanaryFoundMinimizedAndReplayable) {
   // Replayable from the bit-vector alone: a FRESH explorer with the same options
   // reproduces the failure verdict.
   ScheduleExplorer replayer(options);
+  replayer.injector().Arm(kFaultKernelLeakOnContendedTransfer, FaultPolicy::Always());
   const ScheduleFailure replayed =
       replayer.Replay(TenantA(), TenantB(), failure.schedule);
   EXPECT_NE(replayed.fence, SIZE_MAX - 1) << "minimized schedule no longer fails";
 
-  // Both zero-preemption baselines stay clean with the canary armed: the flag is
+  // Both zero-preemption baselines stay clean with the canary armed: the point is
   // invisible without cross-tenant contention.
   EXPECT_EQ(replayer.Replay(a, b, all_a_then_b).fence, SIZE_MAX - 1);
   EXPECT_EQ(replayer.Replay(a, b, all_b_then_a).fence, SIZE_MAX - 1);
