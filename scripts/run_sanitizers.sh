@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Builds the concurrency-heavy test binaries (the Parker park/wake primitive, the seqlock,
 # delegation pool, callback watchdog, crash explorer, op-ring drainer, multi-tenant
-# schedule explorer, fuzz corpus, fleet, trace ring) under ThreadSanitizer and
-# AddressSanitizer and runs a smoke subset of each.
+# schedule explorer, fuzz corpus, fleet, trace ring) under ThreadSanitizer and under
+# AddressSanitizer with UndefinedBehaviorSanitizer, and runs a smoke subset of each.
 #
 # Usage: scripts/run_sanitizers.sh [thread|address] [--adversarial]
 #   (no sanitizer: both, thread first)
@@ -50,8 +50,10 @@ fleet_filter='FleetTest.*'
 # LeaseCache refill worker, and the digestion crash sweep. Small enough to run whole.
 tier_filter='TierTest.*'
 # Callback watchdog in isolation: caller/helper handoff per affinity pool, nested guarded
-# calls, and a hung callback abandoned at its deadline while its helper keeps running.
-watchdog_filter='CallbackGuardTest.*'
+# calls, batches run in order with a deadline per callback, and a hung callback abandoned
+# at its deadline while its helper keeps running; then the kernel's batched revoke of a
+# file's read holders, one of them hung.
+watchdog_filter='CallbackGuardTest.*:KernelTest.WriteOverReadersRevokesThemAllInOneGuardedRun:KernelRevokeTest.*'
 # Trace ring seqlock: snapshots taken while other threads push.
 obs_filter='OpContextTest.SnapshotWhileThreadsPush*'
 targets=(delegation_test crash_explorer_test op_ring_test common_test
@@ -91,7 +93,7 @@ for san in "${sanitizers[@]}"; do
   echo "== TRIO_SANITIZE=$san: tier_test =="
   "$build/tests/tier_test" --gtest_filter="$tier_filter" --gtest_brief=1
 
-  echo "== TRIO_SANITIZE=$san: kernel_test (callback watchdog) =="
+  echo "== TRIO_SANITIZE=$san: kernel_test (callback watchdog, batched revoke) =="
   "$build/tests/kernel_test" --gtest_filter="$watchdog_filter" --gtest_brief=1
 
   echo "== TRIO_SANITIZE=$san: obs_test (trace ring) =="

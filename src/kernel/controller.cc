@@ -27,8 +27,6 @@ using controller_internal::PackStateLessee;
 using controller_internal::UnpackStateLessee;
 using controller_internal::WmapSlots;
 
-thread_local uint64_t ShardRank::held_mask_ = 0;
-
 namespace {
 // Slots per seqlock cache. Direct-mapped; collisions only cost fast-path misses.
 constexpr size_t kOwnershipCacheSlots = 4096;
@@ -1038,17 +1036,24 @@ void KernelController::WmapLogRemove(Ino ino) {
   }
 }
 
-bool KernelController::RunGuarded(uint64_t timeout_ms, std::function<void()> fn) {
-  // Wall time, like the guard's deadline (clock_ may be a test's FakeClock).
+size_t KernelController::RunGuarded(std::vector<CallbackGuard::Task> tasks) {
+  // Wall time, like the guard's deadlines (clock_ may be a test's FakeClock).
   SystemClock* wall = SystemClock::Instance();
   const uint64_t t0 = wall->NowNs();
-  const bool completed = callback_guard_.Run(timeout_ms, std::move(fn));
+  const size_t count = tasks.size();
+  const size_t completed = callback_guard_.RunBatch(std::move(tasks));
   stats_.callback_wait_ns.fetch_add(wall->NowNs() - t0, std::memory_order_relaxed);
   stats_.callback_runs.fetch_add(1, std::memory_order_relaxed);
-  if (!completed) {
+  if (completed < count) {
     stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
   }
   return completed;
+}
+
+bool KernelController::RunGuarded(uint64_t timeout_ms, std::function<void()> fn) {
+  std::vector<CallbackGuard::Task> tasks;
+  tasks.push_back(CallbackGuard::Task{timeout_ms, std::move(fn)});
+  return RunGuarded(std::move(tasks)) == 1;
 }
 
 // ---------------------------------------------------------------------------

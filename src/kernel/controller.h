@@ -152,9 +152,11 @@ struct KernelStats : obs::StatGroup {
   obs::Counter verify_failures{this, "verify_failures"};
   obs::Counter corruptions_fixed_by_libfs{this, "corruptions_fixed_by_libfs"};
   obs::Counter corruptions_rolled_back{this, "corruptions_rolled_back"};
+  // Holders asked to release a file (one per revoke callback).
   obs::Counter revocations{this, "revocations"};
-  // LibFS callbacks run under the deadline watchdog, the callers' wall time spent waiting
-  // for them (revoke handoffs included), and those abandoned (hung fix/recovery/revoke).
+  // Guarded upcalls (one per batch of callbacks: a MapFile revokes all of a file's
+  // conflicting holders in one), the callers' wall time spent waiting for them (revoke
+  // handoffs included), and upcalls abandoned on a hung fix/recovery/revoke callback.
   obs::Counter callback_runs{this, "callback_runs"};
   obs::Counter callback_wait_ns{this, "callback_wait_ns"};
   obs::Counter callback_timeouts{this, "callback_timeouts"};
@@ -367,8 +369,8 @@ class KernelController : public OwnershipView, public VerifyEnv {
     uint32_t uid = 0;             // Immutable after registration.
     uint32_t gid = 0;             // Immutable after registration.
     LibFsCallbacks callbacks;     // Immutable after registration.
-    // `mu` guards the five sets below. Rank: after shard mutexes; at most one LibFS
-    // record mutex held at a time; nothing else is acquired under it.
+    // `mu` guards the five sets below and `grants`. Rank: after shard mutexes; at most
+    // one LibFS record mutex held at a time; nothing else is acquired under it.
     std::mutex mu;
     std::unordered_set<PageNumber> leased_pages;
     std::unordered_set<Ino> leased_inos;
@@ -377,6 +379,10 @@ class KernelController : public OwnershipView, public VerifyEnv {
     // Children that disappeared from a verified directory and are not yet known to be
     // renamed elsewhere. Resolved (reclaimed or adopted) when the session quiesces.
     std::unordered_set<Ino> pending_orphans;
+    // Mappings MapFile has granted this LibFS. A holder whose count moved since its
+    // revoke may have released and re-mapped, so MapFile revokes it again rather than
+    // forcing it (readers share one lease deadline, which cannot tell them apart).
+    uint64_t grants = 0;
   };
 
   struct Shard {
@@ -459,9 +465,12 @@ class KernelController : public OwnershipView, public VerifyEnv {
                         std::unordered_set<Ino>* seen_inos);
   void WmapLogAdd(Ino ino);
   void WmapLogRemove(Ino ino);
-  // Runs an untrusted LibFS callback under callback_guard_. True iff it completed within
-  // `timeout_ms`. Counts the run, the caller's wall time inside the guard and a timeout
-  // here, on the caller's side: an abandoned callback may outlive this controller.
+  // Runs untrusted LibFS callbacks in order as one guarded upcall on callback_guard_.
+  // Returns how many completed in time (CallbackGuard::RunBatch). Counts the upcall, the
+  // caller's wall time inside the guard and a timeout here, on the caller's side: an
+  // abandoned callback may outlive this controller.
+  size_t RunGuarded(std::vector<CallbackGuard::Task> tasks);
+  // The one-callback upcall. True iff it completed within `timeout_ms`.
   bool RunGuarded(uint64_t timeout_ms, std::function<void()> fn);
   uint64_t NowNs() { return clock_->NowNs(); }
 

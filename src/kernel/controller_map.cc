@@ -17,6 +17,11 @@
 
 #include "src/kernel/controller.h"
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <vector>
+
 #include "src/kernel/controller_internal.h"
 #include "src/kernel/syscall_boundary.h"
 
@@ -184,30 +189,42 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
   }
 
   const size_t si = ShardIndexOf(ino);
-  // Holder of the last COMPLETED revoke callback, plus the lease deadline its grant
-  // carried when we revoked. If the next round finds the very same conflict with the
-  // SAME deadline, the grant survived a revoke its holder answered: the holder no
-  // longer believes it holds the file (e.g. its node state is long torn down while we
-  // carry an implicit grant from a parent commit) — another callback cannot help, so
-  // reclaim by force. A CHANGED deadline means the holder cooperatively unmapped and
-  // re-mapped (or renewed) after its callback: it is live and mid-operation, and
-  // forcing now would verify-and-roll-back a half-committed op that the holder then
-  // finishes against the rolled-back image (observed as lost renames under the fleet
-  // shuttle). Revoke again instead, bounded by kMaxRevokeRounds so a holder that
-  // re-maps forever still cannot stall a mapper indefinitely.
+  // Escalation, per holder. Each holder whose revoke callback COMPLETED is remembered
+  // with the lease deadline its grant carried and its grant count when we revoked. If
+  // the next round finds that very holder still in conflict with the SAME deadline and
+  // no grant since, its grant survived a revoke it answered: the holder no longer
+  // believes it holds the file (e.g. its node state is long torn down while we carry an
+  // implicit grant from a parent commit) — another callback cannot help, so reclaim by
+  // force. A CHANGED deadline or a new grant means the holder cooperatively unmapped and
+  // re-mapped (or renewed) after its callback: it is live and mid-operation, and forcing
+  // now would verify-and-roll-back a half-committed op that the holder then finishes
+  // against the rolled-back image (observed as lost renames under the fleet shuttle).
+  // Revoke it again instead, bounded by kMaxRevokeRounds so a holder that re-maps
+  // forever still cannot stall a mapper indefinitely.
   constexpr int kMaxRevokeRounds = 8;
-  LibFsId already_revoked = kNoLibFs;
-  uint64_t revoked_lease_end = 0;
-  int revoke_rounds = 0;
+  struct Revoked {
+    LibFsId holder;
+    uint64_t lease_end;
+    uint64_t grants;
+    int rounds;
+  };
+  std::vector<Revoked> revoked;
+  // One round's conflict handling, staged out of the locked section because it must run
+  // unlocked (revoke callbacks, forced releases, dead-writer verification); every round
+  // re-evaluates the record from scratch.
+  struct Revoke {
+    LibFsId holder;
+    std::function<void(Ino)> fn;
+    uint64_t lease_end;
+    uint64_t grants;
+  };
+  std::vector<Revoke> revokes;
+  std::vector<LibFsId> forced;
   while (true) {
-    // Conflict handling that must run unlocked (revoke callbacks, dead-writer
-    // verification) is staged out of the locked section and re-evaluated from scratch.
-    enum class Pending { kNone, kDeadWriter, kRevoke, kForce };
-    Pending pending = Pending::kNone;
-    LibFsId conflict = kNoLibFs;
-    std::shared_ptr<LibFsRecord> holder;
-    std::function<void(Ino)> revoke;
-    uint64_t lease_end = 0;
+    revokes.clear();
+    forced.clear();
+    LibFsId dead_writer = kNoLibFs;
+    std::shared_ptr<LibFsRecord> dead_writer_record;
 
     {
       ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
@@ -243,21 +260,63 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
       }
 
       // Conflicts: a writer blocks everyone; readers block a writer (§3.2: concurrent
-      // read XOR exclusive write). Leases bound how long a holder can stall us; the
-      // holder is asked to release via its revoke callback.
+      // read XOR exclusive write). Leases bound how long a holder can stall us; every
+      // conflicting holder is asked to release via its revoke callback, all of them in
+      // one guarded upcall.
+      auto stage_revoke = [&](LibFsId id, LibFsRecord& holder) {
+        uint64_t grants;
+        {
+          std::lock_guard<std::mutex> guard(holder.mu);
+          grants = holder.grants;
+        }
+        auto seen = std::find_if(revoked.begin(), revoked.end(),
+                                 [id](const Revoked& r) { return r.holder == id; });
+        if (seen != revoked.end() &&
+            ((record->lease_deadline_ns == seen->lease_end && grants == seen->grants) ||
+             ++seen->rounds > kMaxRevokeRounds)) {
+          forced.push_back(id);
+        } else {
+          // NOTE: busy is NOT set here. The holder's revoke callback calls UnmapFile,
+          // which must be able to claim the record itself.
+          revokes.push_back(
+              Revoke{id, holder.callbacks.revoke, record->lease_deadline_ns, grants});
+        }
+      };
       if (record->writer != kNoLibFs && record->writer != libfs) {
-        conflict = record->writer;
+        std::shared_ptr<LibFsRecord> holder = FindLibFs(record->writer);
+        if (holder == nullptr || !holder->callbacks.revoke) {
+          // Dead or unresponsive writer: force the release ourselves.
+          record->busy = true;  // Pin for the verification staged below.
+          dead_writer = record->writer;
+          dead_writer_record = std::move(holder);
+        } else {
+          stage_revoke(record->writer, *holder);
+        }
       } else if (write) {
-        for (LibFsId reader : record->readers) {
-          if (reader != libfs) {
-            conflict = reader;
-            break;
+        for (auto it = record->readers.begin(); it != record->readers.end();) {
+          const LibFsId reader = *it;
+          if (reader == libfs) {
+            ++it;
+            continue;
           }
+          std::shared_ptr<LibFsRecord> holder = FindLibFs(reader);
+          if (holder == nullptr || !holder->callbacks.revoke) {
+            // Dead or unresponsive reader: drop its mapping ourselves.
+            it = record->readers.erase(it);
+            if (holder != nullptr) {
+              std::lock_guard<std::mutex> guard(holder->mu);
+              holder->read_mapped.erase(ino);
+            }
+            grant_cache_.Erase(ino);
+            continue;
+          }
+          stage_revoke(reader, *holder);
+          ++it;
         }
       }
 
-      if (conflict == kNoLibFs) {
-        // Grant, entirely under this one shard lock.
+      if (dead_writer == kNoLibFs && revokes.empty() && forced.empty()) {
+        // No conflict: grant, entirely under this one shard lock.
         if (write) {
           if (record->readers.erase(libfs) > 0) {
             // Upgrading our own read mapping: release the RO references before granting
@@ -279,12 +338,14 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
           {
             std::lock_guard<std::mutex> guard(me->mu);
             me->write_mapped.insert(ino);
+            ++me->grants;
           }
           WmapLogAdd(ino);
         } else {
           record->readers.insert(libfs);
           std::lock_guard<std::mutex> guard(me->mu);
           me->read_mapped.insert(ino);
+          ++me->grants;
         }
         GrantFilePagesLocked(libfs, *record, write);
         record->last_use_ns = NowNs();  // Digestion's cold scan orders by last grant.
@@ -296,82 +357,73 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
         stats_.map_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
         return info;
       }
-
-      holder = FindLibFs(conflict);
-      if (holder == nullptr || !holder->callbacks.revoke) {
-        // Dead or unresponsive holder: force the release ourselves.
-        if (record->writer == conflict) {
-          record->busy = true;  // Pin for the verification staged below.
-          pending = Pending::kDeadWriter;
-        } else {
-          record->readers.erase(conflict);
-          if (holder != nullptr) {
-            std::lock_guard<std::mutex> guard(holder->mu);
-            holder->read_mapped.erase(ino);
-          }
-          grant_cache_.Erase(ino);
-          continue;  // Re-evaluate (more readers may remain).
-        }
-      } else if (conflict == already_revoked &&
-                 (record->lease_deadline_ns == revoked_lease_end ||
-                  ++revoke_rounds > kMaxRevokeRounds)) {
-        pending = Pending::kForce;
-      } else {
-        revoke = holder->callbacks.revoke;
-        lease_end = record->lease_deadline_ns;
-        pending = Pending::kRevoke;
-        // NOTE: busy is NOT set here. The holder's revoke callback calls UnmapFile,
-        // which must be able to claim the record itself.
-      }
     }  // shard lock released
 
-    if (pending == Pending::kDeadWriter) {
+    if (dead_writer != kNoLibFs) {
       (void)VerifyAndReconcile(ino);
-      FinishWriteRelease(conflict, ino, holder);
+      FinishWriteRelease(dead_writer, ino, dead_writer_record);
       continue;
     }
-    if (pending == Pending::kForce) {
-      ShardRank::AssertNoneHeld();
-      ForceRelease(ino, conflict);
+    ShardRank::AssertNoneHeld();
+    for (LibFsId holder : forced) {
+      ForceRelease(ino, holder);
+    }
+    if (revokes.empty()) {
       continue;
     }
 
-    // Pending::kRevoke — ask the holder to release. With a FaultSim injector attached,
-    // transfers this revocation triggers count as contended while we wait
-    // (kFaultKernelLeakOnContendedTransfer keys off revokes_in_flight_).
-    ShardRank::AssertNoneHeld();
-    stats_.revocations.fetch_add(1, std::memory_order_relaxed);
+    // Ask every staged holder to release, in order, in one upcall. With a FaultSim
+    // injector attached, transfers these revocations trigger count as contended while we
+    // wait (kFaultKernelLeakOnContendedTransfer keys off revokes_in_flight_).
+    const int in_flight = static_cast<int>(revokes.size());
+    stats_.revocations.fetch_add(revokes.size(), std::memory_order_relaxed);
     FaultInjector* const injector = fault_injector_;
     if (injector != nullptr) {
-      revokes_in_flight_.fetch_add(1, std::memory_order_relaxed);
+      revokes_in_flight_.fetch_add(in_flight, std::memory_order_relaxed);
     }
-    bool completed = true;
+    size_t completed = revokes.size();
     if (config_.guard_callbacks) {
-      // Lease enforcement: the holder is trusted to cooperate only until its lease
-      // expires. Wait for the revoke callback at most until the lease deadline (plus
-      // grace), then reclaim the mapping by force — an unresponsive holder cannot stall
-      // a conflicting mapper beyond its lease.
+      // Lease enforcement: a holder is trusted to cooperate only until its lease expires.
+      // Each callback may run until its lease remainder (plus grace) has passed since it
+      // started; then that holder's mapping is reclaimed by force — an unresponsive
+      // holder cannot stall a conflicting mapper beyond its lease, and a slow one cannot
+      // spend the next holder's budget.
       const uint64_t now = NowNs();
-      const uint64_t remaining_ms =
-          lease_end > now ? (lease_end - now + 999999ull) / 1000000ull : 0;
-      const uint64_t budget_ms = remaining_ms + config_.revoke_grace_ms;
-      const Ino revoke_ino = ino;
-      auto revoke_fn = revoke;
-      completed =
-          RunGuarded(budget_ms, [revoke_fn, revoke_ino] { revoke_fn(revoke_ino); });
+      std::vector<CallbackGuard::Task> tasks;
+      tasks.reserve(revokes.size());
+      for (Revoke& revoke : revokes) {
+        const uint64_t remaining_ms =
+            revoke.lease_end > now ? (revoke.lease_end - now + 999999ull) / 1000000ull : 0;
+        tasks.push_back(CallbackGuard::Task{remaining_ms + config_.revoke_grace_ms,
+                                            [fn = std::move(revoke.fn), ino] { fn(ino); }});
+      }
+      completed = RunGuarded(std::move(tasks));
     } else {
-      revoke(ino);  // Synchronous: the holder unmaps (verify runs on this path).
+      for (const Revoke& revoke : revokes) {
+        revoke.fn(ino);  // Synchronous: the holder unmaps (verify runs on this path).
+      }
     }
     if (injector != nullptr) {
-      revokes_in_flight_.fetch_sub(1, std::memory_order_relaxed);
+      revokes_in_flight_.fetch_sub(in_flight, std::memory_order_relaxed);
     }
-    if (!completed) {
-      TRIO_LOG(kWarn) << "revoke of ino " << ino << " from LibFS " << conflict
+    for (size_t i = 0; i < completed; ++i) {
+      auto seen = std::find_if(revoked.begin(), revoked.end(), [&](const Revoked& r) {
+        return r.holder == revokes[i].holder;
+      });
+      if (seen == revoked.end()) {
+        revoked.push_back(
+            Revoked{revokes[i].holder, revokes[i].lease_end, revokes[i].grants, 0});
+      } else {
+        seen->lease_end = revokes[i].lease_end;
+        seen->grants = revokes[i].grants;
+      }
+    }
+    if (completed < revokes.size()) {
+      // The holders after the one that overran never ran; the next round re-evaluates
+      // them.
+      TRIO_LOG(kWarn) << "revoke of ino " << ino << " from LibFS " << revokes[completed].holder
                       << " overran the lease deadline; forcing release";
-      ForceRelease(ino, conflict);
-    } else {
-      already_revoked = conflict;
-      revoked_lease_end = lease_end;
+      ForceRelease(ino, revokes[completed].holder);
     }
     // Re-evaluate from scratch; records may have been reclaimed.
   }

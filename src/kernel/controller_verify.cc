@@ -323,6 +323,7 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
         if (writer != nullptr) {
           std::lock_guard<std::mutex> guard(writer->mu);
           writer->write_mapped.insert(child.ino);
+          ++writer->grants;
         }
         WmapLogAdd(child.ino);
         // The implicit write grant's dirent-page reference: the child's co-located inode

@@ -63,7 +63,7 @@ class ShardRank {
   }
 
  private:
-  static thread_local uint64_t held_mask_;
+  static inline thread_local uint64_t held_mask_ = 0;
 };
 
 // One shard's mutex: a plain std::mutex plus a contention probe (try_lock first so the

@@ -51,17 +51,18 @@ Result<KvFs::KvNode*> KvFs::GetKvNode(const std::string& key, bool create) {
   }
 
   auto kv = std::make_unique<KvNode>();
-  kv->node = GetOrCreateNode(slot->ino, dir_node_->ino, /*is_dir=*/false,
-                             SlotPointer(*slot));
-  kv->node->dirent = SlotPointer(*slot);
   if (created) {
     // A file we just created is implicitly write-held: its resources are our leases and
     // the kernel learns of it at the directory's next verification.
-    kv->node->locally_created = true;
-    kv->node->map_state.store(2, std::memory_order_release);
-  } else if (kv->node->map_state.load(std::memory_order_acquire) != 2 ||
-             kv->node->stale.load(std::memory_order_acquire)) {
-    TRIO_RETURN_IF_ERROR(EnsureMapped(kv->node.get(), /*write=*/true));
+    kv->node = CreateNode(slot->ino, dir_node_->ino, /*is_dir=*/false, SlotPointer(*slot));
+  } else {
+    kv->node = GetOrCreateNode(slot->ino, dir_node_->ino, /*is_dir=*/false,
+                               SlotPointer(*slot));
+    kv->node->dirent = SlotPointer(*slot);
+    if (kv->node->map_state.load(std::memory_order_acquire) != 2 ||
+        kv->node->stale.load(std::memory_order_acquire)) {
+      TRIO_RETURN_IF_ERROR(EnsureMapped(kv->node.get(), /*write=*/true));
+    }
   }
   TRIO_RETURN_IF_ERROR(BuildKvNode(kv.get()));
 

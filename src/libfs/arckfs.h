@@ -161,6 +161,10 @@ class ArckFs : public FsInterface, private RingPassHooks {
     // between two LibFS instances revoking each other); the revision tells it whether a
     // revoke slipped into that window and the fresh grant must be re-requested.
     uint64_t map_revision = 0;
+    // Set by RevokeNode, cleared by the next map (both under map_mutex). While set the
+    // kernel holds no grant of ours, so EnsureMapped skips the LookupGrant that could
+    // only miss.
+    bool revoked = false;
     DirentBlock* dirent = nullptr;
 
     // Regular-file auxiliary state (§4.2).
@@ -196,6 +200,10 @@ class ArckFs : public FsInterface, private RingPassHooks {
 
   // ---- Node / mapping machinery (shared with KVFS and FPFS) ----
   NodePtr GetOrCreateNode(Ino ino, Ino parent, bool is_dir, DirentBlock* dirent);
+  // Node for a file or directory we just created, write-held until the kernel reconciles
+  // it, with empty auxiliary state even when a node cached under a recycled ino still
+  // holds a deleted file's (revokes keep it).
+  NodePtr CreateNode(Ino ino, Ino parent, bool is_dir, DirentBlock* dirent);
   NodePtr FindNode(Ino ino);
   void DropNode(Ino ino);
   // Maps the node (read or write) through the kernel and rebuilds auxiliary state if the

@@ -34,13 +34,11 @@ class DirIndex {
   DirIndex(const DirIndex&) = delete;
   DirIndex& operator=(const DirIndex&) = delete;
   ~DirIndex() {
-    for (size_t i = 0; i <= table_->mask; ++i) {
-      Entry* entry = table_->buckets[i].head;
-      while (entry != nullptr) {
-        Entry* next = entry->next;
-        delete entry;
-        entry = next;
-      }
+    Reset();
+    while (spare_ != nullptr) {
+      Entry* next = spare_->next;
+      delete spare_;
+      spare_ = next;
     }
   }
 
@@ -61,21 +59,13 @@ class DirIndex {
 
   // Returns false if the name already exists.
   bool Insert(std::string_view name, const DirSlot& value) {
-    MaybeResize();
-    const uint64_t hash = HashString(name);
-    ReadGuard<RwLock> table_guard(table_lock_);
-    Table& table = *table_;
-    Bucket& bucket = table.buckets[hash & table.mask];
-    WriteGuard<RwLock> bucket_guard(bucket.lock);
-    for (Entry* entry = bucket.head; entry != nullptr; entry = entry->next) {
-      if (entry->hash == hash && entry->name == name) {
-        return false;
-      }
-    }
-    auto* entry = new Entry{hash, std::string(name), value, bucket.head};
-    bucket.head = entry;
-    size_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+    return Add(name, value, /*reuse_spare=*/false);
+  }
+
+  // Insert for the rebuild that follows Reset: takes an entry Reset kept, when one is
+  // left, in place of a new one. Same exclusion as Reset.
+  bool Refill(std::string_view name, const DirSlot& value) {
+    return Add(name, value, /*reuse_spare=*/true);
   }
 
   bool Erase(std::string_view name) {
@@ -114,16 +104,20 @@ class DirIndex {
     }
   }
 
-  void Clear() {
+  // Empties the index in place (rebuild path): the entries move to a spare list that
+  // Refill draws on and the bucket array keeps its size, so rebuilding a directory of
+  // the same size allocates nothing. The cost follows the buckets and entries in use.
+  // The caller excludes every other user of the index until the refill is done.
+  void Reset() {
     WriteGuard<RwLock> table_guard(table_lock_);
     for (size_t i = 0; i <= table_->mask; ++i) {
-      Entry* entry = table_->buckets[i].head;
-      while (entry != nullptr) {
-        Entry* next = entry->next;
-        delete entry;
-        entry = next;
+      Bucket& bucket = table_->buckets[i];
+      while (bucket.head != nullptr) {
+        Entry* entry = bucket.head;
+        bucket.head = entry->next;
+        entry->next = spare_;
+        spare_ = entry;
       }
-      table_->buckets[i].head = nullptr;
     }
     size_.store(0, std::memory_order_relaxed);
   }
@@ -144,6 +138,34 @@ class DirIndex {
     std::unique_ptr<Bucket[]> buckets;
     size_t mask;
   };
+
+  bool Add(std::string_view name, const DirSlot& value, bool reuse_spare) {
+    MaybeResize();
+    const uint64_t hash = HashString(name);
+    ReadGuard<RwLock> table_guard(table_lock_);
+    Table& table = *table_;
+    Bucket& bucket = table.buckets[hash & table.mask];
+    WriteGuard<RwLock> bucket_guard(bucket.lock);
+    for (Entry* entry = bucket.head; entry != nullptr; entry = entry->next) {
+      if (entry->hash == hash && entry->name == name) {
+        return false;
+      }
+    }
+    Entry* entry;
+    if (reuse_spare && spare_ != nullptr) {
+      entry = spare_;
+      spare_ = entry->next;
+      entry->hash = hash;
+      entry->name.assign(name);
+      entry->value = value;
+      entry->next = bucket.head;
+    } else {
+      entry = new Entry{hash, std::string(name), value, bucket.head};
+    }
+    bucket.head = entry;
+    size_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
 
   void MaybeResize() {
     // Grow when load factor exceeds 4 entries per bucket.
@@ -173,6 +195,7 @@ class DirIndex {
   mutable RwLock table_lock_;
   std::unique_ptr<Table> table_;
   std::atomic<size_t> size_{0};
+  Entry* spare_ = nullptr;  // Entries Reset kept for Refill, linked through `next`.
 };
 
 }  // namespace trio

@@ -298,11 +298,9 @@ Result<Fd> ArckFs::Open(const std::string& path, OpenFlags flags, uint32_t mode)
     if (!slot.ok()) {
       return slot.status();
     }
-    node = GetOrCreateNode(slot->ino, parent->ino, /*is_dir=*/false, SlotPointer(*slot));
     // A freshly created file is implicitly write-held by its creator: its pages are our
     // leases and the kernel learns of it when the parent directory is next verified.
-    node->locally_created = true;
-    node->map_state.store(2, std::memory_order_release);
+    node = CreateNode(slot->ino, parent->ino, /*is_dir=*/false, SlotPointer(*slot));
     created = true;
   } else {
     UnlockOp(parent.get());
@@ -332,10 +330,7 @@ Status ArckFs::Mkdir(const std::string& path, uint32_t mode) {
   if (!slot.ok()) {
     return slot.status();
   }
-  NodePtr node = GetOrCreateNode(slot->ino, parent->ino, /*is_dir=*/true, SlotPointer(*slot));
-  node->locally_created = true;
-  node->map_state.store(2, std::memory_order_release);
-  node->dir_index = std::make_unique<DirIndex>();  // Empty directory aux.
+  CreateNode(slot->ino, parent->ino, /*is_dir=*/true, SlotPointer(*slot));
   return OkStatus();
 }
 

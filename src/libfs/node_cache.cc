@@ -28,6 +28,23 @@ ArckFs::NodePtr ArckFs::GetOrCreateNode(Ino ino, Ino parent, bool is_dir,
   return node;
 }
 
+ArckFs::NodePtr ArckFs::CreateNode(Ino ino, Ino parent, bool is_dir, DirentBlock* dirent) {
+  NodePtr node = GetOrCreateNode(ino, parent, is_dir, dirent);
+  std::lock_guard<std::mutex> guard(node->map_mutex);
+  node->dirent = dirent;
+  if (node->revoked) {
+    // A node cached under a recycled ino: its revoke kept the deleted file's auxiliary
+    // state. Rebuilding from the new file's (empty) core state empties it in place.
+    TRIO_CHECK_OK(RebuildAux(node.get()));
+    node->revoked = false;
+  } else if (is_dir) {
+    node->dir_index = std::make_unique<DirIndex>();  // Empty directory aux.
+  }
+  node->locally_created = true;
+  node->map_state.store(2, std::memory_order_release);
+  return node;
+}
+
 ArckFs::NodePtr ArckFs::FindNode(Ino ino) {
   std::lock_guard<std::mutex> guard(nodes_mutex_);
   auto it = nodes_.find(ino);
@@ -51,6 +68,7 @@ Status ArckFs::EnsureMapped(FileNode* node, bool write) {
     const bool was_unmapped =
         node->map_state.load(std::memory_order_relaxed) == 0 || node->stale.load();
     const uint64_t revision = node->map_revision;
+    const bool revoked = node->revoked;
     // The kernel crossing runs WITHOUT our node lock: MapFile may synchronously revoke
     // the conflicting holder, and that holder's RevokeNode takes its own node's
     // map_mutex — holding ours across the call is an ABBA inversion when two tenants
@@ -61,9 +79,11 @@ Status ArckFs::EnsureMapped(FileNode* node, bool write) {
     // no shard mutex on the kernel side), skip the full MapFile. Safe against concurrent
     // revocation because RevokeNode holds this node's map_mutex for its whole duration:
     // any revoke serializes either before this window (revision moves, we retry) or
-    // after we re-lock (stale flips and the next op remaps).
-    Result<MapInfo> mapped = kernel_.LookupGrant(libfs_, node->ino);
-    if (!mapped.ok() || (write && !mapped->writable)) {
+    // after we re-lock (stale flips and the next op remaps). After a revoke of this node
+    // we answered with UnmapFile, so the lookup could only miss: MapFile decides alone.
+    Result<MapInfo> mapped = revoked ? kernel_.MapFile(libfs_, node->parent, node->ino, write)
+                                     : kernel_.LookupGrant(libfs_, node->ino);
+    if (!revoked && (!mapped.ok() || (write && !mapped->writable))) {
       mapped = kernel_.MapFile(libfs_, node->parent, node->ino, write);
     }
     guard.lock();
@@ -81,6 +101,7 @@ Status ArckFs::EnsureMapped(FileNode* node, bool write) {
     if (was_unmapped) {
       TRIO_RETURN_IF_ERROR(RebuildAux(node));
     }
+    node->revoked = false;
     node->stale.store(false, std::memory_order_release);
     node->map_state.store(info.writable ? 2 : 1, std::memory_order_release);
     return OkStatus();
@@ -145,25 +166,20 @@ void ArckFs::RevokeNode(Ino ino) {
   // completed-but-ineffective revoke callbacks. UnmapFile is idempotent — it returns
   // kNotFound/kInvalidArgument when there is truly nothing to release.
   (void)kernel_.UnmapFile(libfs_, ino);
-  // Drop auxiliary state; it is rebuilt from the (possibly verified-and-rolled-back) core
-  // state on the next access.
-  node->radix.Clear();
-  node->index_pages.clear();
-  node->reuse_pages.clear();
+  // Auxiliary state stays allocated: map_state 0 keeps every op out of it, and the next
+  // map's RebuildAux resets and refills it in place from the (possibly
+  // verified-and-rolled-back) core state.
   {
-    // Promoted tier copies go too — after the handoff the kernel may digest a newer
-    // version of these pages, and a stale cached copy would serve old bytes.
+    // Promoted tier copies go — after the handoff the kernel may digest a newer version
+    // of these pages, and a stale cached copy would serve old bytes.
     std::vector<PageNumber> recycled;
     promote_cache_.EraseFile(ino, &recycled);
     for (PageNumber p : recycled) {
       leases_.RecyclePage(p);
     }
   }
-  node->dir_index.reset();
-  node->dir_tails.clear();
-  node->dir_index_pages.clear();
-  node->dir_next_entry = 0;
   node->locally_created = false;
+  node->revoked = true;
   node->map_state.store(0, std::memory_order_release);
   node->op_lock.unlock();
   node->stale.store(false, std::memory_order_release);
@@ -195,8 +211,10 @@ Status ArckFs::RebuildAux(FileNode* node) {
   TRIO_CHECK(node->dirent != nullptr);
   const PageNumber first = node->dirent->first_index_page;
 
+  // Every container below is reset in place: a revoke left it allocated, and refilling
+  // it from core state reuses that memory.
   if (!node->is_dir) {
-    node->radix.Clear();
+    node->radix.Reset();
     node->index_pages.clear();
     node->reuse_pages.clear();
     TRIO_RETURN_IF_ERROR(ForEachIndexPage(pool_, first, [&](PageNumber p) -> Status {
@@ -218,9 +236,11 @@ Status ArckFs::RebuildAux(FileNode* node) {
       leases_.RecyclePage(p);
     }
   } else {
-    node->dir_index = std::make_unique<DirIndex>();
-    node->dir_tails.clear();
-    node->dir_tail_index.clear();
+    if (node->dir_index == nullptr) {
+      node->dir_index = std::make_unique<DirIndex>();
+    } else {
+      node->dir_index->Reset();
+    }
     node->dir_first_nonfull.store(0, std::memory_order_relaxed);
     node->dir_index_pages.clear();
     node->dir_next_entry = 0;
@@ -228,10 +248,14 @@ Status ArckFs::RebuildAux(FileNode* node) {
       node->dir_index_pages.push_back(p);
       return OkStatus();
     }));
+    size_t tails = 0;
     TRIO_RETURN_IF_ERROR(
         ForEachDataPage(pool_, first, [&](uint64_t, PageNumber p) -> Status {
-          auto tail = std::make_unique<FileNode::DirTail>();
-          tail->page = p;
+          if (tails == node->dir_tails.size()) {
+            node->dir_tails.push_back(std::make_unique<FileNode::DirTail>());
+          }
+          FileNode::DirTail& tail = *node->dir_tails[tails];
+          tail.page = p;
           auto* page = reinterpret_cast<DirDataPage*>(pool_.PageAddress(p));
           uint32_t live = 0;
           for (uint32_t s = 0; s < kDirentsPerPage; ++s) {
@@ -240,14 +264,19 @@ Status ArckFs::RebuildAux(FileNode* node) {
               continue;
             }
             ++live;
-            node->dir_index->Insert(d.Name(),
-                                    DirSlot{p, s, d.ino, d.IsDirectory()});
+            node->dir_index->Refill(d.Name(), DirSlot{p, s, d.ino, d.IsDirectory()});
           }
-          tail->full.store(live == kDirentsPerPage, std::memory_order_relaxed);
-          node->dir_tail_index[p] = node->dir_tails.size();
-          node->dir_tails.push_back(std::move(tail));
+          tail.full.store(live == kDirentsPerPage, std::memory_order_relaxed);
+          node->dir_tail_index[p] = tails++;
           return OkStatus();
         }));
+    node->dir_tails.resize(tails);
+    if (node->dir_tail_index.size() != tails) {
+      // Pages the directory no longer links.
+      std::erase_if(node->dir_tail_index, [&](const auto& entry) {
+        return entry.second >= tails || node->dir_tails[entry.second]->page != entry.first;
+      });
+    }
     if (!node->dir_index_pages.empty()) {
       const auto* last =
           reinterpret_cast<const IndexPage*>(pool_.PageAddress(node->dir_index_pages.back()));

@@ -8,6 +8,7 @@
 #ifndef SRC_LIBFS_RADIX_TREE_H_
 #define SRC_LIBFS_RADIX_TREE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -57,14 +58,41 @@ class PageRadixTree {
     Node* mid = GetOrCreateChild(node, (index >> (2 * kBits)) & kMask);
     Node* leaf = GetOrCreateChild(mid, (index >> kBits) & kMask);
     leaf->slots[index & kMask].store(page, std::memory_order_release);
+    if (page != 0) {
+      uint64_t extent = extent_.load(std::memory_order_relaxed);
+      while (index >= extent &&
+             !extent_.compare_exchange_weak(extent, index + 1, std::memory_order_relaxed)) {
+      }
+    }
   }
 
   void Erase(uint64_t index) { Insert(index, 0); }
 
-  // Drops everything (rebuild path). Not safe against concurrent readers; callers hold the
-  // inode lock exclusively.
-  void Clear() {
-    DeleteLevel(root_.exchange(nullptr, std::memory_order_acq_rel), 0);
+  // Empties the tree in place (rebuild path): zeroes the leaf slots below the extent and
+  // keeps every node for the refill, so the cost follows the indices in use, not the
+  // fanout. Not safe against concurrent writers; callers hold the node exclusively.
+  void Reset() {
+    const uint64_t end = extent_.exchange(0, std::memory_order_relaxed);
+    const Node* root = root_.load(std::memory_order_relaxed);
+    if (root == nullptr) {
+      return;
+    }
+    for (uint64_t base = 0; base < end;) {
+      const Node* mid = Child(root, (base >> (2 * kBits)) & kMask);
+      if (mid == nullptr) {
+        base = (base | (kFanout * kFanout - 1)) + 1;  // Past this whole mid subtree.
+        continue;
+      }
+      auto* leaf = reinterpret_cast<Node*>(
+          mid->slots[(base >> kBits) & kMask].load(std::memory_order_relaxed));
+      if (leaf != nullptr) {
+        const uint64_t used = std::min(kFanout, end - base);
+        for (uint64_t i = 0; i < used; ++i) {
+          leaf->slots[i].store(0, std::memory_order_relaxed);
+        }
+      }
+      base += kFanout;
+    }
   }
 
  private:
@@ -118,6 +146,8 @@ class PageRadixTree {
   }
 
   std::atomic<Node*> root_{nullptr};
+  // One past the highest index given a page since the last Reset: the slots Reset zeroes.
+  std::atomic<uint64_t> extent_{0};
 };
 
 }  // namespace trio

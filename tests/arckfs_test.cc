@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -454,6 +455,61 @@ TEST_F(ArckFsTest, WriterSeesOtherWritersCreations) {
   ASSERT_TRUE(entries.ok());
   EXPECT_EQ(entries->size(), 2u);
   EXPECT_EQ(ReadAll("/box/from2"), "2");
+}
+
+TEST_F(ArckFsTest, RebuildAfterRevokeShowsOnlyTheNewCoreState) {
+  ArckFs other(*kernel_);
+  ASSERT_TRUE(fs_->Mkdir("/d").ok());
+  WriteFile("/d/file", std::string(3 * kPageSize, 'x'));
+  WriteFile("/d/gone", "g");
+  WriteFile("/d/moved", "m");
+  for (const char* path : {"/d", "/d/file", "/d/gone", "/d/moved"}) {
+    ASSERT_TRUE(fs_->ReleaseFile(path).ok()) << path;
+  }
+
+  // B maps the file and the directory for reading and builds their aux state.
+  Result<Fd> fd = other.Open("/d/file", OpenFlags::ReadOnly());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  std::string seen(3 * kPageSize, '\0');
+  ASSERT_TRUE(other.Pread(*fd, seen.data(), seen.size(), 0).ok());
+  EXPECT_EQ(seen.find_first_not_of('x'), std::string::npos);
+  ASSERT_TRUE(other.Stat("/d/gone").ok());
+  ASSERT_TRUE(other.ReadDir("/d").ok());
+  const uint64_t revocations = other.libfs_stats().revocations.load();
+
+  // A takes both write grants, revoking B: the file loses its last two pages and gets
+  // new bytes in the third, and the directory loses one name and renames another.
+  {
+    Result<Fd> afd = fs_->Open("/d/file", OpenFlags::ReadWrite());
+    ASSERT_TRUE(afd.ok());
+    ASSERT_TRUE(fs_->Ftruncate(*afd, kPageSize).ok());
+    ASSERT_TRUE(fs_->Pwrite(*afd, "new", 3, 2 * kPageSize).ok());
+    ASSERT_TRUE(fs_->Close(*afd).ok());
+  }
+  ASSERT_TRUE(fs_->Unlink("/d/gone").ok());
+  ASSERT_TRUE(fs_->Rename("/d/moved", "/d/renamed").ok());
+  EXPECT_GE(other.libfs_stats().revocations.load(), revocations + 2);
+
+  // B's next reads rebuild in place and see only what A left.
+  std::string now(2 * kPageSize + 3, '?');
+  Result<size_t> n = other.Pread(*fd, now.data(), now.size(), 0);
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  ASSERT_EQ(*n, now.size());
+  EXPECT_EQ(now.find_first_not_of('x'), kPageSize);
+  EXPECT_EQ(now.find_first_not_of('\0', kPageSize), 2 * kPageSize);  // Page 1 is a hole.
+  EXPECT_EQ(now.substr(2 * kPageSize), "new");
+  ASSERT_TRUE(other.Close(*fd).ok());
+  EXPECT_TRUE(other.Stat("/d/gone").status().Is(ErrorCode::kNotFound));
+  EXPECT_TRUE(other.Stat("/d/moved").status().Is(ErrorCode::kNotFound));
+  Result<std::vector<DirEntryInfo>> entries = other.ReadDir("/d");
+  ASSERT_TRUE(entries.ok());
+  std::vector<std::string> names;
+  for (const DirEntryInfo& entry : *entries) {
+    names.push_back(entry.name);
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"file", "renamed"}));
+  EXPECT_EQ(ReadAll("/d/renamed"), "m");
 }
 
 TEST_F(ArckFsTest, TrustGroupSharesOneLibFsWithoutVerification) {

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -168,6 +169,130 @@ TEST_F(KernelTest, WriteConflictInvokesRevokeCallback) {
 
   kernel_->UnregisterLibFs(holder);
   kernel_->UnregisterLibFs(requester);
+}
+
+// LibFSes that map the root for reading and answer revokes by unmapping, except that the
+// revoke callback that runs `hang_at`-th (from 0, across all of them) first blocks until
+// `release` is set. State the callbacks touch lives here, owned by every callback.
+struct ReadHolders {
+  struct Holder {
+    LibFsId id = kNoLibFs;
+    std::atomic<int> revokes{0};
+    std::atomic<bool> unmapped{false};
+    std::thread::id ran_on;
+  };
+  int hang_at = -1;
+  std::atomic<int> callbacks{0};
+  std::atomic<bool> release{false};
+  std::atomic<bool> hung_returned{false};
+  std::vector<std::unique_ptr<Holder>> holders;
+};
+
+std::shared_ptr<ReadHolders> MapReadHolders(KernelController& kernel, int count,
+                                            int hang_at = -1) {
+  auto state = std::make_shared<ReadHolders>();
+  state->hang_at = hang_at;
+  for (int i = 0; i < count; ++i) {
+    state->holders.push_back(std::make_unique<ReadHolders::Holder>());
+  }
+  for (int i = 0; i < count; ++i) {
+    ReadHolders::Holder* holder = state->holders[i].get();
+    LibFsOptions options;
+    options.callbacks.revoke = [&kernel, state, holder](Ino ino) {
+      holder->ran_on = std::this_thread::get_id();
+      holder->revokes.fetch_add(1);
+      const bool hang = state->callbacks.fetch_add(1) == state->hang_at;
+      while (hang && !state->release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      holder->unmapped.store(kernel.UnmapFile(holder->id, ino).ok());
+      if (hang) {
+        state->hung_returned.store(true);
+      }
+    };
+    holder->id = kernel.RegisterLibFs(options);
+    TRIO_CHECK(kernel.MapRoot(holder->id, /*write=*/false).ok());
+  }
+  return state;
+}
+
+TEST_F(KernelTest, WriteOverReadersRevokesThemAllInOneGuardedRun) {
+  std::shared_ptr<ReadHolders> readers = MapReadHolders(*kernel_, 3);
+  const LibFsId writer = Register();
+  const uint64_t runs = kernel_->stats().callback_runs.load();
+  const uint64_t revocations = kernel_->stats().revocations.load();
+
+  Result<MapInfo> granted = kernel_->MapRoot(writer, /*write=*/true);
+  ASSERT_TRUE(granted.ok()) << granted.status().ToString();
+  EXPECT_TRUE(granted->writable);
+  EXPECT_EQ(kernel_->stats().callback_runs.load(), runs + 1);
+  EXPECT_EQ(kernel_->stats().revocations.load(), revocations + 3);
+  EXPECT_EQ(kernel_->stats().callback_timeouts.load(), 0u);
+  EXPECT_EQ(kernel_->stats().forced_releases.load(), 0u);
+  const PageNumber root_index = SuperblockOf(pool_)->root.first_index_page;
+  for (const auto& reader : readers->holders) {
+    EXPECT_EQ(reader->revokes.load(), 1);
+    EXPECT_TRUE(reader->unmapped.load());
+    EXPECT_EQ(reader->ran_on, readers->holders[0]->ran_on);  // One helper ran them all.
+    EXPECT_FALSE(kernel_->mmu().Check(reader->id, root_index, false));
+  }
+  EXPECT_TRUE(kernel_->mmu().Check(writer, root_index, true));
+
+  kernel_->UnregisterLibFs(writer);
+  for (const auto& reader : readers->holders) {
+    kernel_->UnregisterLibFs(reader->id);
+  }
+}
+
+TEST(KernelRevokeTest, HungHolderMidBatchIsTheOnlyOneForced) {
+  NvmPool pool(2048);
+  FormatOptions options;
+  options.max_inodes = 1024;
+  TRIO_CHECK_OK(Format(pool, options));
+  KernelConfig config;
+  // A reader's whole budget (its lease remainder is 0): the hang overruns it, while the
+  // cooperative callbacks finish within it even on a loaded machine.
+  config.revoke_grace_ms = 200;
+  KernelController kernel(pool, config);
+  TRIO_CHECK_OK(kernel.Mount());
+  // The second callback of the batch hangs.
+  std::shared_ptr<ReadHolders> readers = MapReadHolders(kernel, 3, /*hang_at=*/1);
+  const LibFsId writer = kernel.RegisterLibFs(LibFsOptions{});
+
+  Result<MapInfo> granted = kernel.MapRoot(writer, /*write=*/true);
+  ASSERT_TRUE(granted.ok()) << granted.status().ToString();
+  EXPECT_TRUE(granted->writable);
+  EXPECT_FALSE(readers->hung_returned.load());
+  EXPECT_EQ(kernel.stats().forced_releases.load(), 1u);
+  EXPECT_EQ(kernel.stats().callback_timeouts.load(), 1u);
+  // The batch stopped at the hung holder; the third ran in a second upcall.
+  EXPECT_EQ(kernel.stats().callback_runs.load(), 2u);
+  EXPECT_EQ(kernel.stats().revocations.load(), 4u);
+  const PageNumber root_index = SuperblockOf(pool)->root.first_index_page;
+  int cooperative = 0;
+  for (const auto& reader : readers->holders) {
+    EXPECT_EQ(reader->revokes.load(), 1);
+    EXPECT_FALSE(kernel.mmu().Check(reader->id, root_index, false));
+    cooperative += reader->unmapped.load() ? 1 : 0;
+  }
+  EXPECT_EQ(cooperative, 2);
+  EXPECT_TRUE(kernel.mmu().Check(writer, root_index, true));
+
+  readers->release.store(true);
+  while (!readers->hung_returned.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Its mapping was reclaimed by force, so its late unmap finds nothing to release.
+  cooperative = 0;
+  for (const auto& reader : readers->holders) {
+    cooperative += reader->unmapped.load() ? 1 : 0;
+  }
+  EXPECT_EQ(cooperative, 2);
+  kernel.UnregisterLibFs(writer);
+  for (const auto& reader : readers->holders) {
+    kernel.UnregisterLibFs(reader->id);
+  }
+  TRIO_CHECK_OK(kernel.Unmount());
 }
 
 TEST_F(KernelTest, WriteMapLogPersistsGrants) {
@@ -410,6 +535,103 @@ TEST(CallbackGuardTest, HungCallbackIsAbandonedAtItsDeadline) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_FALSE(on_hung_helper());
   }
+  EXPECT_EQ(guard.timeouts(), 1u);
+}
+
+TEST(CallbackGuardTest, BatchRunsCallbacksInOrderOnOneHelper) {
+  CallbackGuard guard;
+  struct Seen {
+    std::mutex mu;
+    std::vector<int> order;
+    std::vector<std::thread::id> threads;
+  };
+  auto seen = std::make_shared<Seen>();
+  std::vector<CallbackGuard::Task> tasks;
+  for (int i = 0; i < 4; ++i) {
+    tasks.push_back(CallbackGuard::Task{kNoHangMs, [seen, i] {
+                                          std::lock_guard<std::mutex> guard(seen->mu);
+                                          seen->order.push_back(i);
+                                          seen->threads.push_back(std::this_thread::get_id());
+                                        }});
+  }
+  EXPECT_EQ(guard.RunBatch(std::move(tasks)), 4u);
+  std::lock_guard<std::mutex> lock(seen->mu);
+  EXPECT_EQ(seen->order, (std::vector<int>{0, 1, 2, 3}));
+  ASSERT_EQ(seen->threads.size(), 4u);
+  for (const std::thread::id& thread : seen->threads) {
+    EXPECT_EQ(thread, seen->threads[0]);
+  }
+  EXPECT_NE(seen->threads[0], std::this_thread::get_id());
+  EXPECT_EQ(guard.timeouts(), 0u);
+}
+
+TEST(CallbackGuardTest, SlowCallbackDoesNotSpendTheNextOnesBudget) {
+  // Each callback takes 60% of its own budget: together they outlast either budget, so
+  // the batch completes only if every deadline counts from its own callback's start.
+  constexpr uint64_t kBudgetMs = 1000;
+  constexpr auto kSleep = std::chrono::milliseconds(600);
+  CallbackGuard guard;
+  auto done = std::make_shared<std::atomic<int>>(0);
+  std::vector<CallbackGuard::Task> tasks;
+  for (int i = 0; i < 2; ++i) {
+    tasks.push_back(CallbackGuard::Task{kBudgetMs, [done, kSleep] {
+                                          std::this_thread::sleep_for(kSleep);
+                                          done->fetch_add(1);
+                                        }});
+  }
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(guard.RunBatch(std::move(tasks)), 2u);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 2 * kSleep);
+  EXPECT_EQ(done->load(), 2);
+  EXPECT_EQ(guard.timeouts(), 0u);
+}
+
+TEST(CallbackGuardTest, HungCallbackEndsItsBatchAtItsOwnDeadline) {
+  constexpr uint64_t kDeadlineMs = 50;
+  constexpr auto kFirst = std::chrono::milliseconds(40);
+  CallbackGuard guard;
+  auto release = std::make_shared<std::atomic<bool>>(false);
+  auto returned = std::make_shared<std::atomic<bool>>(false);
+  auto later_ran = std::make_shared<std::atomic<bool>>(false);
+  std::vector<CallbackGuard::Task> tasks;
+  tasks.push_back(CallbackGuard::Task{kNoHangMs, [kFirst] {
+                                        t_ran_hung_callback = true;
+                                        std::this_thread::sleep_for(kFirst);
+                                      }});
+  tasks.push_back(CallbackGuard::Task{kDeadlineMs, [release, returned] {
+                                        while (!release->load()) {
+                                          std::this_thread::sleep_for(
+                                              std::chrono::milliseconds(1));
+                                        }
+                                        returned->store(true);
+                                      }});
+  tasks.push_back(CallbackGuard::Task{kNoHangMs, [later_ran] { later_ran->store(true); }});
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(guard.RunBatch(std::move(tasks)), 1u);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  // The hung callback's deadline counts from its own start, after the first one's 40 ms.
+  EXPECT_GE(waited, kFirst + std::chrono::milliseconds(kDeadlineMs));
+  EXPECT_LT(waited, kFirst + std::chrono::milliseconds(kDeadlineMs) + std::chrono::seconds(5));
+  EXPECT_EQ(guard.timeouts(), 1u);
+
+  // The abandoned helper runs nothing more: not the rest of its batch, and no later
+  // callback, while it hangs or after.
+  auto on_hung_helper = [&guard] {
+    auto seen = std::make_shared<std::atomic<bool>>(true);
+    EXPECT_TRUE(guard.Run(kNoHangMs, [seen] { seen->store(t_ran_hung_callback); }));
+    return seen->load();
+  };
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_FALSE(on_hung_helper());
+  }
+  release->store(true);
+  while (!returned->load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_FALSE(on_hung_helper());
+  }
+  EXPECT_FALSE(later_ran->load());
   EXPECT_EQ(guard.timeouts(), 1u);
 }
 

@@ -41,15 +41,45 @@ TEST(RadixTreeTest, InsertLookupEraseRoundTrip) {
   EXPECT_EQ(tree.Lookup(512), 102u);
 }
 
-TEST(RadixTreeTest, ClearDropsEverything) {
+TEST(RadixTreeTest, ResetEmptiesTheTreeForARefill) {
   PageRadixTree tree;
   for (uint64_t i = 0; i < 1000; ++i) {
     tree.Insert(i, i + 1);
   }
-  tree.Clear();
+  tree.Reset();
   for (uint64_t i = 0; i < 1000; ++i) {
-    EXPECT_EQ(tree.Lookup(i), 0u);
+    ASSERT_EQ(tree.Lookup(i), 0u) << i;
   }
+  // Refill a smaller file: nothing of the old contents shows through.
+  for (uint64_t i = 0; i < 300; i += 2) {
+    tree.Insert(i, i + 7);
+  }
+  for (uint64_t i = 0; i < 1000; ++i) {
+    ASSERT_EQ(tree.Lookup(i), i < 300 && i % 2 == 0 ? i + 7 : 0u) << i;
+  }
+  tree.Reset();
+  for (uint64_t i = 0; i < 1000; ++i) {
+    ASSERT_EQ(tree.Lookup(i), 0u) << i;
+  }
+}
+
+TEST(RadixTreeTest, ResetReachesSparseIndicesInEveryLevel) {
+  const uint64_t far[] = {3, 511, 512 * 40 + 9, 512 * 512 * 2 + 5, 512ull * 512 * 300 + 511,
+                          PageRadixTree::kMaxPages - 1};
+  PageRadixTree tree;
+  for (uint64_t index : far) {
+    tree.Insert(index, index + 1);
+  }
+  tree.Erase(511);  // An erased slot below the extent stays empty.
+  tree.Reset();
+  for (uint64_t index : far) {
+    EXPECT_EQ(tree.Lookup(index), 0u) << index;
+  }
+  tree.Insert(512 * 40 + 9, 42);
+  EXPECT_EQ(tree.Lookup(512 * 40 + 9), 42u);
+  EXPECT_EQ(tree.Lookup(PageRadixTree::kMaxPages - 1), 0u);
+  tree.Reset();
+  EXPECT_EQ(tree.Lookup(512 * 40 + 9), 0u);
 }
 
 TEST(RadixTreeTest, ConcurrentReadersDuringInserts) {
@@ -138,6 +168,51 @@ TEST(DirIndexTest, ConcurrentMixedOperations) {
     }
   }
   EXPECT_EQ(index.Size(), expected);
+}
+
+TEST(DirIndexTest, ResetThenRefillHoldsOnlyTheNewListing) {
+  DirIndex index(4);  // Grows to hold the first listing; Reset keeps the grown table.
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(index.Insert("old" + std::to_string(i), DirSlot{1, 0, Ino(i + 2), false}));
+  }
+  index.Reset();
+  EXPECT_EQ(index.Size(), 0u);
+  DirSlot slot;
+  EXPECT_FALSE(index.Lookup("old0", &slot));
+  size_t visited = 0;
+  index.ForEach([&](const std::string&, const DirSlot&) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+
+  // Half the names survive with new locations, plus more new names than Reset kept.
+  for (int i = 0; i < 100; i += 2) {
+    ASSERT_TRUE(index.Refill("old" + std::to_string(i), DirSlot{2, 1, Ino(i + 2), true}));
+  }
+  for (int i = 0; i < 120; ++i) {
+    ASSERT_TRUE(
+        index.Refill("a-much-longer-new-name-" + std::to_string(i), DirSlot{3, 2, Ino(500 + i), false}));
+  }
+  EXPECT_FALSE(index.Refill("old0", DirSlot{9, 9, 9, false}));  // Duplicate.
+  EXPECT_EQ(index.Size(), 170u);
+  for (int i = 0; i < 100; ++i) {
+    const bool found = index.Lookup("old" + std::to_string(i), &slot);
+    ASSERT_EQ(found, i % 2 == 0) << i;
+    if (found) {
+      EXPECT_EQ(slot.page, 2u);
+      EXPECT_EQ(slot.ino, Ino(i + 2));
+      EXPECT_TRUE(slot.is_dir);
+    }
+  }
+  ASSERT_TRUE(index.Lookup("a-much-longer-new-name-119", &slot));
+  EXPECT_EQ(slot.ino, Ino(619));
+  std::set<std::string> seen;
+  index.ForEach([&](const std::string& name, const DirSlot&) { seen.insert(name); });
+  EXPECT_EQ(seen.size(), 170u);
+
+  // The refilled index serves the create and unlink paths as before.
+  EXPECT_TRUE(index.Insert("fresh", DirSlot{4, 3, 900, false}));
+  EXPECT_TRUE(index.Erase("old2"));
+  EXPECT_FALSE(index.Lookup("old2", &slot));
+  EXPECT_EQ(index.Size(), 170u);
 }
 
 struct DummyFile {
