@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds the concurrency-heavy test binaries (the Parker park/wake primitive, the seqlock,
 # delegation pool, callback watchdog, crash explorer, op-ring drainer, multi-tenant
-# schedule explorer, fuzz corpus, fleet, trace ring) under ThreadSanitizer and under
-# AddressSanitizer with UndefinedBehaviorSanitizer, and runs a smoke subset of each.
+# schedule explorer, fuzz corpus, fleet, trace ring, MMU page tables, verifier scratch,
+# dirent publish word) under ThreadSanitizer and under AddressSanitizer with
+# UndefinedBehaviorSanitizer, and runs a smoke subset of each.
 #
 # Usage: scripts/run_sanitizers.sh [thread|address] [--adversarial]
 #   (no sanitizer: both, thread first)
@@ -54,10 +55,20 @@ tier_filter='TierTest.*'
 # at its deadline while its helper keeps running; then the kernel's batched revoke of a
 # file's read holders, one of them hung.
 watchdog_filter='CallbackGuardTest.*:KernelTest.WriteOverReadersRevokesThemAllInOneGuardedRun:KernelRevokeTest.*'
+# Per-LibFS MMU page tables: lock-free refcounts under four threads, plus the kernel's
+# check for unknown LibFSes and pages.
+mmu_filter='MmuSimTest.*:KernelTest.MmuCheckIsFalseForAnUnknownLibFsOrPage'
+# Verifier scratch: a 3,000-entry directory's duplicate checks, the checkpoint diff, and
+# two threads verifying at once.
+verifier_filter='VerifierLargeDirTest.*:VerifierDirTest.CheckpointDiffListsEveryRemovedChild:VerifierDirTest.TwoThreadsVerifyingDifferentDirectoriesGetTheirOwnReports'
+# Dirent ino publish word: a committer toggles a slot's ino while the verifier and a
+# LibFS's aux rebuild scan its page.
+arckfs_filter='ArckFsTest.DirentScansLoadTheWordsTheCommitterPublishes'
 # Trace ring seqlock: snapshots taken while other threads push.
 obs_filter='OpContextTest.SnapshotWhileThreadsPush*'
 targets=(delegation_test crash_explorer_test op_ring_test common_test
-         schedule_explorer_test fuzz_corpus_test fleet_test tier_test kernel_test obs_test)
+         schedule_explorer_test fuzz_corpus_test fleet_test tier_test kernel_test obs_test
+         verifier_test arckfs_test)
 if [[ $adversarial -eq 1 ]]; then
   schedule_filter='*'
   fuzz_filter='*'
@@ -95,6 +106,15 @@ for san in "${sanitizers[@]}"; do
 
   echo "== TRIO_SANITIZE=$san: kernel_test (callback watchdog, batched revoke) =="
   "$build/tests/kernel_test" --gtest_filter="$watchdog_filter" --gtest_brief=1
+
+  echo "== TRIO_SANITIZE=$san: kernel_test (MMU page tables) =="
+  "$build/tests/kernel_test" --gtest_filter="$mmu_filter" --gtest_brief=1
+
+  echo "== TRIO_SANITIZE=$san: verifier_test (verification scratch) =="
+  "$build/tests/verifier_test" --gtest_filter="$verifier_filter" --gtest_brief=1
+
+  echo "== TRIO_SANITIZE=$san: arckfs_test (dirent ino publish) =="
+  "$build/tests/arckfs_test" --gtest_filter="$arckfs_filter" --gtest_brief=1
 
   echo "== TRIO_SANITIZE=$san: obs_test (trace ring) =="
   "$build/tests/obs_test" --gtest_filter="$obs_filter" --gtest_brief=1

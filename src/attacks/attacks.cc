@@ -13,7 +13,7 @@ Result<DirentBlock*> MaliciousLibFs::MapTarget(const std::string& path) {
 bool MaliciousLibFs::RawStore(void* dst, const void* src, size_t len) {
   // The hardware MMU check: a malicious LibFS can bypass all LibFS-level checks but not
   // the page tables the kernel controller programmed.
-  if (!kernel_.mmu().CheckRange(libfs_, pool_, dst, len, /*write=*/true)) {
+  if (!kernel_.MmuCheckRange(libfs_, dst, len, /*write=*/true)) {
     return false;
   }
   pool_.Write(dst, src, len);
@@ -154,7 +154,7 @@ Status MaliciousLibFs::AttackDuplicateName(const std::string& dir_path) {
   DirentBlock* first = nullptr;
   DirentBlock* second = nullptr;
   Status walk = ForEachDirent(pool_, dir->dirent->first_index_page,
-                              [&](DirentBlock* d, PageNumber, size_t) -> Status {
+                              [&](DirentBlock* d, Ino, PageNumber, size_t) -> Status {
                                 if (first == nullptr) {
                                   first = d;
                                 } else if (second == nullptr) {

@@ -138,48 +138,55 @@ Status ForEachDataPage(const NvmPool& pool, PageNumber first_index_page,
 
 Status ForEachDataEntry(const NvmPool& pool, PageNumber first_index_page,
                         const std::function<Status(uint64_t, uint64_t)>& fn) {
-  uint64_t base_index = 0;
+  uint64_t position = 0;
   return ForEachIndexPage(pool, first_index_page, [&](PageNumber page) -> Status {
-    const auto* index = reinterpret_cast<const IndexPage*>(pool.PageAddress(page));
-    for (size_t i = 0; i < kIndexEntriesPerPage; ++i) {
-      const uint64_t entry = index->entries[i];
-      if (entry == 0) {
-        continue;  // Hole.
-      }
-      if (!IsTierEntry(entry) && !ValidFilePage(pool, entry)) {
-        return Corrupted("data page number out of range");
-      }
-      TRIO_RETURN_IF_ERROR(fn(base_index + i, entry));
-    }
-    base_index += kIndexEntriesPerPage;
-    return OkStatus();
+    return ForEachIndexEntry(pool, page, position++, fn);
   });
 }
 
-Status ForEachDirent(NvmPool& pool, PageNumber first_index_page,
-                     const std::function<Status(DirentBlock*, PageNumber, size_t)>& fn) {
+Status ForEachIndexEntry(const NvmPool& pool, PageNumber index_page, uint64_t position,
+                         const std::function<Status(uint64_t, uint64_t)>& fn) {
+  const auto* index = reinterpret_cast<const IndexPage*>(pool.PageAddress(index_page));
+  const uint64_t base_index = position * kIndexEntriesPerPage;
+  for (size_t i = 0; i < kIndexEntriesPerPage; ++i) {
+    const uint64_t entry = index->entries[i];
+    if (entry == 0) {
+      continue;  // Hole.
+    }
+    if (!IsTierEntry(entry) && !ValidFilePage(pool, entry)) {
+      return Corrupted("data page number out of range");
+    }
+    TRIO_RETURN_IF_ERROR(fn(base_index + i, entry));
+  }
+  return OkStatus();
+}
+
+Status ForEachDirent(NvmPool& pool, PageNumber first_index_page, const DirentFn& fn) {
   return ForEachDataPage(pool, first_index_page,
                          [&](uint64_t /*file_page_index*/, PageNumber page) -> Status {
-                           auto* dir_page = reinterpret_cast<DirDataPage*>(pool.PageAddress(page));
-                           for (size_t slot = 0; slot < kDirentsPerPage; ++slot) {
-                             DirentBlock* dirent = &dir_page->slots[slot];
-                             // The ino is the atomic publish field (§4.4): an acquire
-                             // load pairs with the writer's release store so a dirent is
-                             // either invisible or fully written — the kernel scans
-                             // pages a LibFS may be committing to concurrently.
-                             if (pool.Load64(&dirent->ino) == kInvalidIno) {
-                               continue;
-                             }
-                             TRIO_RETURN_IF_ERROR(fn(dirent, page, slot));
-                           }
-                           return OkStatus();
+                           return ForEachDirentInPage(pool, page, fn);
                          });
+}
+
+Status ForEachDirentInPage(NvmPool& pool, PageNumber page, const DirentFn& fn) {
+  auto* dir_page = reinterpret_cast<DirDataPage*>(pool.PageAddress(page));
+  for (size_t slot = 0; slot < kDirentsPerPage; ++slot) {
+    DirentBlock* dirent = &dir_page->slots[slot];
+    // The acquire load pairs with the writer's release store, so a dirent is either
+    // invisible or fully written: the kernel scans pages a LibFS may be committing to.
+    const Ino ino = pool.Load64(&dirent->ino);
+    if (ino == kInvalidIno) {
+      continue;
+    }
+    TRIO_RETURN_IF_ERROR(fn(dirent, ino, page, slot));
+  }
+  return OkStatus();
 }
 
 Result<uint64_t> CountDirents(NvmPool& pool, PageNumber first_index_page) {
   uint64_t count = 0;
   Status status = ForEachDirent(pool, first_index_page,
-                                [&](DirentBlock*, PageNumber, size_t) -> Status {
+                                [&](DirentBlock*, Ino, PageNumber, size_t) -> Status {
                                   ++count;
                                   return OkStatus();
                                 });

@@ -59,11 +59,20 @@ Status ForEachDataPage(const NvmPool& pool, PageNumber first_index_page,
 Status ForEachDataEntry(const NvmPool& pool, PageNumber first_index_page,
                         const std::function<Status(uint64_t file_page_index, uint64_t entry)>& fn);
 
-// Visits each live DirentBlock of the directory whose chain starts at `first_index_page`.
-// The pointer stays valid as long as the pool does; `page`/`slot` locate it.
-Status ForEachDirent(
-    NvmPool& pool, PageNumber first_index_page,
-    const std::function<Status(DirentBlock* dirent, PageNumber page, size_t slot)>& fn);
+// ForEachDataEntry over one index page, the chain's `position`-th (0-based).
+Status ForEachIndexEntry(const NvmPool& pool, PageNumber index_page, uint64_t position,
+                         const std::function<Status(uint64_t file_page_index, uint64_t entry)>& fn);
+
+// Visits each live DirentBlock of the directory whose chain starts at `first_index_page`,
+// with its inode number. The ino is the atomic publish field (§4.4) that a concurrent
+// create or rename stores with release: it is loaded once, with acquire, and callers use
+// this value rather than a second, plain read of dirent->ino. The pointer stays valid as
+// long as the pool does; `page`/`slot` locate it.
+using DirentFn = std::function<Status(DirentBlock* dirent, Ino ino, PageNumber page, size_t slot)>;
+Status ForEachDirent(NvmPool& pool, PageNumber first_index_page, const DirentFn& fn);
+
+// ForEachDirent over one directory data page.
+Status ForEachDirentInPage(NvmPool& pool, PageNumber page, const DirentFn& fn);
 
 // Counts live dirents (kNotFound-free convenience used by rmdir and I3).
 Result<uint64_t> CountDirents(NvmPool& pool, PageNumber first_index_page);

@@ -338,17 +338,17 @@ Status KernelController::ScanTreeLocked(Ino ino, Ino parent, PageNumber dirent_p
   if (record.is_dir && walk.ok()) {
     children_status = ForEachDirent(
         pool_, dirent.first_index_page,
-        [&](DirentBlock* child, PageNumber page, size_t slot) -> Status {
-          if (seen_inos->count(child->ino) != 0) {
+        [&](DirentBlock* child, Ino child_ino, PageNumber page, size_t slot) -> Status {
+          if (seen_inos->count(child_ino) != 0) {
             // Torn rename can leave the same ino under two names; keep the first, let the
             // LibFS recovery program resolve the journal.
-            TRIO_LOG(kWarn) << "mount: duplicate ino " << child->ino << " skipped";
+            TRIO_LOG(kWarn) << "mount: duplicate ino " << child_ino << " skipped";
             return OkStatus();
           }
-          Status s = ScanTreeLocked(child->ino, ino, page, slot, *child, seen_pages,
+          Status s = ScanTreeLocked(child_ino, ino, page, slot, *child, seen_pages,
                                     seen_inos);
           if (!s.ok()) {
-            TRIO_LOG(kWarn) << "mount: subtree of ino " << child->ino
+            TRIO_LOG(kWarn) << "mount: subtree of ino " << child_ino
                             << " damaged: " << s.ToString();
           }
           return OkStatus();
@@ -530,10 +530,12 @@ Status KernelController::RunRecovery() {
 
 LibFsId KernelController::RegisterLibFs(const LibFsOptions& options) {
   SyscallScope syscall(stats_, "RegisterLibFs");
-  auto record = std::make_shared<LibFsRecord>();
+  auto record = std::make_shared<LibFsRecord>(pool_.num_pages());
   record->uid = options.uid;
   record->gid = options.gid;
   record->callbacks = options.callbacks;
+  // Every LibFS can read the superblock.
+  record->mmu.Grant(0, PagePerm::kRead);
   LibFsId id;
   {
     std::lock_guard<std::mutex> guard(registry_mu_);
@@ -541,8 +543,6 @@ LibFsId KernelController::RegisterLibFs(const LibFsOptions& options) {
     record->id = id;
     libfses_[id] = std::move(record);
   }
-  // Every LibFS can read the superblock.
-  mmu_.Grant(id, 0, PagePerm::kRead);
   return id;
 }
 
@@ -553,7 +553,7 @@ void KernelController::UnregisterLibFs(LibFsId libfs) {
     return;
   }
 
-  // Release read mappings (page permissions fall with RevokeAll below).
+  // Release read mappings (page permissions fall with the record's page table).
   std::vector<Ino> reads;
   {
     std::lock_guard<std::mutex> guard(me->mu);
@@ -633,11 +633,9 @@ void KernelController::UnregisterLibFs(LibFsId libfs) {
     std::lock_guard<std::mutex> guard(alloc_mu_);
     free_inos_.push_back(ino);
   }
-  mmu_.RevokeAll(libfs);
-  {
-    std::lock_guard<std::mutex> guard(registry_mu_);
-    libfses_.erase(libfs);
-  }
+  // From here MmuCheck finds no LibFS; the page table dies with the last record reference.
+  std::lock_guard<std::mutex> guard(registry_mu_);
+  libfses_.erase(libfs);
 }
 
 // ---------------------------------------------------------------------------
@@ -680,27 +678,25 @@ Status KernelController::AllocPages(LibFsId libfs, size_t count, int node_hint,
     if (page == kInvalidPage) {
       // All-or-nothing: roll back what this call handed out.
       for (PageNumber p : granted) {
-        {
-          std::lock_guard<std::mutex> guard(me->mu);
-          me->leased_pages.erase(p);
-        }
-        mmu_.Revoke(libfs, p, PagePerm::kReadWrite);
         ReleasePageToFree(p);
-        stats_.pages_allocated.fetch_sub(1, std::memory_order_relaxed);
       }
       return NoSpace("out of NVM pages");
     }
     // Zero before leasing: a freed page must not leak another user's data.
     pool_.Set(pool_.PageAddress(page), 0, kPageSize);
-    page_table_.Set(page, PageState{ResourceState::kLeased, libfs, kInvalidIno});
-    {
-      std::lock_guard<std::mutex> guard(me->mu);
-      me->leased_pages.insert(page);
-    }
-    mmu_.Grant(libfs, page, PagePerm::kReadWrite);
     granted.push_back(page);
-    stats_.pages_allocated.fetch_add(1, std::memory_order_relaxed);
   }
+  // Lease records and MMU grants first, the page-table entry last: a FreePages racing
+  // this call cannot free a page before the references it would release exist.
+  {
+    std::lock_guard<std::mutex> guard(me->mu);
+    me->leased_pages.insert(granted.begin(), granted.end());
+  }
+  me->mmu.GrantPages(granted, PagePerm::kReadWrite);
+  for (PageNumber page : granted) {
+    page_table_.Set(page, PageState{ResourceState::kLeased, libfs, kInvalidIno});
+  }
+  stats_.pages_allocated.fetch_add(granted.size(), std::memory_order_relaxed);
   out->insert(out->end(), granted.begin(), granted.end());
   return OkStatus();
 }
@@ -721,7 +717,7 @@ Status KernelController::FreePages(LibFsId libfs, const std::vector<PageNumber>&
         std::lock_guard<std::mutex> guard(me->mu);
         me->leased_pages.erase(page);
       }
-      mmu_.Revoke(libfs, page, PagePerm::kReadWrite);
+      me->mmu.Revoke(page, PagePerm::kReadWrite);
       {
         std::lock_guard<std::mutex> guard(alloc_mu_);
         free_pages_by_node_[pool_.NodeOfPage(page)].push_back(page);
@@ -742,7 +738,7 @@ Status KernelController::FreePages(LibFsId libfs, const std::vector<PageNumber>&
         return PermissionDenied("freeing a page of a file not write-mapped by caller");
       }
       file->pages.erase(page);
-      mmu_.Revoke(libfs, page, PagePerm::kReadWrite);
+      me->mmu.Revoke(page, PagePerm::kReadWrite);
       ReleasePageToFree(page);
       stats_.pages_freed.fetch_add(1, std::memory_order_relaxed);
     } else if (state.state == ResourceState::kFree) {
@@ -1067,6 +1063,17 @@ size_t KernelController::FreePageCount() const {
     total += list.size();
   }
   return total;
+}
+
+bool KernelController::MmuCheck(LibFsId libfs, PageNumber page, bool write) const {
+  const std::shared_ptr<LibFsRecord> record = FindLibFs(libfs);
+  return record != nullptr && record->mmu.Check(page, write);
+}
+
+bool KernelController::MmuCheckRange(LibFsId libfs, const void* addr, size_t len,
+                                     bool write) const {
+  const std::shared_ptr<LibFsRecord> record = FindLibFs(libfs);
+  return record != nullptr && record->mmu.CheckRange(pool_, addr, len, write);
 }
 
 bool KernelController::IsWriteMapped(Ino ino) const {

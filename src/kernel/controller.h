@@ -23,7 +23,8 @@
 //       -> alloc_mu_ (free pages / free inos / next_ino_)
 //       -> page-table stripe mutexes
 //       -> quarantine_mu_ / wmap_mu_
-//       -> MmuSim internal mutex (leaf)
+// Each LibFS's MmuSim page table (in its LibFsRecord) takes no lock: grants, revokes and
+// checks are atomic updates of per-page refcounts, valid at any level of this hierarchy.
 // registry_mu_ protects the LibFS registry only and is never held across any other
 // acquisition (lookups copy out a shared_ptr). LibFS callbacks and the integrity verifier
 // ALWAYS run with no shard held (ShardRank::AssertNoneHeld); in-flight verifications pin
@@ -316,7 +317,10 @@ class KernelController : public OwnershipView, public VerifyEnv {
   KernelTierStats& tier_stats() { return tier_stats_; }
 
   NvmPool& pool() { return pool_; }
-  MmuSim& mmu() { return mmu_; }
+  // The simulated MMU (§3.2): would a load (write=false) or store by `libfs` to `page`, or
+  // to every byte of [addr, addr + len), be permitted? False for an unknown LibFS.
+  bool MmuCheck(LibFsId libfs, PageNumber page, bool write) const;
+  bool MmuCheckRange(LibFsId libfs, const void* addr, size_t len, bool write) const;
   KernelStats& stats() { return stats_; }
   IntegrityVerifier& verifier() { return *verifier_; }
   // Attaches FaultSim (kFaultKernelLeakOnContendedTransfer); nullptr detaches. Set it
@@ -365,6 +369,7 @@ class KernelController : public OwnershipView, public VerifyEnv {
   };
 
   struct LibFsRecord {
+    explicit LibFsRecord(uint64_t pool_pages) : mmu(pool_pages) {}
     LibFsId id = kNoLibFs;
     uint32_t uid = 0;             // Immutable after registration.
     uint32_t gid = 0;             // Immutable after registration.
@@ -383,6 +388,9 @@ class KernelController : public OwnershipView, public VerifyEnv {
     // revoke may have released and re-mapped, so MapFile revokes it again rather than
     // forcing it (readers share one lease deadline, which cannot tell them apart).
     uint64_t grants = 0;
+    // This LibFS's page table. Lock-free; it dies with the record, so a holder of the
+    // record's shared_ptr may program it after the LibFS has unregistered.
+    MmuSim mmu;
   };
 
   struct Shard {
@@ -417,10 +425,10 @@ class KernelController : public OwnershipView, public VerifyEnv {
   // ---- mapping / grants (controller_map.cc) ----
   DirentBlock* DirentOfLocked(const FileRecord& record) const;
   Status TakeCheckpointLocked(FileRecord* record);
-  void GrantFilePagesLocked(LibFsId libfs, const FileRecord& record, bool write);
+  void GrantFilePagesLocked(LibFsRecord& libfs, const FileRecord& record, bool write);
   // Releases the MMU references this LibFS's mapping of `record` holds. `write` names the
   // mapping strength being torn down (the MMU refcounts per strength; see MmuSim).
-  void RevokeFilePagesLocked(LibFsId libfs, const FileRecord& record, bool write);
+  void RevokeFilePagesLocked(LibFsRecord& libfs, const FileRecord& record, bool write);
   void PublishGrantLocked(const FileRecord& record, LibFsId holder, bool writable);
   // Lock-free grant revalidation against the seqlock cache. nullopt = miss.
   std::optional<MapInfo> TryFastGrant(LibFsId libfs, Ino ino, bool write);
@@ -477,7 +485,6 @@ class KernelController : public OwnershipView, public VerifyEnv {
   NvmPool& pool_;
   KernelConfig config_;
   Clock* clock_;
-  MmuSim mmu_;
   // mutable: const read paths (StateOf*, VerifyEnv, inspection) count contention/hits.
   mutable KernelStats stats_;
   // Persistence accounting for every PersistSpan the controller opens (layer "kernel").

@@ -1,10 +1,12 @@
 // KernelController mapping and sharing: file record lookup, page-permission grants and
-// revocation (reference counted in MmuSim), MapFile/UnmapFile with lease-based revocation
-// of conflicting holders, the lock-free LookupGrant fast path, and forced release of
-// unresponsive LibFSes. Part of the KernelController split; see controller.cc for the TU
-// map.
+// revocation (reference counted in each LibFS's MmuSim page table, which the caller reaches
+// through the LibFS record it already holds — no global MMU lock, no registry lookup per
+// page), MapFile/UnmapFile with lease-based revocation of conflicting holders, the
+// lock-free LookupGrant fast path, and forced release of unresponsive LibFSes. Part of the
+// KernelController split; see controller.cc for the TU map.
 //
-// Grant/revoke pairing (the refcount contract with MmuSim):
+// Grant/revoke pairing (the refcount contract with MmuSim; a file's pages go in one
+// GrantPages/RevokePages call):
 //   AllocPages          +RW per leased page      FreePages(leased)      -RW
 //   MapFile(write)      +RW per owned page       FinishWriteRelease     -RW per owned page
 //                       +RW dirent page                                 -RW dirent page
@@ -20,6 +22,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <ranges>
 #include <vector>
 
 #include "src/kernel/controller_internal.h"
@@ -44,36 +47,33 @@ DirentBlock* KernelController::DirentOfLocked(const FileRecord& record) const {
   return &page->slots[record.dirent_slot];
 }
 
-void KernelController::GrantFilePagesLocked(LibFsId libfs, const FileRecord& record,
+void KernelController::GrantFilePagesLocked(LibFsRecord& libfs, const FileRecord& record,
                                             bool write) {
   const PagePerm perm = write ? PagePerm::kReadWrite : PagePerm::kRead;
-  for (PageNumber page : record.pages) {
-    mmu_.Grant(libfs, page, perm);
-  }
+  libfs.mmu.GrantPages(record.pages, perm);
   if (record.dirent_page != 0) {
     // The co-located inode lives in the parent's data page (§4.1): stat needs read, size /
     // metadata updates need write. Page-granularity is the documented caveat here.
-    mmu_.Grant(libfs, record.dirent_page, perm);
+    libfs.mmu.Grant(record.dirent_page, perm);
   }
 }
 
-void KernelController::RevokeFilePagesLocked(LibFsId libfs, const FileRecord& record,
+void KernelController::RevokeFilePagesLocked(LibFsRecord& libfs, const FileRecord& record,
                                              bool write) {
   const PagePerm perm = write ? PagePerm::kReadWrite : PagePerm::kRead;
-  for (PageNumber page : record.pages) {
-    // Leave leased pages mapped; only release the file's own pages.
-    const PageState state = page_table_.Get(page);
-    if (state.state == ResourceState::kLeased && state.lessee == libfs) {
-      continue;
-    }
-    mmu_.Revoke(libfs, page, perm);
-  }
+  // Leave leased pages mapped; only release the file's own pages.
+  libfs.mmu.RevokePages(record.pages | std::views::filter([&](PageNumber page) {
+                          const PageState state = page_table_.Get(page);
+                          return state.state != ResourceState::kLeased ||
+                                 state.lessee != libfs.id;
+                        }),
+                        perm);
   if (record.dirent_page != 0) {
     // Refcounted: dropping THIS mapping's dirent reference cannot strip a sibling
     // mapping's justification, so the old cross-file "strongest surviving permission"
     // rescan (which read every other record this LibFS had mapped — a cross-shard walk
     // the one-big-mutex silently permitted) is gone.
-    mmu_.Revoke(libfs, record.dirent_page, perm);
+    libfs.mmu.Revoke(record.dirent_page, perm);
   }
 }
 
@@ -325,7 +325,7 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
               std::lock_guard<std::mutex> guard(me->mu);
               me->read_mapped.erase(ino);
             }
-            RevokeFilePagesLocked(libfs, *record, /*write=*/false);
+            RevokeFilePagesLocked(*me, *record, /*write=*/false);
           }
           const uint64_t c0 = NowNs();
           Status checkpoint_status = TakeCheckpointLocked(record);
@@ -347,7 +347,7 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
           me->read_mapped.insert(ino);
           ++me->grants;
         }
-        GrantFilePagesLocked(libfs, *record, write);
+        GrantFilePagesLocked(*me, *record, write);
         record->last_use_ns = NowNs();  // Digestion's cold scan orders by last grant.
         PublishGrantLocked(*record, libfs, write);
         stats_.maps.fetch_add(1, std::memory_order_relaxed);
@@ -439,8 +439,8 @@ void KernelController::FinishWriteRelease(LibFsId libfs, Ino ino,
       record->writer = kNoLibFs;
       record->checkpoint.reset();
       if (me != nullptr) {
-        // An unregistered holder's references already fell with RevokeAll.
-        RevokeFilePagesLocked(libfs, *record, /*write=*/true);
+        // An unregistered holder's page table went with its record.
+        RevokeFilePagesLocked(*me, *record, /*write=*/true);
       }
       grant_cache_.Erase(ino);
       record->busy = false;
@@ -482,7 +482,7 @@ void KernelController::ForceRelease(Ino ino, LibFsId holder) {
           std::lock_guard<std::mutex> guard(holder_record->mu);
           holder_record->read_mapped.erase(ino);
         }
-        RevokeFilePagesLocked(holder, *record, /*write=*/false);
+        RevokeFilePagesLocked(*holder_record, *record, /*write=*/false);
       }
       grant_cache_.Erase(ino);
     } else {
@@ -522,7 +522,7 @@ Status KernelController::UnmapFile(LibFsId libfs, Ino ino) {
         std::lock_guard<std::mutex> guard(me->mu);
         me->read_mapped.erase(ino);
       }
-      RevokeFilePagesLocked(libfs, *record, /*write=*/false);
+      RevokeFilePagesLocked(*me, *record, /*write=*/false);
       grant_cache_.Erase(ino);
     } else {
       return InvalidArgument("file not mapped by caller");

@@ -235,17 +235,23 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
         writer_id != kNoLibFs ? FindLibFs(writer_id) : nullptr;
 
     // Pages: adopt newly referenced leased pages, free no-longer-referenced owned pages.
-    std::unordered_set<PageNumber> new_pages(report.pages.begin(), report.pages.end());
-    for (PageNumber page : record->pages) {
-      if (new_pages.count(page) != 0) {
+    // The record's set is updated in place against one sorted copy of the report's pages:
+    // only pages the session added cost a set node.
+    std::vector<PageNumber> new_pages(report.pages);
+    std::sort(new_pages.begin(), new_pages.end());
+    for (auto it = record->pages.begin(); it != record->pages.end();) {
+      const PageNumber page = *it;
+      if (std::binary_search(new_pages.begin(), new_pages.end(), page)) {
+        ++it;
         continue;
       }
       // Dropped from the file (truncate / shrink): back to the free pool.
-      if (writer_id != kNoLibFs) {
-        mmu_.Revoke(writer_id, page, PagePerm::kReadWrite);
+      if (writer != nullptr) {
+        writer->mmu.Revoke(page, PagePerm::kReadWrite);
       }
       ReleasePageToFree(page);
       stats_.pages_freed.fetch_add(1, std::memory_order_relaxed);
+      it = record->pages.erase(it);
     }
     for (PageNumber page : new_pages) {
       const PageState state = page_table_.Get(page);
@@ -256,8 +262,8 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
         }
         page_table_.Set(page, PageState{ResourceState::kOwned, kNoLibFs, ino});
       }
+      record->pages.insert(page);
     }
-    record->pages = std::move(new_pages);
     record->first_index_page = DirentOfLocked(*record)->first_index_page;
 
     // Backend slots reconcile exactly like pages: slots no longer referenced by a tier
@@ -330,8 +336,8 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
         // lives in a page the writer already maps through the parent, and the child's
         // own teardown will release one RW dirent reference — without this matching
         // grant it would consume the parent mapping's reference (refcounted MMU).
-        if (child.dirent_page != 0) {
-          mmu_.Grant(writer_id, child.dirent_page, PagePerm::kReadWrite);
+        if (writer != nullptr && child.dirent_page != 0) {
+          writer->mmu.Grant(child.dirent_page, PagePerm::kReadWrite);
         }
       }
       auto [it, inserted] = child_shard.records.emplace(child.ino, std::move(fresh));
@@ -352,21 +358,23 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
       // reference on the old dirent page must move with it, or the old page keeps a
       // stale justification and the new one underflows at unmap.
       if (child->dirent_page != moved.dirent_page) {
-        if (child->writer != kNoLibFs) {
+        auto move_reference = [&](LibFsId holder, PagePerm perm) {
+          const std::shared_ptr<LibFsRecord> holder_record = FindLibFs(holder);
+          if (holder_record == nullptr) {
+            return;
+          }
           if (child->dirent_page != 0) {
-            mmu_.Revoke(child->writer, child->dirent_page, PagePerm::kReadWrite);
+            holder_record->mmu.Revoke(child->dirent_page, perm);
           }
           if (moved.dirent_page != 0) {
-            mmu_.Grant(child->writer, moved.dirent_page, PagePerm::kReadWrite);
+            holder_record->mmu.Grant(moved.dirent_page, perm);
           }
+        };
+        if (child->writer != kNoLibFs) {
+          move_reference(child->writer, PagePerm::kReadWrite);
         }
         for (LibFsId reader : child->readers) {
-          if (child->dirent_page != 0) {
-            mmu_.Revoke(reader, child->dirent_page, PagePerm::kRead);
-          }
-          if (moved.dirent_page != 0) {
-            mmu_.Grant(reader, moved.dirent_page, PagePerm::kRead);
-          }
+          move_reference(reader, PagePerm::kRead);
         }
       }
       child->parent = ino;
@@ -516,12 +524,11 @@ Status KernelController::TakeCheckpointLocked(FileRecord* record) {
           copy_page(page);
           return OkStatus();
         }));
-    TRIO_RETURN_IF_ERROR(ForEachDirent(pool_, first,
-                                       [&](DirentBlock* child, PageNumber, size_t) -> Status {
-                                         checkpoint->children.push_back(CheckpointChild{
-                                             child->ino, child->IsDirectory()});
-                                         return OkStatus();
-                                       }));
+    TRIO_RETURN_IF_ERROR(ForEachDirent(
+        pool_, first, [&](DirentBlock* child, Ino child_ino, PageNumber, size_t) -> Status {
+          checkpoint->children.push_back(CheckpointChild{child_ino, child->IsDirectory()});
+          return OkStatus();
+        }));
   }
   record->checkpoint = std::move(checkpoint);
   return OkStatus();
@@ -676,12 +683,13 @@ void KernelController::RollbackToCheckpointLocked(FileRecord* record) {
   }
 
   // Pages that were owned but are no longer reachable go back to the free pool.
+  const std::shared_ptr<LibFsRecord> writer = FindLibFs(record->writer);
   for (PageNumber page : record->pages) {
     if (restored.count(page) != 0) {
       continue;
     }
-    if (record->writer != kNoLibFs) {
-      mmu_.Revoke(record->writer, page, PagePerm::kReadWrite);
+    if (writer != nullptr) {
+      writer->mmu.Revoke(page, PagePerm::kReadWrite);
     }
     ReleasePageToFree(page);
   }

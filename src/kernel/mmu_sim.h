@@ -1,26 +1,34 @@
-// MMU emulation. On real hardware the kernel controller programs page tables so that each
-// application's loads/stores can only reach the NVM pages it was granted (§3.2). In this
-// single-process emulation, each LibFS carries an MmuSim map of page -> permission that the
-// kernel controller programs on map/unmap/alloc/free, and LibFS code checks before touching
-// NVM. A *malicious* LibFS (src/attacks) skips its own checks — but the attack tests only
-// let it scribble on pages where MmuSim says it holds write permission, which is exactly
-// what the hardware MMU would permit; everything else "faults" (test failure).
+// MMU emulation. On real hardware the kernel controller programs each application's page
+// tables so that its loads/stores can only reach the NVM pages it was granted (§3.2). In
+// this single-process emulation, each LibFS's kernel record owns one MmuSim — that LibFS's
+// page table — which the kernel controller programs on map/unmap/alloc/free/reconcile. A
+// *malicious* LibFS (src/attacks) skips its own checks — but the attack tests only let it
+// scribble on pages where its MmuSim says it holds write permission, which is exactly what
+// the hardware MMU would permit; everything else "faults" (test failure).
 //
-// Grants are REFERENCE COUNTED per (libfs, page, strength): a page reachable through both
-// a file mapping and the parent directory's data pages (the co-located inode design, §4.1)
-// holds one reference per justification, and the effective permission is the strongest
-// with a nonzero count. This makes revocation shard-local for the sharded controller — a
-// mapping teardown releases exactly its own references instead of rescanning every other
-// mapping of the tenant to recompute the strongest surviving permission.
+// Grants are REFERENCE COUNTED per (page, strength): a page reachable through both a file
+// mapping and the parent directory's data pages (the co-located inode design, §4.1) holds
+// one reference per justification, and the effective permission is the strongest with a
+// nonzero count. This makes revocation shard-local for the sharded controller — a mapping
+// teardown releases exactly its own references instead of rescanning every other mapping
+// of the tenant to recompute the strongest surviving permission.
+//
+// Layout: a directory with one chunk pointer per kChunkPages pages of the pool. A chunk is
+// allocated by the first grant into its range and freed with the table (that is, with the
+// LibFS's record). Each page's slot packs its read-write count (high half) and read-only
+// count (low half) into one atomic word, so grants, revokes and checks take no lock: a
+// grant is one fetch_add, a revoke a compare-and-swap loop that floors its count at zero.
+// A file's pages are granted or revoked in one call (GrantPages/RevokePages).
 
 #ifndef SRC_KERNEL_MMU_SIM_H_
 #define SRC_KERNEL_MMU_SIM_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <unordered_map>
+#include <memory>
 
-#include "src/core/ownership.h"
+#include "src/core/format.h"
 #include "src/nvm/nvm.h"
 
 namespace trio {
@@ -29,95 +37,117 @@ enum class PagePerm : uint8_t { kNone = 0, kRead = 1, kReadWrite = 3 };
 
 class MmuSim {
  public:
-  MmuSim() = default;
+  // A table for pages [0, num_pages); pages past the end are never mapped.
+  explicit MmuSim(uint64_t num_pages)
+      : num_pages_(num_pages),
+        num_chunks_((num_pages + kChunkPages - 1) / kChunkPages),
+        chunks_(new std::atomic<Chunk*>[num_chunks_]()) {}
+  ~MmuSim() {
+    for (uint64_t i = 0; i < num_chunks_; ++i) {
+      delete chunks_[i].load(std::memory_order_relaxed);
+    }
+  }
+  MmuSim(const MmuSim&) = delete;
+  MmuSim& operator=(const MmuSim&) = delete;
 
   // Add one reference of strength `perm` (kNone is a no-op).
-  void Grant(LibFsId libfs, PageNumber page, PagePerm perm) {
-    if (perm == PagePerm::kNone) {
-      return;
-    }
-    std::lock_guard<std::mutex> guard(mutex_);
-    Ref& ref = tables_[libfs][page];
-    if (perm == PagePerm::kReadWrite) {
-      ++ref.rw;
-    } else {
-      ++ref.ro;
+  void Grant(PageNumber page, PagePerm perm) {
+    std::atomic<uint64_t>* slot = perm == PagePerm::kNone ? nullptr : SlotForGrant(page);
+    if (slot != nullptr) {
+      slot->fetch_add(UnitOf(perm), std::memory_order_acq_rel);
     }
   }
 
   // Release one reference of strength `perm` (floors at zero: a forgiving release of an
   // unheld reference must not strip somebody else's justification).
-  void Revoke(LibFsId libfs, PageNumber page, PagePerm perm) {
-    if (perm == PagePerm::kNone) {
+  void Revoke(PageNumber page, PagePerm perm) {
+    std::atomic<uint64_t>* slot = perm == PagePerm::kNone ? nullptr : Slot(page);
+    if (slot == nullptr) {
       return;
     }
-    std::lock_guard<std::mutex> guard(mutex_);
-    auto table = tables_.find(libfs);
-    if (table == tables_.end()) {
-      return;
-    }
-    auto it = table->second.find(page);
-    if (it == table->second.end()) {
-      return;
-    }
-    Ref& ref = it->second;
-    if (perm == PagePerm::kReadWrite) {
-      ref.rw -= ref.rw > 0 ? 1 : 0;
-    } else {
-      ref.ro -= ref.ro > 0 ? 1 : 0;
-    }
-    if (ref.rw == 0 && ref.ro == 0) {
-      table->second.erase(it);
+    const uint64_t unit = UnitOf(perm);
+    const uint64_t mask = unit == kRwUnit ? ~kRoMask : kRoMask;
+    uint64_t refs = slot->load(std::memory_order_relaxed);
+    while ((refs & mask) != 0 &&
+           !slot->compare_exchange_weak(refs, refs - unit, std::memory_order_acq_rel,
+                                        std::memory_order_relaxed)) {
     }
   }
 
-  void RevokeAll(LibFsId libfs) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    tables_.erase(libfs);
+  // One reference per page of `pages` (any range of PageNumber).
+  template <typename Pages>
+  void GrantPages(Pages&& pages, PagePerm perm) {
+    for (PageNumber page : pages) {
+      Grant(page, perm);
+    }
+  }
+  template <typename Pages>
+  void RevokePages(Pages&& pages, PagePerm perm) {
+    for (PageNumber page : pages) {
+      Revoke(page, perm);
+    }
   }
 
   // Would a load (write=false) or store (write=true) to this page fault?
-  bool Check(LibFsId libfs, PageNumber page, bool write) const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    auto table = tables_.find(libfs);
-    if (table == tables_.end()) {
-      return false;
-    }
-    auto it = table->second.find(page);
-    if (it == table->second.end()) {
-      return false;
-    }
-    return !write || it->second.rw > 0;
+  bool Check(PageNumber page, bool write) const {
+    const std::atomic<uint64_t>* slot = Slot(page);
+    const uint64_t refs = slot == nullptr ? 0 : slot->load(std::memory_order_acquire);
+    return write ? (refs & ~kRoMask) != 0 : refs != 0;
   }
 
-  bool CheckRange(LibFsId libfs, const NvmPool& pool, const void* addr, size_t len,
-                  bool write) const {
+  bool CheckRange(const NvmPool& pool, const void* addr, size_t len, bool write) const {
     if (len == 0) {
       return true;
     }
     const PageNumber first = pool.PageOf(addr);
     const PageNumber last = pool.PageOf(static_cast<const char*>(addr) + len - 1);
     for (PageNumber p = first; p <= last; ++p) {
-      if (!Check(libfs, p, write)) {
+      if (!Check(p, write)) {
         return false;
       }
     }
     return true;
   }
 
-  size_t MappedPageCount(LibFsId libfs) const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    auto table = tables_.find(libfs);
-    return table == tables_.end() ? 0 : table->second.size();
+ private:
+  static constexpr uint64_t kChunkPages = 512;  // One 4 KiB chunk of slots.
+  static constexpr uint64_t kRoMask = 0xffffffffull;
+  static constexpr uint64_t kRwUnit = 1ull << 32;
+  struct Chunk {
+    std::atomic<uint64_t> refs[kChunkPages];  // Zero-initialized (C++20 std::atomic).
+  };
+
+  static uint64_t UnitOf(PagePerm perm) { return perm == PagePerm::kReadWrite ? kRwUnit : 1; }
+
+  // The page's slot, or nullptr if no grant ever reached its chunk (or it is out of range).
+  std::atomic<uint64_t>* Slot(PageNumber page) const {
+    if (page >= num_pages_) {
+      return nullptr;
+    }
+    Chunk* chunk = chunks_[page / kChunkPages].load(std::memory_order_acquire);
+    return chunk == nullptr ? nullptr : &chunk->refs[page % kChunkPages];
   }
 
- private:
-  struct Ref {
-    uint32_t rw = 0;
-    uint32_t ro = 0;
-  };
-  mutable std::mutex mutex_;
-  std::unordered_map<LibFsId, std::unordered_map<PageNumber, Ref>> tables_;
+  // The page's slot, allocating its chunk on first use; nullptr if out of range.
+  std::atomic<uint64_t>* SlotForGrant(PageNumber page) {
+    if (page >= num_pages_) {
+      return nullptr;
+    }
+    std::atomic<Chunk*>& entry = chunks_[page / kChunkPages];
+    Chunk* chunk = entry.load(std::memory_order_acquire);
+    if (chunk == nullptr) {
+      auto fresh = std::make_unique<Chunk>();
+      if (entry.compare_exchange_strong(chunk, fresh.get(), std::memory_order_acq_rel,
+                                        std::memory_order_acquire)) {
+        chunk = fresh.release();
+      }
+    }
+    return &chunk->refs[page % kChunkPages];
+  }
+
+  const uint64_t num_pages_;
+  const uint64_t num_chunks_;
+  const std::unique_ptr<std::atomic<Chunk*>[]> chunks_;
 };
 
 }  // namespace trio

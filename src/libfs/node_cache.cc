@@ -256,16 +256,14 @@ Status ArckFs::RebuildAux(FileNode* node) {
           }
           FileNode::DirTail& tail = *node->dir_tails[tails];
           tail.page = p;
-          auto* page = reinterpret_cast<DirDataPage*>(pool_.PageAddress(p));
           uint32_t live = 0;
-          for (uint32_t s = 0; s < kDirentsPerPage; ++s) {
-            const DirentBlock& d = page->slots[s];
-            if (d.IsFree()) {
-              continue;
-            }
-            ++live;
-            node->dir_index->Refill(d.Name(), DirSlot{p, s, d.ino, d.IsDirectory()});
-          }
+          TRIO_RETURN_IF_ERROR(ForEachDirentInPage(
+              pool_, p, [&](DirentBlock* d, Ino ino, PageNumber, size_t s) -> Status {
+                ++live;
+                node->dir_index->Refill(
+                    d->Name(), DirSlot{p, static_cast<uint32_t>(s), ino, d->IsDirectory()});
+                return OkStatus();
+              }));
           tail.full.store(live == kDirentsPerPage, std::memory_order_relaxed);
           node->dir_tail_index[p] = tails++;
           return OkStatus();

@@ -178,7 +178,7 @@ class FsckRun {
     std::unordered_set<std::string> names;
     Status scan = ForEachDirent(
         pool_, dirent->first_index_page,
-        [&](DirentBlock* child, PageNumber, size_t) -> Status {
+        [&](DirentBlock* child, Ino, PageNumber, size_t) -> Status {
           // Only a bounded name_len may be turned into a string; CheckFile reports the
           // out-of-range case.
           if (child->name_len < kMaxNameLen &&

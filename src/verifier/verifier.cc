@@ -1,7 +1,10 @@
 #include "src/verifier/verifier.h"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <bit>
+#include <memory>
+#include <optional>
+#include <string_view>
+#include <vector>
 
 #include "src/common/hash.h"
 
@@ -30,6 +33,74 @@ Status ClassifyWalkerError(const Status& status) {
   return VerifyFail(cls, "I2", status.message());
 }
 
+// The verifier's duplicate checks use scratch sized once per verification, never a hash
+// node per page or dirent.
+
+// "Seen before?" over ids below a fixed limit (page numbers, inode numbers): a bitmap
+// whose 512-byte leaves are allocated on first touch, so a small file costs one leaf
+// whatever the pool size.
+class IdBitmap {
+ public:
+  explicit IdBitmap(uint64_t limit) : leaves_((limit + kLeafBits - 1) / kLeafBits) {}
+
+  // Marks `id`, which must be below the limit; false if it was already marked.
+  bool Insert(uint64_t id) {
+    std::unique_ptr<uint64_t[]>& leaf = leaves_[id / kLeafBits];
+    if (leaf == nullptr) {
+      leaf = std::make_unique<uint64_t[]>(kLeafBits / 64);
+    }
+    uint64_t& word = leaf[id % kLeafBits / 64];
+    const uint64_t bit = 1ull << (id % 64);
+    const bool fresh = (word & bit) == 0;
+    word |= bit;
+    return fresh;
+  }
+
+  bool Contains(uint64_t id) const {
+    if (id / kLeafBits >= leaves_.size() || leaves_[id / kLeafBits] == nullptr) {
+      return false;
+    }
+    return ((leaves_[id / kLeafBits][id % kLeafBits / 64] >> (id % 64)) & 1) != 0;
+  }
+
+ private:
+  static constexpr uint64_t kLeafBits = 4096;
+  std::vector<std::unique_ptr<uint64_t[]>> leaves_;
+};
+
+// "Seen before?" over keys with no small universe (dirent names, backend slots): an
+// open-addressed table sized for at most `max_inserts` keys at load factor <= 1/2 and
+// never grown. Keys are compared exactly on a hash match; Key{} marks an empty slot, so
+// it is never inserted.
+template <typename Key>
+class FlatScratch {
+ public:
+  explicit FlatScratch(size_t max_inserts)
+      : mask_(std::bit_ceil(2 * max_inserts + 1) - 1), slots_(mask_ + 1) {}
+
+  // Inserts `key` (whose hash is `hash`); false if an equal key is already present.
+  bool Insert(uint64_t hash, Key key) {
+    for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.key == Key{}) {
+        slot = Slot{hash, key};
+        return true;
+      }
+      if (slot.hash == hash && slot.key == key) {
+        return false;
+      }
+    }
+  }
+
+ private:
+  struct Slot {
+    uint64_t hash = 0;
+    Key key{};
+  };
+  size_t mask_;
+  std::vector<Slot> slots_;
+};
+
 }  // namespace
 
 Status IntegrityVerifier::CheckDeadline(const VerifyRequest& request) const {
@@ -41,7 +112,7 @@ Status IntegrityVerifier::CheckDeadline(const VerifyRequest& request) const {
   return OkStatus();
 }
 
-Status IntegrityVerifier::CheckDirentFields(const DirentBlock& dirent,
+Status IntegrityVerifier::CheckDirentFields(const DirentBlock& dirent, Ino ino,
                                             bool allow_root) const {
   // I1: file type must be a regular file or a directory.
   const uint32_t type = dirent.mode & kModeTypeMask;
@@ -77,11 +148,14 @@ Status IntegrityVerifier::CheckDirentFields(const DirentBlock& dirent,
     return VerifyFail(VerifyErrorClass::kBadSize, "I1", "directory size must be 0");
   }
   // I1: ino within table bounds.
-  if (dirent.ino >= SuperblockOf(pool_)->max_inodes) {
+  if (ino >= SuperblockOf(pool_)->max_inodes) {
     return VerifyFail(VerifyErrorClass::kBadInodeNumber, "I1",
                       "inode number out of range");
   }
-  if (dirent.first_index_page != 0 && !ValidFilePage(pool_, dirent.first_index_page)) {
+  // first_index_page is committed with a release store too (a directory or file growing
+  // its first index page), so it gets one acquire load like the ino.
+  const PageNumber first_index_page = pool_.Load64(&dirent.first_index_page);
+  if (first_index_page != 0 && !ValidFilePage(pool_, first_index_page)) {
     return VerifyFail(VerifyErrorClass::kBadPagePointer, "I1",
                       "first index page out of range");
   }
@@ -89,10 +163,10 @@ Status IntegrityVerifier::CheckDirentFields(const DirentBlock& dirent,
 }
 
 Status IntegrityVerifier::CheckChain(const VerifyRequest& request,
-                                     PageNumber first_index_page,
-                                     VerifyReport* report) const {
+                                     PageNumber first_index_page, VerifyReport* report,
+                                     uint64_t* index_pages) const {
   const Ino ino = request.ino;
-  std::unordered_set<PageNumber> seen;
+  IdBitmap seen(SuperblockOf(pool_)->total_pages);  // The walkers admit no page past it.
   auto check_page = [&](PageNumber page) -> Status {
     TRIO_RETURN_IF_ERROR(CheckDeadline(request));
     if (injector_ != nullptr && injector_->ShouldFire(kFaultVerifierMediaRead)) {
@@ -100,7 +174,7 @@ Status IntegrityVerifier::CheckChain(const VerifyRequest& request,
                         "transient media error reading page " + std::to_string(page));
     }
     // I2: no double references within the file.
-    if (!seen.insert(page).second) {
+    if (!seen.Insert(page)) {
       return VerifyFail(VerifyErrorClass::kDoubleReference, "I2",
                         "page referenced twice within file");
     }
@@ -114,41 +188,49 @@ Status IntegrityVerifier::CheckChain(const VerifyRequest& request,
                         "page neither owned by file nor leased to writer");
     }
     report->pages.push_back(page);
-    stats_.pages_scanned.fetch_add(1, std::memory_order_relaxed);
     return OkStatus();
   };
 
-  // Walk index pages, then raw data entries. ForEach* already bound-check page numbers
+  // Walk index pages, then the raw data entries of exactly those pages (not a second
+  // chain walk, so the chain checked here bounds them). ForEach* bound-check page numbers
   // and detect cycles in the index chain; tier entries pass through tagged and are
   // checked against the backend owner oracle instead of the NVM ownership table.
+  Status status = ClassifyWalkerError(ForEachIndexPage(pool_, first_index_page, check_page));
+  *index_pages = report->pages.size();
   const bool is_dir = request.dirent != nullptr && request.dirent->IsDirectory();
-  std::unordered_set<uint64_t> seen_slots;
-  TRIO_RETURN_IF_ERROR(
-      ClassifyWalkerError(ForEachIndexPage(pool_, first_index_page, check_page)));
-  TRIO_RETURN_IF_ERROR(ClassifyWalkerError(ForEachDataEntry(
-      pool_, first_index_page,
+  std::optional<FlatScratch<uint64_t>> seen_slots;  // Sized at the first tier entry.
+  // Built once: every index page's walk below takes it by reference.
+  const std::function<Status(uint64_t, uint64_t)> check_entry =
       [&](uint64_t /*file_page_index*/, uint64_t entry) -> Status {
-        if (!IsTierEntry(entry)) {
-          return check_page(entry);
-        }
-        TRIO_RETURN_IF_ERROR(CheckDeadline(request));
-        // Directory chains never digest: a tagged entry there is forged outright.
-        if (is_dir) {
-          return VerifyFail(VerifyErrorClass::kBadPagePointer, "I2",
-                            "tier entry inside a directory chain");
-        }
-        const uint64_t slot = TierSlotOfEntry(entry);
-        // I2: no double references within the file, backend tier included.
-        if (!seen_slots.insert(slot).second) {
-          return VerifyFail(VerifyErrorClass::kDoubleReference, "I2",
-                            "backend slot referenced twice within file");
-        }
-        TRIO_RETURN_IF_ERROR(env_.CheckTierSlot(ino, slot));
-        report->backend_slots.push_back(slot);
-        stats_.pages_scanned.fetch_add(1, std::memory_order_relaxed);
-        return OkStatus();
-      })));
-  return OkStatus();
+    if (!IsTierEntry(entry)) {
+      return check_page(entry);
+    }
+    TRIO_RETURN_IF_ERROR(CheckDeadline(request));
+    // Directory chains never digest: a tagged entry there is forged outright.
+    if (is_dir) {
+      return VerifyFail(VerifyErrorClass::kBadPagePointer, "I2",
+                        "tier entry inside a directory chain");
+    }
+    if (!seen_slots) {
+      seen_slots.emplace(*index_pages * kIndexEntriesPerPage);
+    }
+    // I2: no double references within the file, backend tier included. (A tagged entry
+    // is never 0, the table's empty key.)
+    if (!seen_slots->Insert(HashBytes(&entry, sizeof(entry)), entry)) {
+      return VerifyFail(VerifyErrorClass::kDoubleReference, "I2",
+                        "backend slot referenced twice within file");
+    }
+    const uint64_t slot = TierSlotOfEntry(entry);
+    TRIO_RETURN_IF_ERROR(env_.CheckTierSlot(ino, slot));
+    report->backend_slots.push_back(slot);
+    return OkStatus();
+  };
+  for (uint64_t i = 0; status.ok() && i < *index_pages; ++i) {
+    status = ClassifyWalkerError(ForEachIndexEntry(pool_, report->pages[i], i, check_entry));
+  }
+  stats_.pages_scanned.fetch_add(report->pages.size() + report->backend_slots.size(),
+                                 std::memory_order_relaxed);
+  return status;
 }
 
 Result<VerifyReport> IntegrityVerifier::Verify(const VerifyRequest& request) {
@@ -180,27 +262,25 @@ Result<VerifyReport> IntegrityVerifier::VerifyOnce(const VerifyRequest& request)
 
 Result<VerifyReport> IntegrityVerifier::VerifyRegular(const VerifyRequest& request) {
   const DirentBlock& dirent = *request.dirent;
-  TRIO_RETURN_IF_ERROR(CheckDirentFields(dirent, /*allow_root=*/false));
+  // The ino is the dirent's publish field (§4.4): one acquire load, used for every check.
+  const Ino dirent_ino = pool_.Load64(&dirent.ino);
+  TRIO_RETURN_IF_ERROR(CheckDirentFields(dirent, dirent_ino, /*allow_root=*/false));
   if (!dirent.IsRegular()) {
     return VerifyFail(VerifyErrorClass::kIdentityMismatch, "I1",
                       "expected a regular file");
   }
-  if (dirent.ino != request.ino) {
+  if (dirent_ino != request.ino) {
     return VerifyFail(VerifyErrorClass::kIdentityMismatch, "I1",
                       "dirent ino does not match file identity");
   }
 
   VerifyReport report;
-  TRIO_RETURN_IF_ERROR(CheckChain(request, dirent.first_index_page, &report));
+  uint64_t index_pages = 0;
+  TRIO_RETURN_IF_ERROR(
+      CheckChain(request, pool_.Load64(&dirent.first_index_page), &report, &index_pages));
 
   // I1: size must fit within the capacity of the index chain. Holes read as zeros, so a
   // size larger than the *allocated* pages is fine, but not larger than the chain covers.
-  uint64_t index_pages = 0;
-  TRIO_RETURN_IF_ERROR(ForEachIndexPage(pool_, dirent.first_index_page,
-                                        [&](PageNumber) -> Status {
-                                          ++index_pages;
-                                          return OkStatus();
-                                        }));
   const uint64_t capacity = index_pages * kIndexEntriesPerPage * kPageSize;
   if (dirent.size > capacity) {
     return VerifyFail(VerifyErrorClass::kBadSize, "I1",
@@ -240,17 +320,21 @@ Result<VerifyReport> IntegrityVerifier::VerifyRegular(const VerifyRequest& reque
 
 Result<VerifyReport> IntegrityVerifier::VerifyDirectory(const VerifyRequest& request) {
   const DirentBlock& dir = *request.dirent;
-  TRIO_RETURN_IF_ERROR(CheckDirentFields(dir, /*allow_root=*/request.ino == kRootIno));
+  const Ino dir_ino = pool_.Load64(&dir.ino);
+  TRIO_RETURN_IF_ERROR(
+      CheckDirentFields(dir, dir_ino, /*allow_root=*/request.ino == kRootIno));
   if (!dir.IsDirectory()) {
     return VerifyFail(VerifyErrorClass::kIdentityMismatch, "I1", "expected a directory");
   }
-  if (dir.ino != request.ino) {
+  if (dir_ino != request.ino) {
     return VerifyFail(VerifyErrorClass::kIdentityMismatch, "I1",
                       "dirent ino does not match directory identity");
   }
 
   VerifyReport report;
-  TRIO_RETURN_IF_ERROR(CheckChain(request, dir.first_index_page, &report));
+  uint64_t index_pages = 0;
+  TRIO_RETURN_IF_ERROR(
+      CheckChain(request, pool_.Load64(&dir.first_index_page), &report, &index_pages));
 
   // I4 for the directory itself (unless it is brand new).
   const InoState self_state = ownership_.StateOfIno(request.ino);
@@ -275,99 +359,97 @@ Result<VerifyReport> IntegrityVerifier::VerifyDirectory(const VerifyRequest& req
                       "directory inode neither existing nor leased to writer");
   }
 
-  // Scan every live dirent: I1 per entry, duplicate names, and classify each child.
-  std::unordered_set<uint64_t> name_hashes;
-  std::unordered_set<std::string> names;  // Hash set alone could false-positive; keep exact.
-  std::unordered_set<Ino> child_inos;
-  std::unordered_map<Ino, bool> present;  // ino -> seen (for removed-children diff).
+  // Scan every live dirent of the data pages the chain check accepted (a directory chain
+  // holds no tier entry): I1 per entry, duplicate names and inos, and classify each child.
+  // Those pages' slots bound the live dirents, which sizes the name table once.
+  FlatScratch<std::string_view> names(
+      (report.pages.size() - index_pages) * kDirentsPerPage);
+  IdBitmap child_inos(SuperblockOf(pool_)->max_inodes);  // CheckDirentFields bounds inos.
+  const DirentFn check_dirent = [&](DirentBlock* entry, Ino entry_ino, PageNumber page,
+                                    size_t slot) -> Status {
+    TRIO_RETURN_IF_ERROR(CheckDeadline(request));
+    TRIO_RETURN_IF_ERROR(CheckDirentFields(*entry, entry_ino, /*allow_root=*/false));
+    ++report.live_dirents;
+    // I1: "no file shares the same name under one directory". Names are compared
+    // exactly on a hash match; a valid name is never empty, the table's empty key.
+    const std::string_view name = entry->Name();
+    if (!names.Insert(HashString(name), name)) {
+      return VerifyFail(VerifyErrorClass::kDuplicateName, "I1",
+                        "duplicate file name in directory");
+    }
+    // I2: no two dirents may claim the same inode number.
+    if (!child_inos.Insert(entry_ino)) {
+      return VerifyFail(VerifyErrorClass::kDuplicateInode, "I2",
+                        "inode number referenced by two dirents");
+    }
 
-  Status scan = ForEachDirent(
-      pool_, dir.first_index_page,
-      [&](DirentBlock* entry, PageNumber page, size_t slot) -> Status {
-        TRIO_RETURN_IF_ERROR(CheckDeadline(request));
-        TRIO_RETURN_IF_ERROR(CheckDirentFields(*entry, /*allow_root=*/false));
-        ++report.live_dirents;
-        // I1: "no file shares the same name under one directory".
-        std::string name(entry->Name());
-        if (!names.insert(name).second) {
-          return VerifyFail(VerifyErrorClass::kDuplicateName, "I1",
-                            "duplicate file name in directory");
+    const InoState state = ownership_.StateOfIno(entry_ino);
+    if (state.state == ResourceState::kOwned) {
+      if (state.parent == request.ino) {
+        // Existing child: I4 cached-permission check.
+        const ShadowInode* shadow = ShadowInodeOf(pool_, entry_ino);
+        if (shadow == nullptr || !shadow->Exists()) {
+          return VerifyFail(VerifyErrorClass::kMissingShadow, "I4",
+                            "existing child has no shadow inode");
         }
-        name_hashes.insert(HashString(name));
-        // I2: no two dirents may claim the same inode number.
-        if (!child_inos.insert(entry->ino).second) {
-          return VerifyFail(VerifyErrorClass::kDuplicateInode, "I2",
-                            "inode number referenced by two dirents");
+        if (shadow->mode != entry->mode || shadow->uid != entry->uid ||
+            shadow->gid != entry->gid) {
+          return VerifyFail(VerifyErrorClass::kPermissionMismatch, "I4",
+                            "child cached permission differs from shadow inode");
         }
-        present[entry->ino] = true;
-
-        const InoState state = ownership_.StateOfIno(entry->ino);
-        if (state.state == ResourceState::kOwned) {
-          if (state.parent == request.ino) {
-            // Existing child: I4 cached-permission check.
-            const ShadowInode* shadow = ShadowInodeOf(pool_, entry->ino);
-            if (shadow == nullptr || !shadow->Exists()) {
-              return VerifyFail(VerifyErrorClass::kMissingShadow, "I4",
-                                "existing child has no shadow inode");
-            }
-            if (shadow->mode != entry->mode || shadow->uid != entry->uid ||
-                shadow->gid != entry->gid) {
-              return VerifyFail(VerifyErrorClass::kPermissionMismatch, "I4",
-                                "child cached permission differs from shadow inode");
-            }
-          } else {
-            // Owned by another directory: only legal as a rename performed by this writer.
-            if (!env_.IsMovePermitted(entry->ino, request.ino, request.writer)) {
-              return VerifyFail(VerifyErrorClass::kCrossDirectory, "I2",
-                                "child inode belongs to another directory");
-            }
-            // I4 holds for moved-in children too: a rename carries the cached
-            // permissions verbatim, so they must still match the shadow inode. Without
-            // this, a writer who legitimately holds both directories can smuggle a
-            // chmod/chown inside the rename (AttackMovedInPermissionLift).
-            const ShadowInode* shadow = ShadowInodeOf(pool_, entry->ino);
-            if (shadow == nullptr || !shadow->Exists()) {
-              return VerifyFail(VerifyErrorClass::kMissingShadow, "I4",
-                                "moved-in child has no shadow inode");
-            }
-            if (shadow->mode != entry->mode || shadow->uid != entry->uid ||
-                shadow->gid != entry->gid) {
-              return VerifyFail(VerifyErrorClass::kPermissionMismatch, "I4",
-                                "moved-in child cached permission differs from shadow");
-            }
-            report.moved_in.push_back(
-                MovedInChild{entry->ino, state.parent, page, slot});
-          }
-        } else if (state.state == ResourceState::kLeased &&
-                   state.lessee == request.writer) {
-          // Fresh file created in this write session.
-          if (entry->uid != request.writer_uid || entry->gid != request.writer_gid) {
-            return VerifyFail(VerifyErrorClass::kOwnershipForgery, "I4",
-                              "new child not owned by its creator");
-          }
-          NewChildInfo info;
-          info.ino = entry->ino;
-          info.dirent_page = page;
-          info.dirent_slot = slot;
-          info.is_dir = entry->IsDirectory();
-          info.mode = entry->mode;
-          info.uid = entry->uid;
-          info.gid = entry->gid;
-          info.first_index_page = entry->first_index_page;
-          info.name = std::move(name);
-          report.new_children.push_back(std::move(info));
-        } else {
-          return VerifyFail(VerifyErrorClass::kForeignInode, "I2",
-                            "child inode neither existing nor leased to writer");
+      } else {
+        // Owned by another directory: only legal as a rename performed by this writer.
+        if (!env_.IsMovePermitted(entry_ino, request.ino, request.writer)) {
+          return VerifyFail(VerifyErrorClass::kCrossDirectory, "I2",
+                            "child inode belongs to another directory");
         }
-        return OkStatus();
-      });
-  TRIO_RETURN_IF_ERROR(scan);
+        // I4 holds for moved-in children too: a rename carries the cached
+        // permissions verbatim, so they must still match the shadow inode. Without
+        // this, a writer who legitimately holds both directories can smuggle a
+        // chmod/chown inside the rename (AttackMovedInPermissionLift).
+        const ShadowInode* shadow = ShadowInodeOf(pool_, entry_ino);
+        if (shadow == nullptr || !shadow->Exists()) {
+          return VerifyFail(VerifyErrorClass::kMissingShadow, "I4",
+                            "moved-in child has no shadow inode");
+        }
+        if (shadow->mode != entry->mode || shadow->uid != entry->uid ||
+            shadow->gid != entry->gid) {
+          return VerifyFail(VerifyErrorClass::kPermissionMismatch, "I4",
+                            "moved-in child cached permission differs from shadow");
+        }
+        report.moved_in.push_back(MovedInChild{entry_ino, state.parent, page, slot});
+      }
+    } else if (state.state == ResourceState::kLeased && state.lessee == request.writer) {
+      // Fresh file created in this write session.
+      if (entry->uid != request.writer_uid || entry->gid != request.writer_gid) {
+        return VerifyFail(VerifyErrorClass::kOwnershipForgery, "I4",
+                          "new child not owned by its creator");
+      }
+      NewChildInfo info;
+      info.ino = entry_ino;
+      info.dirent_page = page;
+      info.dirent_slot = slot;
+      info.is_dir = entry->IsDirectory();
+      info.mode = entry->mode;
+      info.uid = entry->uid;
+      info.gid = entry->gid;
+      info.first_index_page = pool_.Load64(&entry->first_index_page);
+      info.name = std::string(name);
+      report.new_children.push_back(std::move(info));
+    } else {
+      return VerifyFail(VerifyErrorClass::kForeignInode, "I2",
+                        "child inode neither existing nor leased to writer");
+    }
+    return OkStatus();
+  };
+  for (size_t i = index_pages; i < report.pages.size(); ++i) {
+    TRIO_RETURN_IF_ERROR(ForEachDirentInPage(pool_, report.pages[i], check_dirent));
+  }
 
   // I3: diff against the checkpoint to find removed children.
   if (request.checkpoint_children != nullptr) {
     for (const CheckpointChild& child : *request.checkpoint_children) {
-      if (present.count(child.ino) != 0) {
+      if (child_inos.Contains(child.ino)) {
         continue;
       }
       report.removed_children.push_back(child.ino);

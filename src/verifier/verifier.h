@@ -130,6 +130,7 @@ struct VerifyRequest {
 struct VerifierStats : obs::StatGroup {
   obs::Counter files_verified{this, "files_verified"};
   obs::Counter failures{this, "failures"};
+  // Pages and backend slots accepted by chain checks (one add per verification pass).
   obs::Counter pages_scanned{this, "pages_scanned"};
   // Verifications that overran deadline_ns.
   obs::Counter deadline_exceeded{this, "deadline_exceeded"};
@@ -159,10 +160,12 @@ class IntegrityVerifier {
   void set_media_read_retries(int retries) { media_read_retries_ = retries; }
 
  private:
-  Status CheckDirentFields(const DirentBlock& dirent, bool allow_root) const;
-  // I2 over the chain rooted at first_index_page. Appends pages to report->pages.
+  // I1 over one dirent. `ino` is its ino word, loaded once by the caller with acquire.
+  Status CheckDirentFields(const DirentBlock& dirent, Ino ino, bool allow_root) const;
+  // I2 over the chain rooted at first_index_page. Appends its index pages, then its data
+  // pages, to report->pages, and sets *index_pages to the number of index pages.
   Status CheckChain(const VerifyRequest& request, PageNumber first_index_page,
-                    VerifyReport* report) const;
+                    VerifyReport* report, uint64_t* index_pages) const;
   Status CheckDeadline(const VerifyRequest& request) const;
   Result<VerifyReport> VerifyOnce(const VerifyRequest& request);
   Result<VerifyReport> VerifyRegular(const VerifyRequest& request);

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/core/core_state.h"
 #include "src/kernel/controller.h"
 #include "src/libfs/arckfs.h"
 #include "tests/test_seed.h"
@@ -455,6 +457,74 @@ TEST_F(ArckFsTest, WriterSeesOtherWritersCreations) {
   ASSERT_TRUE(entries.ok());
   EXPECT_EQ(entries->size(), 2u);
   EXPECT_EQ(ReadAll("/box/from2"), "2");
+}
+
+// The dirent ino is the publish word a create or rename commits with a release store
+// (§4.4), and first_index_page is committed the same way when the file grows; the kernel's
+// directory verifier and a LibFS's aux rebuild may scan the page while that happens (a
+// holder forced past its lease can still be writing). One thread commits a spare slot's
+// words on and off while the other verifies the directory and rebuilds a reader's aux
+// state over the same page: each scan must load each word with acquire, once.
+// Meant for ThreadSanitizer; its verdicts depend on the interleaving, so only their shape
+// is checked here.
+TEST_F(ArckFsTest, DirentScansLoadTheWordsTheCommitterPublishes) {
+  ArckFs reader(*kernel_);
+  ASSERT_TRUE(fs_->Mkdir("/d").ok());
+  WriteFile("/d/a", "a");
+  WriteFile("/d/b", "b");
+  ASSERT_TRUE(fs_->ReleaseFile("/d").ok());
+  ASSERT_TRUE(reader.Stat("/d/a").ok());
+
+  // /d's dirent, and a free slot on its first data page dressed as a complete dirent
+  // for the committer to publish and unpublish.
+  DirentBlock* dir = nullptr;
+  ASSERT_TRUE(ForEachDirent(pool_, SuperblockOf(pool_)->root.first_index_page,
+                            [&](DirentBlock* d, Ino, PageNumber, size_t) -> Status {
+                              dir = d->Name() == "d" ? d : dir;
+                              return OkStatus();
+                            })
+                  .ok());
+  ASSERT_NE(dir, nullptr);
+  Result<PageNumber> data = LookupDataPage(pool_, dir->first_index_page, 0);
+  ASSERT_TRUE(data.ok());
+  DirentBlock* spare =
+      &reinterpret_cast<DirDataPage*>(pool_.PageAddress(*data))->slots[kDirentsPerPage - 1];
+  ASSERT_EQ(pool_.Load64(&spare->ino), kInvalidIno);
+  DirentBlock shape = *spare;
+  shape.mode = kModeRegular | 0644;
+  shape.nlink = 1;
+  shape.SetName("spare");
+  pool_.Write(spare, &shape, sizeof(shape));
+  constexpr Ino kSpareIno = 4000;
+
+  VerifyRequest request;
+  request.ino = pool_.Load64(&dir->ino);
+  request.dirent = dir;
+  // The committer runs until the scans are done, so it is storing while every scan
+  // runs. The stop flag is relaxed: it must not order the two threads for TSan.
+  std::atomic<bool> scanned{false};
+  std::thread committer([&] {
+    while (!scanned.load(std::memory_order_relaxed)) {
+      pool_.CommitStore64(&spare->first_index_page, *data);  // The slot's file grows...
+      pool_.CommitStore64(&spare->ino, kSpareIno);
+      pool_.CommitStore64(&spare->first_index_page, 0);  // ...and is truncated.
+      pool_.CommitStore64(&spare->ino, kInvalidIno);
+    }
+  });
+  for (int i = 0; i < 200; ++i) {
+    Result<VerifyReport> verdict = kernel_->verifier().Verify(request);
+    EXPECT_TRUE(verdict.ok() || VerifyError::IsStructured(verdict.status()))
+        << verdict.status().ToString();
+    // Re-map /d and rebuild its aux state. EXPECT, not ASSERT: the committer must be
+    // joined below.
+    const bool rebuilt = reader.ReleaseFile("/d").ok() && reader.Stat("/d/a").ok();
+    EXPECT_TRUE(rebuilt);
+    if (!rebuilt) {
+      break;
+    }
+  }
+  scanned.store(true, std::memory_order_relaxed);
+  committer.join();
 }
 
 TEST_F(ArckFsTest, RebuildAfterRevokeShowsOnlyTheNewCoreState) {

@@ -158,8 +158,8 @@ TEST_F(CoreStateTest, ForEachDirentSkipsFreeSlots) {
   PageNumber first = BuildChain({{data}});
 
   std::vector<Ino> inos;
-  EXPECT_TRUE(ForEachDirent(pool_, first, [&](DirentBlock* d, PageNumber, size_t) -> Status {
-                inos.push_back(d->ino);
+  EXPECT_TRUE(ForEachDirent(pool_, first, [&](DirentBlock*, Ino ino, PageNumber, size_t) -> Status {
+                inos.push_back(ino);
                 return OkStatus();
               }).ok());
   EXPECT_EQ(inos, (std::vector<Ino>{7, 8}));

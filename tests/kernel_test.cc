@@ -50,10 +50,108 @@ TEST_F(KernelTest, MountRejectsUnformattedPool) {
 
 TEST_F(KernelTest, RegisterGrantsSuperblockRead) {
   LibFsId id = Register();
-  EXPECT_TRUE(kernel_->mmu().Check(id, 0, /*write=*/false));
-  EXPECT_FALSE(kernel_->mmu().Check(id, 0, /*write=*/true));
+  EXPECT_TRUE(kernel_->MmuCheck(id, 0, /*write=*/false));
+  EXPECT_FALSE(kernel_->MmuCheck(id, 0, /*write=*/true));
   kernel_->UnregisterLibFs(id);
-  EXPECT_FALSE(kernel_->mmu().Check(id, 0, false));
+  EXPECT_FALSE(kernel_->MmuCheck(id, 0, false));
+}
+
+TEST_F(KernelTest, MmuCheckIsFalseForAnUnknownLibFsOrPage) {
+  const LibFsId id = Register();
+  std::vector<PageNumber> pages;
+  ASSERT_TRUE(kernel_->AllocPages(id, 1, 0, &pages).ok());
+  EXPECT_TRUE(kernel_->MmuCheck(id, pages[0], /*write=*/true));
+  EXPECT_TRUE(kernel_->MmuCheckRange(id, pool_.PageAddress(pages[0]), kPageSize, true));
+  // A LibFS id the kernel never handed out maps nothing.
+  EXPECT_FALSE(kernel_->MmuCheck(id + 100, pages[0], /*write=*/false));
+  EXPECT_FALSE(kernel_->MmuCheckRange(id + 100, pool_.PageAddress(pages[0]), 1, false));
+  // Neither does a page the kernel never granted, in or past the pool.
+  EXPECT_FALSE(kernel_->MmuCheck(id, pages[0] + 1, /*write=*/false));
+  EXPECT_FALSE(kernel_->MmuCheck(id, pool_.num_pages(), /*write=*/false));
+  EXPECT_FALSE(
+      kernel_->MmuCheckRange(id, pool_.PageAddress(pages[0]), kPageSize + 1, false));
+  kernel_->UnregisterLibFs(id);
+}
+
+TEST(MmuSimTest, KeepsPerStrengthRefcountsAndFloorsRevokesAtZero) {
+  MmuSim mmu(1024);
+  mmu.Grant(7, PagePerm::kRead);
+  mmu.Grant(7, PagePerm::kReadWrite);
+  mmu.Grant(7, PagePerm::kReadWrite);
+  mmu.Revoke(7, PagePerm::kReadWrite);
+  EXPECT_TRUE(mmu.Check(7, /*write=*/true));  // One RW reference left.
+  mmu.Revoke(7, PagePerm::kReadWrite);
+  EXPECT_FALSE(mmu.Check(7, /*write=*/true));
+  EXPECT_TRUE(mmu.Check(7, /*write=*/false));  // The RO reference still justifies loads.
+  // A surplus revoke floors at zero: it neither wraps the RW count nor borrows from RO.
+  mmu.Revoke(7, PagePerm::kReadWrite);
+  EXPECT_FALSE(mmu.Check(7, /*write=*/true));
+  EXPECT_TRUE(mmu.Check(7, /*write=*/false));
+  mmu.Grant(7, PagePerm::kReadWrite);
+  mmu.Revoke(7, PagePerm::kReadWrite);
+  EXPECT_FALSE(mmu.Check(7, /*write=*/true));
+  mmu.Revoke(7, PagePerm::kRead);
+  mmu.Revoke(7, PagePerm::kRead);
+  EXPECT_FALSE(mmu.Check(7, /*write=*/false));
+  mmu.Grant(7, PagePerm::kRead);
+  EXPECT_TRUE(mmu.Check(7, /*write=*/false));
+  EXPECT_FALSE(mmu.Check(7, /*write=*/true));
+
+  // A file's pages in one call: one reference each, across chunks.
+  const std::vector<PageNumber> pages{1, 511, 512, 1023};
+  mmu.GrantPages(pages, PagePerm::kReadWrite);
+  mmu.GrantPages(pages, PagePerm::kRead);
+  mmu.RevokePages(pages, PagePerm::kReadWrite);
+  for (PageNumber page : pages) {
+    EXPECT_FALSE(mmu.Check(page, /*write=*/true)) << page;
+    EXPECT_TRUE(mmu.Check(page, /*write=*/false)) << page;
+  }
+  mmu.RevokePages(pages, PagePerm::kRead);
+  for (PageNumber page : pages) {
+    EXPECT_FALSE(mmu.Check(page, /*write=*/false)) << page;
+  }
+  // kNone grants nothing; a page past the table is never mapped.
+  mmu.Grant(9, PagePerm::kNone);
+  mmu.Grant(1024, PagePerm::kReadWrite);
+  EXPECT_FALSE(mmu.Check(9, /*write=*/false));
+  EXPECT_FALSE(mmu.Check(1024, /*write=*/false));
+}
+
+// Four threads share every page of a fresh table (so they also race to allocate its
+// chunks). A thread checks only what its own references justify, which no other thread's
+// grant or revoke may take away; at the end exactly the references left behind remain.
+TEST(MmuSimTest, StaysConsistentWhileFourThreadsGrantRevokeAndCheck) {
+  constexpr PageNumber kPages = 2048;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 20;
+  MmuSim mmu(kPages);
+  std::atomic<int> violations{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (PageNumber page = 0; page < kPages; ++page) {
+          mmu.Grant(page, PagePerm::kRead);
+          mmu.Grant(page, PagePerm::kReadWrite);
+          violations += mmu.Check(page, /*write=*/true) ? 0 : 1;
+          mmu.Revoke(page, PagePerm::kReadWrite);
+          violations += mmu.Check(page, /*write=*/false) ? 0 : 1;
+        }
+        for (PageNumber page = 0; page < kPages; ++page) {
+          mmu.Revoke(page, PagePerm::kRead);
+        }
+      }
+      mmu.Grant(static_cast<PageNumber>(t), PagePerm::kRead);  // Left behind.
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(violations.load(), 0);
+  for (PageNumber page = 0; page < kPages; ++page) {
+    EXPECT_FALSE(mmu.Check(page, /*write=*/true)) << page;
+    EXPECT_EQ(mmu.Check(page, /*write=*/false), page < kThreads) << page;
+  }
 }
 
 TEST_F(KernelTest, AllocPagesLeasesZeroedWritablePages) {
@@ -62,7 +160,7 @@ TEST_F(KernelTest, AllocPagesLeasesZeroedWritablePages) {
   ASSERT_TRUE(kernel_->AllocPages(id, 4, 0, &pages).ok());
   ASSERT_EQ(pages.size(), 4u);
   for (PageNumber p : pages) {
-    EXPECT_TRUE(kernel_->mmu().Check(id, p, true));
+    EXPECT_TRUE(kernel_->MmuCheck(id, p, true));
     PageState state = kernel_->StateOfPage(p);
     EXPECT_EQ(state.state, ResourceState::kLeased);
     EXPECT_EQ(state.lessee, id);
@@ -81,7 +179,7 @@ TEST_F(KernelTest, FreePagesReturnsLeases) {
   EXPECT_EQ(kernel_->FreePageCount(), free_before - 8);
   ASSERT_TRUE(kernel_->FreePages(id, pages).ok());
   EXPECT_EQ(kernel_->FreePageCount(), free_before);
-  EXPECT_FALSE(kernel_->mmu().Check(id, pages[0], false));
+  EXPECT_FALSE(kernel_->MmuCheck(id, pages[0], false));
   kernel_->UnregisterLibFs(id);
 }
 
@@ -128,8 +226,8 @@ TEST_F(KernelTest, MapRootGrantsPagesAndEnforcesPolicy) {
   EXPECT_FALSE(read_a->writable);
   // Root's preallocated index page is now readable for A.
   const PageNumber root_index = SuperblockOf(pool_)->root.first_index_page;
-  EXPECT_TRUE(kernel_->mmu().Check(a, root_index, false));
-  EXPECT_FALSE(kernel_->mmu().Check(a, root_index, true));
+  EXPECT_TRUE(kernel_->MmuCheck(a, root_index, false));
+  EXPECT_FALSE(kernel_->MmuCheck(a, root_index, true));
 
   // Concurrent readers are fine.
   ASSERT_TRUE(kernel_->MapRoot(b, false).ok());
@@ -139,7 +237,7 @@ TEST_F(KernelTest, MapRootGrantsPagesAndEnforcesPolicy) {
   ASSERT_TRUE(write_b.ok());
   EXPECT_TRUE(write_b->writable);
   EXPECT_TRUE(kernel_->IsWriteMapped(kRootIno));
-  EXPECT_TRUE(kernel_->mmu().Check(b, root_index, true));
+  EXPECT_TRUE(kernel_->MmuCheck(b, root_index, true));
 
   kernel_->UnregisterLibFs(a);
   kernel_->UnregisterLibFs(b);
@@ -234,9 +332,9 @@ TEST_F(KernelTest, WriteOverReadersRevokesThemAllInOneGuardedRun) {
     EXPECT_EQ(reader->revokes.load(), 1);
     EXPECT_TRUE(reader->unmapped.load());
     EXPECT_EQ(reader->ran_on, readers->holders[0]->ran_on);  // One helper ran them all.
-    EXPECT_FALSE(kernel_->mmu().Check(reader->id, root_index, false));
+    EXPECT_FALSE(kernel_->MmuCheck(reader->id, root_index, false));
   }
-  EXPECT_TRUE(kernel_->mmu().Check(writer, root_index, true));
+  EXPECT_TRUE(kernel_->MmuCheck(writer, root_index, true));
 
   kernel_->UnregisterLibFs(writer);
   for (const auto& reader : readers->holders) {
@@ -272,11 +370,11 @@ TEST(KernelRevokeTest, HungHolderMidBatchIsTheOnlyOneForced) {
   int cooperative = 0;
   for (const auto& reader : readers->holders) {
     EXPECT_EQ(reader->revokes.load(), 1);
-    EXPECT_FALSE(kernel.mmu().Check(reader->id, root_index, false));
+    EXPECT_FALSE(kernel.MmuCheck(reader->id, root_index, false));
     cooperative += reader->unmapped.load() ? 1 : 0;
   }
   EXPECT_EQ(cooperative, 2);
-  EXPECT_TRUE(kernel.mmu().Check(writer, root_index, true));
+  EXPECT_TRUE(kernel.MmuCheck(writer, root_index, true));
 
   readers->release.store(true);
   while (!readers->hung_returned.load()) {

@@ -72,7 +72,7 @@ class TierTest : public ::testing::Test {
     const Superblock* sb = SuperblockOf(*pool_);
     std::function<void(const DirentBlock*)> walk = [&](const DirentBlock* dir) {
       (void)ForEachDirent(*pool_, dir->first_index_page,
-                          [&](DirentBlock* d, PageNumber, size_t) -> Status {
+                          [&](DirentBlock* d, Ino, PageNumber, size_t) -> Status {
                             if (d->Name() == name) {
                               found = d;
                             } else if (d->IsDirectory()) {

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "src/core/core_state.h"
 #include "src/verifier/verifier.h"
@@ -62,9 +66,10 @@ constexpr LibFsId kWriter = 7;
 
 class VerifierTest : public ::testing::Test {
  protected:
-  VerifierTest() : pool_(512) {
+  explicit VerifierTest(size_t pool_pages = 512, uint64_t max_inodes = 256)
+      : pool_(pool_pages) {
     FormatOptions options;
-    options.max_inodes = 256;
+    options.max_inodes = max_inodes;
     TRIO_CHECK_OK(Format(pool_, options));
     verifier_ = std::make_unique<IntegrityVerifier>(pool_, ownership_, env_);
     next_page_ = FileRegionStart(pool_) + 16;
@@ -221,8 +226,11 @@ TEST_F(VerifierTest, DirentInoMismatchFails) {
 
 class VerifierDirTest : public VerifierTest {
  protected:
-  // Builds a directory (ino `dir_ino`, owned) with `children` fresh child dirents.
-  DirentBlock* BuildDirectory(Ino dir_ino, int children) {
+  using VerifierTest::VerifierTest;
+
+  // Builds a directory (ino `dir_ino`, owned) with `children` fresh child dirents named
+  // c0, c1, ... with inos first_child, first_child + 1, ..., filling data pages in order.
+  DirentBlock* BuildDirectory(Ino dir_ino, int children, Ino first_child = 100) {
     dir_dirent_page_ = NewPage();
     auto* holder = reinterpret_cast<DirDataPage*>(pool_.PageAddress(dir_dirent_page_));
     DirentBlock* d = &holder->slots[0];
@@ -235,27 +243,39 @@ class VerifierDirTest : public VerifierTest {
     d->SetName("dir");
     const PageNumber index = NewPage();
     d->first_index_page = index;
-    const PageNumber data = NewPage();
-    reinterpret_cast<IndexPage*>(pool_.PageAddress(index))->entries[0] = data;
-    auto* dir_data = reinterpret_cast<DirDataPage*>(pool_.PageAddress(data));
+    ownership_.OwnIno(dir_ino, kRootIno);
+    ownership_.OwnPage(index, dir_ino);
+    const int data_pages = std::max<int>(1, (children + kDirentsPerPage - 1) / kDirentsPerPage);
+    for (int p = 0; p < data_pages; ++p) {
+      const PageNumber data = NewPage();
+      reinterpret_cast<IndexPage*>(pool_.PageAddress(index))->entries[p] = data;
+      ownership_.OwnPage(data, dir_ino);
+      if (p == 0) {
+        dir_data_page_ = data;
+      }
+    }
     for (int i = 0; i < children; ++i) {
-      DirentBlock* child = &dir_data->slots[i];
+      DirentBlock* child = ChildAt(d, i);
       std::memset(child, 0, sizeof(*child));
-      child->ino = 100 + i;
+      child->ino = first_child + i;
       child->mode = kModeRegular | 0600;
       child->uid = 1;
       child->gid = 1;
       child->nlink = 1;
       child->SetName("c" + std::to_string(i));
-      ownership_.LeaseIno(100 + i, kWriter);
+      ownership_.LeaseIno(first_child + i, kWriter);
     }
-    ownership_.OwnIno(dir_ino, kRootIno);
-    ownership_.OwnPage(index, dir_ino);
-    ownership_.OwnPage(data, dir_ino);
     ShadowInode truth{kModeDirectory | 0755, 1, 1, 1};
     pool_.Write(ShadowInodeOf(pool_, dir_ino), &truth, sizeof(truth));
-    dir_data_page_ = data;
     return d;
+  }
+
+  // The i-th dirent slot of directory `d`'s data pages.
+  DirentBlock* ChildAt(const DirentBlock* d, int i) {
+    const auto* index = reinterpret_cast<IndexPage*>(pool_.PageAddress(d->first_index_page));
+    auto* data = reinterpret_cast<DirDataPage*>(
+        pool_.PageAddress(index->entries[i / kDirentsPerPage]));
+    return &data->slots[i % kDirentsPerPage];
   }
 
   PageNumber dir_dirent_page_ = 0;
@@ -331,12 +351,79 @@ TEST_F(VerifierDirTest, DirectoryWithNonzeroSizeFails) {
   EXPECT_TRUE(verifier_->Verify(RequestFor(50, d)).status().Is(ErrorCode::kCorrupted));
 }
 
+TEST_F(VerifierDirTest, CheckpointDiffListsEveryRemovedChild) {
+  DirentBlock* d = BuildDirectory(50, 3);
+  // Three of the six checkpointed children are gone, one of them a directory.
+  std::vector<CheckpointChild> checkpoint = {{100, false}, {180, false}, {101, false},
+                                             {181, true},  {182, false}, {102, false}};
+  for (Ino gone : {180, 181, 182}) {
+    ownership_.OwnIno(gone, 50);
+  }
+  VerifyRequest request = RequestFor(50, d);
+  request.checkpoint_children = &checkpoint;
+  Result<VerifyReport> report = verifier_->Verify(request);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->removed_children, (std::vector<Ino>{180, 181, 182}));
+  EXPECT_EQ(report->live_dirents, 3u);
+}
+
+// One verifier, two threads, two directories: each verification builds its report (and
+// its duplicate-check scratch) for itself.
+TEST_F(VerifierDirTest, TwoThreadsVerifyingDifferentDirectoriesGetTheirOwnReports) {
+  const DirentBlock* a = BuildDirectory(50, 3, /*first_child=*/100);
+  const DirentBlock* b = BuildDirectory(60, 40, /*first_child=*/120);
+  auto verify_repeatedly = [&](Ino dir, const DirentBlock* d, int children, Ino first_child) {
+    for (int round = 0; round < 200; ++round) {
+      Result<VerifyReport> report = verifier_->Verify(RequestFor(dir, d));
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      ASSERT_EQ(report->new_children.size(), static_cast<size_t>(children));
+      ASSERT_EQ(report->pages.size(), children > 32 ? 3u : 2u);  // Index + data pages.
+      for (int i = 0; i < children; ++i) {
+        ASSERT_EQ(report->new_children[i].ino, first_child + i);
+        ASSERT_EQ(report->new_children[i].name, "c" + std::to_string(i));
+      }
+    }
+  };
+  std::thread other([&] { verify_repeatedly(60, b, 40, 120); });
+  verify_repeatedly(50, a, 3, 100);
+  other.join();
+}
+
 TEST_F(VerifierDirTest, StatsCountFailures) {
   DirentBlock* d = BuildDirectory(50, 1);
   d->size = 4096;
   (void)verifier_->Verify(RequestFor(50, d));
   EXPECT_GE(verifier_->stats().files_verified.load(), 1u);
   EXPECT_GE(verifier_->stats().failures.load(), 1u);
+}
+
+// A directory far larger than one data page: the duplicate checks still catch a repeat
+// between its first and its last dirent, with the same verdict class.
+class VerifierLargeDirTest : public VerifierDirTest {
+ protected:
+  static constexpr int kChildren = 3000;
+  VerifierLargeDirTest() : VerifierDirTest(/*pool_pages=*/1024, /*max_inodes=*/4096) {}
+
+  VerifyErrorClass VerdictOf(const DirentBlock* d) {
+    const Status status = verifier_->Verify(RequestFor(50, d)).status();
+    EXPECT_FALSE(status.ok());
+    return VerifyError::FromStatus(status).cls;
+  }
+};
+
+TEST_F(VerifierLargeDirTest, LastDirentRepeatingTheFirstNameIsADuplicateName) {
+  DirentBlock* d = BuildDirectory(50, kChildren);
+  Result<VerifyReport> clean = verifier_->Verify(RequestFor(50, d));
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_EQ(clean->live_dirents, static_cast<uint64_t>(kChildren));
+  ChildAt(d, kChildren - 1)->SetName("c0");
+  EXPECT_EQ(VerdictOf(d), VerifyErrorClass::kDuplicateName);
+}
+
+TEST_F(VerifierLargeDirTest, LastDirentRepeatingTheFirstInoIsADuplicateInode) {
+  DirentBlock* d = BuildDirectory(50, kChildren);
+  ChildAt(d, kChildren - 1)->ino = ChildAt(d, 0)->ino;
+  EXPECT_EQ(VerdictOf(d), VerifyErrorClass::kDuplicateInode);
 }
 
 }  // namespace
