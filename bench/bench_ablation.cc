@@ -2,18 +2,21 @@
 // out: the BRAVO-biased readers-writer lock vs the plain counter lock (§4.5), the
 // per-directory hash table vs a radix-style index for name lookup (§6.2), the per-file
 // radix tree, the MPMC delegation ring, the delegation size threshold (§4.5), multiple
-// logging tails vs a single tail (§4.2), and the end-to-end create/write hot paths.
+// logging tails vs a single tail (§4.2), the kernel's per-page leasing cost, and the
+// end-to-end create/write hot paths.
 
 #include <benchmark/benchmark.h>
 
 #include <map>
 #include <string>
 #include <memory>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/baselines/fs_factory.h"
 #include "src/common/mpmc_ring.h"
 #include "src/common/rwlock.h"
+#include "src/core/core_state.h"
 #include "src/kernel/controller.h"
 #include "src/libfs/arckfs.h"
 #include "src/libfs/dir_index.h"
@@ -97,6 +100,28 @@ void BM_MpmcRingRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MpmcRingRoundTrip)->Threads(1)->Threads(2);
+
+// ---- Kernel page leasing: one LibFS leases and frees 64-page batches ----
+
+// Items are pages, so items_per_second is the inverse of the per-page cost of AllocPages
+// plus FreePages (each page zeroed, MMU-granted and entered in the ownership table).
+void BM_KernelAllocFreePages(benchmark::State& state) {
+  constexpr size_t kBatch = 64;
+  NvmPool pool(1 << 14);
+  TRIO_CHECK_OK(Format(pool, FormatOptions{}));
+  KernelController kernel(pool);
+  TRIO_CHECK_OK(kernel.Mount());
+  const LibFsId id = kernel.RegisterLibFs(LibFsOptions{});
+  std::vector<PageNumber> pages;
+  for (auto _ : state) {
+    pages.clear();
+    TRIO_CHECK_OK(kernel.AllocPages(id, kBatch, 0, &pages));
+    TRIO_CHECK_OK(kernel.FreePages(id, pages));
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+  kernel.UnregisterLibFs(id);
+}
+BENCHMARK(BM_KernelAllocFreePages);
 
 // ---- End-to-end hot paths on the real stack ----
 

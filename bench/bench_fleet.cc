@@ -1,9 +1,9 @@
 // Fleet-scale controller benchmarks: many LibFS tenants over ONE sharded kernel,
 // Zipfian-shared files, with the legacy configuration (controller_shards=1,
-// lockfree_lookup=off — every grant lookup funnels through one mutex, the pre-shard
-// controller) as the baseline. BM_GrantLookup is the CI-gated pair: the 8-shard
-// lock-free configuration must beat the 1-shard legacy one on items_per_second
-// (scripts/check_fleet_bench.py). BM_FleetChurn runs the full fleet op mix (Zipfian
+// lockfree_lookup=off, which switches off only the grant cache — every grant lookup
+// funnels through one mutex, as in the pre-shard controller) as the baseline.
+// BM_GrantLookup is the CI-gated pair: the 8-shard lock-free configuration must beat the
+// 1-shard legacy one on items_per_second (scripts/check_fleet_bench.py). BM_FleetChurn runs the full fleet op mix (Zipfian
 // reads + private writes + cross-shard renames) to exercise the two-phase path under
 // load and to measure the fast-hit rate. BM_GrantLookup runs at 1, 2 and 4 threads, so
 // the output reports measured lookup scaling. Run with --benchmark_out=BENCH_fleet.json
@@ -37,7 +37,7 @@ struct FleetHarness {
     TRIO_CHECK_OK(Format(*pool, options));
     KernelConfig config;
     config.controller_shards = static_cast<size_t>(shards);
-    // shards == 1 is the legacy controller: one lock domain, no lock-free fast path.
+    // shards == 1 is the legacy controller: one lock domain, no grant cache.
     config.lockfree_lookup = shards > 1;
     kernel = std::make_unique<KernelController>(*pool, config);
     TRIO_CHECK_OK(kernel->Mount());

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Builds the concurrency-heavy test binaries (the Parker park/wake primitive, the seqlock,
 # delegation pool, callback watchdog, crash explorer, op-ring drainer, multi-tenant
-# schedule explorer, fuzz corpus, fleet, trace ring, MMU page tables, verifier scratch,
-# dirent publish word) under ThreadSanitizer and under AddressSanitizer with
-# UndefinedBehaviorSanitizer, and runs a smoke subset of each.
+# schedule explorer, fuzz corpus, fleet, trace ring, MMU page tables, ownership tables,
+# verifier scratch, dirent publish word, BRAVO reader fast path) under ThreadSanitizer
+# and under AddressSanitizer with UndefinedBehaviorSanitizer, and runs a smoke subset of
+# each.
 #
 # Usage: scripts/run_sanitizers.sh [thread|address] [--adversarial]
 #   (no sanitizer: both, thread first)
@@ -34,10 +35,11 @@ explorer_filter='FaultSimKernelTest.*:CrashExplorerTest.AppendHeavyWorkloadClean
 # Every OpRingTest crosses the submitter/drainer boundary (SPSC rings, park/wake, epoch
 # close before CQE post) — exactly what TSan needs to see; SpscRingTest adds the raw
 # two-thread ring in isolation, ParkerTest the park/wake primitive the delegation pool
-# and the drainer share, and SeqlockTest the seqlock behind the kernel grant cache, the
-# promote cache and the trace ring.
+# and the drainer share, SeqlockTest the seqlock behind the kernel grant cache, the
+# promote cache and the trace ring, and BravoRwLockTest the LibFS inode lock's reader
+# fast path.
 ring_filter='OpRingTest.*'
-common_filter='SpscRingTest.*:ParkerTest.*:SeqlockTest.*'
+common_filter='SpscRingTest.*:ParkerTest.*:SeqlockTest.*:BravoRwLockTest.*'
 # Schedule explorer smoke: determinism + a full clean sweep (both tenants, crash points);
 # fuzz smoke: one seed variant of every corruption class plus the verifier/quarantine
 # bounds tests.
@@ -58,6 +60,9 @@ watchdog_filter='CallbackGuardTest.*:KernelTest.WriteOverReadersRevokesThemAllIn
 # Per-LibFS MMU page tables: lock-free refcounts under four threads, plus the kernel's
 # check for unknown LibFSes and pages.
 mmu_filter='MmuSimTest.*:KernelTest.MmuCheckIsFalseForAnUnknownLibFsOrPage'
+# Ownership tables: lock-free state reads while four LibFSes lease and free, and page
+# numbers and inos past the tables.
+ownership_filter='KernelTest.OwnershipReadsSeeOnlyStoredStatesWhileLeasesChurn:KernelBoundsTest.*'
 # Verifier scratch: a 3,000-entry directory's duplicate checks, the checkpoint diff, and
 # two threads verifying at once.
 verifier_filter='VerifierLargeDirTest.*:VerifierDirTest.CheckpointDiffListsEveryRemovedChild:VerifierDirTest.TwoThreadsVerifyingDifferentDirectoriesGetTheirOwnReports'
@@ -109,6 +114,9 @@ for san in "${sanitizers[@]}"; do
 
   echo "== TRIO_SANITIZE=$san: kernel_test (MMU page tables) =="
   "$build/tests/kernel_test" --gtest_filter="$mmu_filter" --gtest_brief=1
+
+  echo "== TRIO_SANITIZE=$san: kernel_test (ownership tables) =="
+  "$build/tests/kernel_test" --gtest_filter="$ownership_filter" --gtest_brief=1
 
   echo "== TRIO_SANITIZE=$san: verifier_test (verification scratch) =="
   "$build/tests/verifier_test" --gtest_filter="$verifier_filter" --gtest_brief=1

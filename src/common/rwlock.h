@@ -112,7 +112,6 @@ class BravoRwLock {
       if (cell.compare_exchange_strong(expected, this, std::memory_order_acquire)) {
         // Re-check bias after publishing (BRAVO's race window close).
         if (bias_enabled_.load(std::memory_order_acquire)) {
-          reader_slot_hint_ = slot;
           return;  // Fast path: never touched underlying_.
         }
         cell.store(nullptr, std::memory_order_release);
@@ -165,7 +164,6 @@ class BravoRwLock {
   std::atomic<bool> bias_enabled_{true};
   uint64_t writer_count_ = 0;   // Guarded by underlying_ writer side.
   uint64_t revocations_ = 0;    // Guarded by underlying_ writer side.
-  int reader_slot_hint_ = -1;   // Debug aid only.
 };
 
 // RAII guards.

@@ -9,27 +9,27 @@
 // entry point models one user->kernel crossing and is counted in stats().syscalls, which
 // the cost models in src/sim consume.
 //
-// Scale-out (DESIGN.md §4.10): the controller is SHARDED. File records and ino states are
-// partitioned by hash(ino) into `controller_shards` shards, each guarded by a plain
-// (non-recursive) mutex; page ownership lives in a separately striped table with 64-page
-// range affinity; read-mostly ownership and grant lookups take a lock-free seqlock-cache
-// fast path. Cross-shard operations (renames across shards, reconciliation that touches
-// children in other shards) use a two-phase protocol: collect the shard set, then acquire
-// in ascending index order (enforced at runtime by ShardRank).
+// Scale-out (DESIGN.md §4.10): the controller is SHARDED. File records are partitioned by
+// hash(ino) into `controller_shards` shards, each guarded by a plain (non-recursive) mutex.
+// Page and ino ownership live in two flat OwnershipTables of one atomic word per page or
+// ino; they are also the only record of which LibFS leases what, and a read is one
+// lock-free load. Grant lookups take a lock-free seqlock-cache fast path. Cross-shard
+// operations (renames across shards, reconciliation that touches children in other shards)
+// use a two-phase protocol: collect the shard set, then acquire in ascending index order
+// (enforced at runtime by ShardRank).
 //
 // Lock hierarchy (acquire strictly downward; each level optional):
 //   shard mutexes (ascending index only)
 //     -> per-LibFS record mutex (at most one at a time)
 //       -> alloc_mu_ (free pages / free inos / next_ino_)
-//       -> page-table stripe mutexes
 //       -> quarantine_mu_ / wmap_mu_
-// Each LibFS's MmuSim page table (in its LibFsRecord) takes no lock: grants, revokes and
-// checks are atomic updates of per-page refcounts, valid at any level of this hierarchy.
-// registry_mu_ protects the LibFS registry only and is never held across any other
-// acquisition (lookups copy out a shared_ptr). LibFS callbacks and the integrity verifier
-// ALWAYS run with no shard held (ShardRank::AssertNoneHeld); in-flight verifications pin
-// their file with a per-record `busy` flag instead of holding a lock, and waiters sleep on
-// the shard's condition variable.
+// The ownership tables and each LibFS's MmuSim page table (in its LibFsRecord) take no
+// lock: their updates are atomic, valid at any level of this hierarchy. registry_mu_
+// protects the LibFS registry only and is never held across any other acquisition
+// (lookups copy out a shared_ptr). LibFS callbacks and the integrity verifier ALWAYS run
+// with no shard held (ShardRank::AssertNoneHeld); in-flight verifications pin their file
+// with a per-record `busy` flag instead of holding a lock, and waiters sleep on the shard's
+// condition variable.
 
 #ifndef SRC_KERNEL_CONTROLLER_H_
 #define SRC_KERNEL_CONTROLLER_H_
@@ -53,6 +53,7 @@
 #include "src/core/core_state.h"
 #include "src/core/format.h"
 #include "src/core/ownership.h"
+#include "src/kernel/chunked_words.h"
 #include "src/kernel/delegation.h"
 #include "src/kernel/mmu_sim.h"
 #include "src/kernel/shard.h"
@@ -105,9 +106,9 @@ struct KernelConfig {
   // Controller shards (rounded up to a power of two, clamped to [1, 64]). 1 reproduces
   // the legacy one-big-mutex controller; the fleet bench gates 8 > 1.
   size_t controller_shards = 8;
-  // Lock-free seqlock-cache fast path for StateOfPage/StateOfIno/LookupGrant on the
-  // syscall boundary. Off = every lookup goes through the shard/stripe mutexes (the
-  // legacy read path; the fleet bench's 1-shard baseline).
+  // Lock-free seqlock-cache fast path for LookupGrant on the syscall boundary. Off = every
+  // grant lookup takes its shard mutex (the legacy read path; the fleet bench's 1-shard
+  // baseline). Ownership reads are lock-free either way.
   bool lockfree_lookup = true;
   // NVM absorb tier / slow-backend digestion (DESIGN.md §4.11).
   TierConfig tier;
@@ -206,31 +207,83 @@ struct KernelTierStats : obs::StatGroup {
   obs::ScopedRegistration reg_{"tier", *this};
 };
 
-// Page-number -> PageState, striped by 64-page runs (an allocation's pages land on one
-// stripe; independent files contend on different stripes) with a lock-free seqlock-cache
-// read path. A cache entry is an authoritative snapshot INCLUDING "free": Set/Erase write
-// through under the stripe lock, so the cache may forget but never lies.
-class PageOwnershipTable {
+// The ownership of one kind of resource, pages or inos (§4.3, I2), indexed by page number or
+// ino. It is also the kernel's only record of leases. Each entry is one atomic word: the
+// ResourceState in the low byte and, above it, the lessee while kLeased or the owning file
+// (a page) or parent directory (an ino) while kOwned. A read is one lock-free load, and an
+// index past the table reads as free: page numbers and inos arrive from untrusted LibFSes.
+// Each write is a release store by the one thread that owns the transition: the thread
+// that took the resource off a free list, the reconcile that adopts it into a file under
+// the file's shard lock, or the thread that removed it from its file's record and frees it
+// before it returns to a free list. A lease ends with one compare-exchange, so it ends
+// once.
+class OwnershipTable {
  public:
-  void Reset(size_t stripes, size_t cache_slots);
-  PageState Get(PageNumber page) const;  // Lock-free fast path; populates on miss.
-  void Set(PageNumber page, const PageState& state);
-  void Erase(PageNumber page);
-  bool Contains(PageNumber page) const;
-  // Atomically erase iff currently leased by `libfs`. Returns whether it fired.
-  bool EraseIfLeasedBy(PageNumber page, LibFsId libfs);
-  void Clear();
+  struct Entry {
+    ResourceState state = ResourceState::kFree;
+    uint64_t holder = 0;  // The lessee (kLeased), or the owning file or parent (kOwned).
+
+    LibFsId lessee() const {
+      return state == ResourceState::kLeased ? static_cast<LibFsId>(holder) : kNoLibFs;
+    }
+    Ino owner() const { return state == ResourceState::kOwned ? holder : kInvalidIno; }
+  };
+
+  // Sizes the table, dropping every entry. Only while no other thread can read it; after
+  // that Clear() zeroes it in place.
+  void Resize(uint64_t entries) { words_.Resize(entries); }
+  uint64_t size() const { return words_.size(); }
+
+  Entry Get(uint64_t index) const {
+    const uint64_t word = Load(index);
+    return Entry{static_cast<ResourceState>(word & 0xff), word >> 8};
+  }
+  bool Is(uint64_t index, ResourceState state, uint64_t holder) const {
+    return Load(index) == Pack(state, holder);
+  }
+  void Set(uint64_t index, ResourceState state, uint64_t holder) {
+    if (std::atomic<uint64_t>* word = words_.FindOrAdd(index)) {
+      word->store(Pack(state, holder), std::memory_order_release);
+    }
+  }
+  // Free -> (state, holder). False if the entry was taken, or is past the table.
+  bool Claim(uint64_t index, ResourceState state, uint64_t holder) {
+    return Exchange(words_.FindOrAdd(index), 0, Pack(state, holder));
+  }
+  // Leased to `libfs` -> free. False if `libfs` held no lease on it.
+  bool EndLease(uint64_t index, LibFsId libfs) {
+    return Exchange(words_.Find(index), Pack(ResourceState::kLeased, libfs), 0);
+  }
+  // Ends every lease `libfs` holds, calling fn(index) for each.
+  template <typename Fn>
+  void EndLeasesOf(LibFsId libfs, Fn&& fn) {
+    const uint64_t leased = Pack(ResourceState::kLeased, libfs);
+    words_.ForEach([&](uint64_t index, std::atomic<uint64_t>& word) {
+      if (word.load(std::memory_order_relaxed) == leased && Exchange(&word, leased, 0)) {
+        fn(index);
+      }
+    });
+  }
+  void Clear() {
+    words_.ForEach([](uint64_t, std::atomic<uint64_t>& word) {
+      word.store(0, std::memory_order_release);
+    });
+  }
 
  private:
-  struct Stripe {
-    mutable std::mutex mu;
-    std::unordered_map<PageNumber, PageState> map;
-  };
-  size_t StripeIndexOf(PageNumber page) const { return (page >> 6) & stripe_mask_; }
+  static uint64_t Pack(ResourceState state, uint64_t holder) {
+    return holder << 8 | static_cast<uint64_t>(state);
+  }
+  uint64_t Load(uint64_t index) const {
+    const std::atomic<uint64_t>* word = words_.Find(index);
+    return word == nullptr ? 0 : word->load(std::memory_order_acquire);
+  }
+  static bool Exchange(std::atomic<uint64_t>* word, uint64_t from, uint64_t to) {
+    return word != nullptr &&
+           word->compare_exchange_strong(from, to, std::memory_order_acq_rel);
+  }
 
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  size_t stripe_mask_ = 0;
-  mutable SeqlockCache<2> cache_;
+  ChunkedWords words_;
 };
 
 class KernelController : public OwnershipView, public VerifyEnv {
@@ -374,11 +427,10 @@ class KernelController : public OwnershipView, public VerifyEnv {
     uint32_t uid = 0;             // Immutable after registration.
     uint32_t gid = 0;             // Immutable after registration.
     LibFsCallbacks callbacks;     // Immutable after registration.
-    // `mu` guards the five sets below and `grants`. Rank: after shard mutexes; at most
-    // one LibFS record mutex held at a time; nothing else is acquired under it.
+    // `mu` guards the three sets below and `grants` (the ownership tables record this
+    // LibFS's leases). Rank: after shard mutexes; at most one LibFS record mutex held at a
+    // time; nothing else is acquired under it.
     std::mutex mu;
-    std::unordered_set<PageNumber> leased_pages;
-    std::unordered_set<Ino> leased_inos;
     std::unordered_set<Ino> write_mapped;
     std::unordered_set<Ino> read_mapped;
     // Children that disappeared from a verified directory and are not yet known to be
@@ -397,7 +449,6 @@ class KernelController : public OwnershipView, public VerifyEnv {
     ShardMutex mu;
     std::condition_variable cv;  // Signalled when a record's busy flag clears.
     std::unordered_map<Ino, FileRecord> records;
-    std::unordered_map<Ino, InoState> ino_states;
   };
 
   // Naming discipline (enforceable now that shard mutexes are non-recursive):
@@ -418,9 +469,7 @@ class KernelController : public OwnershipView, public VerifyEnv {
   std::shared_ptr<LibFsRecord> FindLibFs(LibFsId id) const;
   std::vector<ShardMutex*> ShardMutexesFor(const std::vector<size_t>& indices) const;
   std::vector<size_t> AllShardIndices() const;
-  void SetInoStateLocked(Shard& shard, Ino ino, const InoState& state);
-  void EraseInoStateLocked(Shard& shard, Ino ino);
-  void ReleasePageToFree(PageNumber page);  // Table erase + free-list push (alloc_mu_).
+  void ReleasePageToFree(PageNumber page);  // Table entry freed + free-list push (alloc_mu_).
 
   // ---- mapping / grants (controller_map.cc) ----
   DirentBlock* DirentOfLocked(const FileRecord& record) const;
@@ -469,14 +518,14 @@ class KernelController : public OwnershipView, public VerifyEnv {
 
   // ---- lifecycle internals (controller.cc) ----
   Status ScanTreeLocked(Ino ino, Ino parent, PageNumber dirent_page, size_t dirent_slot,
-                        const DirentBlock& dirent, std::unordered_set<PageNumber>* seen_pages,
-                        std::unordered_set<Ino>* seen_inos);
+                        const DirentBlock& dirent);
   void WmapLogAdd(Ino ino);
   void WmapLogRemove(Ino ino);
   // Runs untrusted LibFS callbacks in order as one guarded upcall on callback_guard_.
   // Returns how many completed in time (CallbackGuard::RunBatch). Counts the upcall, the
   // caller's wall time inside the guard and a timeout here, on the caller's side: an
-  // abandoned callback may outlive this controller.
+  // abandoned callback may outlive this controller. With guard_callbacks off it runs them
+  // inline, returns them all as completed and counts nothing.
   size_t RunGuarded(std::vector<CallbackGuard::Task> tasks);
   // The one-callback upcall. True iff it completed within `timeout_ms`.
   bool RunGuarded(uint64_t timeout_ms, std::function<void()> fn);
@@ -485,7 +534,7 @@ class KernelController : public OwnershipView, public VerifyEnv {
   NvmPool& pool_;
   KernelConfig config_;
   Clock* clock_;
-  // mutable: const read paths (StateOf*, VerifyEnv, inspection) count contention/hits.
+  // mutable: const read paths (VerifyEnv, inspection) count shard contention.
   mutable KernelStats stats_;
   // Persistence accounting for every PersistSpan the controller opens (layer "kernel").
   obs::PersistStats persist_stats_{"kernel"};
@@ -497,11 +546,13 @@ class KernelController : public OwnershipView, public VerifyEnv {
   CallbackGuard callback_guard_;  // Deadline watchdog for untrusted LibFS callbacks.
 
   // Sharded ownership state. unique_ptr: Shard holds a condition_variable (immovable).
-  // mutable: const read paths (StateOf*, VerifyEnv) still take shard locks.
+  // mutable: const read paths (VerifyEnv, inspection) still take shard locks.
   mutable std::vector<std::unique_ptr<Shard>> shards_;
   size_t shard_mask_ = 0;
-  PageOwnershipTable page_table_;
-  mutable SeqlockCache<2> ino_cache_;    // ino -> packed InoState.
+  // Page ownership, sized to the pool; ino ownership, sized from max_inodes at the first
+  // Mount. Mount zeroes them in place: a LibFS may read them during RunRecovery's Mount.
+  OwnershipTable page_table_;
+  OwnershipTable ino_table_;
   mutable SeqlockCache<3> grant_cache_;  // ino -> packed grant (one holder).
 
   // LibFS registry. registry_mu_ is never held across any other lock acquisition;

@@ -31,19 +31,10 @@ inline size_t WmapSlots(const NvmPool& pool) {
   return SuperblockOf(pool)->wmap_log_pages * kPageSize / sizeof(uint64_t);
 }
 
-// --- seqlock-cache payload packing -----------------------------------------------------
-// Page/ino states pack as {state | lessee << 8, owner-or-parent}; grants pack as
-// {dirent_page, holder << 9 | slot << 1 | writable, lease_deadline_ns}. kDirentsPerPage
-// is 32 so a slot index fits the 8 bits between the writable flag and the holder id.
-
-inline uint64_t PackStateLessee(ResourceState state, LibFsId lessee) {
-  return (static_cast<uint64_t>(lessee) << 8) | static_cast<uint64_t>(state);
-}
-
-inline void UnpackStateLessee(uint64_t word, ResourceState* state, LibFsId* lessee) {
-  *state = static_cast<ResourceState>(word & 0xff);
-  *lessee = static_cast<LibFsId>(word >> 8);
-}
+// --- grant-cache payload packing -------------------------------------------------------
+// Grants pack as {dirent_page, holder << 9 | slot << 1 | writable, lease_deadline_ns}.
+// kDirentsPerPage is 32 so a slot index fits the 8 bits between the writable flag and the
+// holder id.
 
 static_assert(kDirentsPerPage <= 256, "grant packing gives dirent slots 8 bits");
 

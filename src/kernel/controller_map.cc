@@ -63,9 +63,7 @@ void KernelController::RevokeFilePagesLocked(LibFsRecord& libfs, const FileRecor
   const PagePerm perm = write ? PagePerm::kReadWrite : PagePerm::kRead;
   // Leave leased pages mapped; only release the file's own pages.
   libfs.mmu.RevokePages(record.pages | std::views::filter([&](PageNumber page) {
-                          const PageState state = page_table_.Get(page);
-                          return state.state != ResourceState::kLeased ||
-                                 state.lessee != libfs.id;
+                          return !page_table_.Is(page, ResourceState::kLeased, libfs.id);
                         }),
                         perm);
   if (record.dirent_page != 0) {
@@ -381,28 +379,21 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
     if (injector != nullptr) {
       revokes_in_flight_.fetch_add(in_flight, std::memory_order_relaxed);
     }
-    size_t completed = revokes.size();
-    if (config_.guard_callbacks) {
-      // Lease enforcement: a holder is trusted to cooperate only until its lease expires.
-      // Each callback may run until its lease remainder (plus grace) has passed since it
-      // started; then that holder's mapping is reclaimed by force — an unresponsive
-      // holder cannot stall a conflicting mapper beyond its lease, and a slow one cannot
-      // spend the next holder's budget.
-      const uint64_t now = NowNs();
-      std::vector<CallbackGuard::Task> tasks;
-      tasks.reserve(revokes.size());
-      for (Revoke& revoke : revokes) {
-        const uint64_t remaining_ms =
-            revoke.lease_end > now ? (revoke.lease_end - now + 999999ull) / 1000000ull : 0;
-        tasks.push_back(CallbackGuard::Task{remaining_ms + config_.revoke_grace_ms,
-                                            [fn = std::move(revoke.fn), ino] { fn(ino); }});
-      }
-      completed = RunGuarded(std::move(tasks));
-    } else {
-      for (const Revoke& revoke : revokes) {
-        revoke.fn(ino);  // Synchronous: the holder unmaps (verify runs on this path).
-      }
+    // Lease enforcement: a holder is trusted to cooperate only until its lease expires.
+    // Each callback may run until its lease remainder (plus grace) has passed since it
+    // started; then that holder's mapping is reclaimed by force — an unresponsive holder
+    // cannot stall a conflicting mapper beyond its lease, and a slow one cannot spend the
+    // next holder's budget.
+    const uint64_t now = NowNs();
+    std::vector<CallbackGuard::Task> tasks;
+    tasks.reserve(revokes.size());
+    for (Revoke& revoke : revokes) {
+      const uint64_t remaining_ms =
+          revoke.lease_end > now ? (revoke.lease_end - now + 999999ull) / 1000000ull : 0;
+      tasks.push_back(CallbackGuard::Task{remaining_ms + config_.revoke_grace_ms,
+                                          [fn = std::move(revoke.fn), ino] { fn(ino); }});
     }
+    const size_t completed = RunGuarded(std::move(tasks));
     if (injector != nullptr) {
       revokes_in_flight_.fetch_sub(in_flight, std::memory_order_relaxed);
     }

@@ -136,24 +136,18 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
   auto fix = me->callbacks.fix_corruption;
   if (fix) {
     const uint64_t deadline = NowNs() + config_.fix_timeout_ms * 1000000ull;
-    bool claims_fixed = false;
-    if (config_.guard_callbacks) {
-      // fix_timeout_ms is a real deadline, not an honor-system check: the callback runs
-      // on a watchdog thread and a hang is abandoned, escalating to rollback below. The
-      // result lives in a shared_ptr because an abandoned callback may write it late.
-      auto claimed = std::make_shared<std::atomic<bool>>(false);
-      const bool completed = RunGuarded(config_.fix_timeout_ms, [fix, ino, failure, claimed] {
-        claimed->store(fix(ino, failure), std::memory_order_release);
-      });
-      if (!completed) {
-        TRIO_LOG(kWarn) << "fix_corruption for ino " << ino
-                        << " hung past fix_timeout_ms; rolling back to checkpoint";
-      }
-      claims_fixed = completed && claimed->load(std::memory_order_acquire);
-    } else {
-      claims_fixed = fix(ino, failure);
+    // fix_timeout_ms is a real deadline, not an honor-system check: the callback runs on
+    // a watchdog thread and a hang is abandoned, escalating to rollback below. The result
+    // lives in a shared_ptr because an abandoned callback may write it late.
+    auto claimed = std::make_shared<std::atomic<bool>>(false);
+    const bool completed = RunGuarded(config_.fix_timeout_ms, [fix, ino, failure, claimed] {
+      claimed->store(fix(ino, failure), std::memory_order_release);
+    });
+    if (!completed) {
+      TRIO_LOG(kWarn) << "fix_corruption for ino " << ino
+                      << " hung past fix_timeout_ms; rolling back to checkpoint";
     }
-    if (claims_fixed && NowNs() <= deadline) {
+    if (completed && claimed->load(std::memory_order_acquire) && NowNs() <= deadline) {
       {
         // Re-read the dirent location: a concurrent parent reconcile may have moved it.
         ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
@@ -196,11 +190,7 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
   auto notify = me->callbacks.quarantined;
   if (notify) {
     ShardRank::AssertNoneHeld();
-    if (config_.guard_callbacks) {
-      (void)RunGuarded(config_.fix_timeout_ms, [notify, ino, failure] { notify(ino, failure); });
-    } else {
-      notify(ino, failure);
-    }
+    (void)RunGuarded(config_.fix_timeout_ms, [notify, ino, failure] { notify(ino, failure); });
   }
   return failure;
 }
@@ -254,13 +244,8 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
       it = record->pages.erase(it);
     }
     for (PageNumber page : new_pages) {
-      const PageState state = page_table_.Get(page);
-      if (state.state == ResourceState::kLeased) {
-        if (writer != nullptr) {
-          std::lock_guard<std::mutex> guard(writer->mu);
-          writer->leased_pages.erase(page);
-        }
-        page_table_.Set(page, PageState{ResourceState::kOwned, kNoLibFs, ino});
+      if (page_table_.Get(page).state == ResourceState::kLeased) {
+        page_table_.Set(page, ResourceState::kOwned, ino);  // Ends the writer's lease.
       }
       record->pages.insert(page);
     }
@@ -302,13 +287,8 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
     // Fresh children become live files with shadow inodes and an implicit write grant to
     // their creator (their own pages reconcile at their own first verification).
     for (const NewChildInfo& child : report.new_children) {
-      if (writer != nullptr) {
-        std::lock_guard<std::mutex> guard(writer->mu);
-        writer->leased_inos.erase(child.ino);
-      }
       Shard& child_shard = ShardOf(child.ino);
-      SetInoStateLocked(child_shard, child.ino,
-                        InoState{ResourceState::kOwned, kNoLibFs, ino});
+      ino_table_.Set(child.ino, ResourceState::kOwned, ino);  // Ends the writer's lease.
 
       FileRecord fresh;
       fresh.ino = child.ino;
@@ -380,11 +360,7 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
       child->parent = ino;
       child->dirent_page = moved.dirent_page;
       child->dirent_slot = moved.dirent_slot;
-      auto state_it = child_shard.ino_states.find(moved.ino);
-      InoState state = state_it != child_shard.ino_states.end() ? state_it->second
-                                                                : InoState{};
-      state.parent = ino;
-      SetInoStateLocked(child_shard, moved.ino, state);
+      ino_table_.Set(moved.ino, ResourceState::kOwned, ino);
       grant_cache_.Erase(moved.ino);  // Cached dirent location went stale.
       if (writer != nullptr) {
         std::lock_guard<std::mutex> guard(writer->mu);
@@ -395,15 +371,13 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
     // Children that vanished: deleted, or renamed to a directory we have not verified
     // yet.
     for (Ino removed : report.removed_children) {
-      Shard& child_shard = ShardOf(removed);
-      auto state_it = child_shard.ino_states.find(removed);
-      if (state_it == child_shard.ino_states.end() || state_it->second.parent != ino) {
+      if (!ino_table_.Is(removed, ResourceState::kOwned, ino)) {
         continue;  // Already moved elsewhere or reclaimed.
       }
       if (writer != nullptr) {
         std::lock_guard<std::mutex> guard(writer->mu);
         writer->pending_orphans.insert(removed);
-      } else if (FindRecordLocked(child_shard, removed) != nullptr) {
+      } else if (FindRecordLocked(ShardOf(removed), removed) != nullptr) {
         reclaim.push_back(removed);
       }
     }
@@ -428,12 +402,10 @@ void KernelController::ResolveOrphans(const std::shared_ptr<LibFsRecord>& libfs)
     {
       const size_t si = ShardIndexOf(ino);
       ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
-      auto state_it = shards_[si]->ino_states.find(ino);
       // Still owned with the stale parent: a deletion. Directories were checked empty by
       // I3 at parent-verify time.
       reclaim = FindRecordLocked(*shards_[si], ino) != nullptr &&
-                state_it != shards_[si]->ino_states.end() &&
-                state_it->second.state == ResourceState::kOwned;
+                ino_table_.Get(ino).state == ResourceState::kOwned;
     }
     if (reclaim) {
       ReclaimTree(ino);
@@ -471,10 +443,28 @@ void KernelController::ReclaimOne(Ino ino) {
     if (record == nullptr) {
       return;
     }
+    // Holders still mapping the deleted file lose its pages before they are freed: a
+    // page re-leased to another LibFS must not stay reachable through this file.
+    auto release = [&](LibFsId id, bool write) {
+      const std::shared_ptr<LibFsRecord> holder = FindLibFs(id);
+      if (holder != nullptr) {
+        {
+          std::lock_guard<std::mutex> guard(holder->mu);
+          (write ? holder->write_mapped : holder->read_mapped).erase(ino);
+        }
+        RevokeFilePagesLocked(*holder, *record, write);
+      }
+    };
+    for (LibFsId reader : record->readers) {
+      release(reader, /*write=*/false);
+    }
+    if (record->writer != kNoLibFs) {
+      release(record->writer, /*write=*/true);
+    }
     pages.assign(record->pages.begin(), record->pages.end());
     backend_slots.assign(record->backend_slots.begin(), record->backend_slots.end());
     shards_[si]->records.erase(ino);
-    EraseInoStateLocked(*shards_[si], ino);
+    ino_table_.Set(ino, ResourceState::kFree, 0);
     grant_cache_.Erase(ino);
   }
   for (PageNumber page : pages) {
@@ -621,8 +611,7 @@ void KernelController::RollbackToCheckpointLocked(FileRecord* record) {
   // Restore checkpointed page images where the page still belongs to this file.
   for (size_t i = 0; i < checkpoint->pages.size(); ++i) {
     const PageNumber page = checkpoint->pages[i];
-    const PageState state = page_table_.Get(page);
-    if (state.state == ResourceState::kOwned && state.owner == record->ino) {
+    if (page_table_.Is(page, ResourceState::kOwned, record->ino)) {
       pool_.Write(pool_.PageAddress(page), checkpoint->contents[i].get(), kPageSize);
       span.Persist(pool_.PageAddress(page), kPageSize);
     }
@@ -639,8 +628,7 @@ void KernelController::RollbackToCheckpointLocked(FileRecord* record) {
   // the owned-page set from the restored chain.
   std::unordered_set<PageNumber> restored;
   Status scrub = ForEachIndexPage(pool_, record->first_index_page, [&](PageNumber p) -> Status {
-    const PageState state = page_table_.Get(p);
-    if (state.state != ResourceState::kOwned || state.owner != record->ino) {
+    if (!page_table_.Is(p, ResourceState::kOwned, record->ino)) {
       return Corrupted("restored chain broken");
     }
     restored.insert(p);
@@ -660,10 +648,7 @@ void KernelController::RollbackToCheckpointLocked(FileRecord* record) {
         }
         continue;
       }
-      const PageState entry_state = page_table_.Get(entry);
-      const bool owned = entry_state.state == ResourceState::kOwned &&
-                         entry_state.owner == record->ino;
-      if (!owned) {
+      if (!page_table_.Is(entry, ResourceState::kOwned, record->ino)) {
         span.CommitStore64(&index->entries[i], 0);
       } else {
         restored.insert(entry);

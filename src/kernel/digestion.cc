@@ -239,8 +239,7 @@ Status KernelController::PromoteRead(LibFsId libfs, Ino ino, uint64_t slot,
   }
   // The destination must be an NVM page leased to the caller (it already holds a
   // read-write MMU grant on it from AllocPages).
-  const PageState dest_state = page_table_.Get(dest);
-  if (dest_state.state != ResourceState::kLeased || dest_state.lessee != libfs) {
+  if (!page_table_.Is(dest, ResourceState::kLeased, libfs)) {
     return PermissionDenied("promote destination not leased to caller");
   }
   {

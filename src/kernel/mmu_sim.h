@@ -13,12 +13,12 @@
 // teardown releases exactly its own references instead of rescanning every other mapping
 // of the tenant to recompute the strongest surviving permission.
 //
-// Layout: a directory with one chunk pointer per kChunkPages pages of the pool. A chunk is
-// allocated by the first grant into its range and freed with the table (that is, with the
-// LibFS's record). Each page's slot packs its read-write count (high half) and read-only
-// count (low half) into one atomic word, so grants, revokes and checks take no lock: a
-// grant is one fetch_add, a revoke a compare-and-swap loop that floors its count at zero.
-// A file's pages are granted or revoked in one call (GrantPages/RevokePages).
+// Layout: one ChunkedWords slot per page of the pool, so a 4 KiB chunk of slots exists
+// only once a grant reached its 512 pages, and the table is freed with the LibFS's record.
+// Each slot packs the page's read-write count (high half) and read-only count (low half)
+// into one atomic word, so grants, revokes and checks take no lock: a grant is one
+// fetch_add, a revoke a compare-and-swap loop that floors its count at zero. A file's
+// pages are granted or revoked in one call (GrantPages/RevokePages).
 
 #ifndef SRC_KERNEL_MMU_SIM_H_
 #define SRC_KERNEL_MMU_SIM_H_
@@ -26,9 +26,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "src/core/format.h"
+#include "src/kernel/chunked_words.h"
 #include "src/nvm/nvm.h"
 
 namespace trio {
@@ -38,21 +38,11 @@ enum class PagePerm : uint8_t { kNone = 0, kRead = 1, kReadWrite = 3 };
 class MmuSim {
  public:
   // A table for pages [0, num_pages); pages past the end are never mapped.
-  explicit MmuSim(uint64_t num_pages)
-      : num_pages_(num_pages),
-        num_chunks_((num_pages + kChunkPages - 1) / kChunkPages),
-        chunks_(new std::atomic<Chunk*>[num_chunks_]()) {}
-  ~MmuSim() {
-    for (uint64_t i = 0; i < num_chunks_; ++i) {
-      delete chunks_[i].load(std::memory_order_relaxed);
-    }
-  }
-  MmuSim(const MmuSim&) = delete;
-  MmuSim& operator=(const MmuSim&) = delete;
+  explicit MmuSim(uint64_t num_pages) : refs_(num_pages) {}
 
   // Add one reference of strength `perm` (kNone is a no-op).
   void Grant(PageNumber page, PagePerm perm) {
-    std::atomic<uint64_t>* slot = perm == PagePerm::kNone ? nullptr : SlotForGrant(page);
+    std::atomic<uint64_t>* slot = perm == PagePerm::kNone ? nullptr : refs_.FindOrAdd(page);
     if (slot != nullptr) {
       slot->fetch_add(UnitOf(perm), std::memory_order_acq_rel);
     }
@@ -61,7 +51,7 @@ class MmuSim {
   // Release one reference of strength `perm` (floors at zero: a forgiving release of an
   // unheld reference must not strip somebody else's justification).
   void Revoke(PageNumber page, PagePerm perm) {
-    std::atomic<uint64_t>* slot = perm == PagePerm::kNone ? nullptr : Slot(page);
+    std::atomic<uint64_t>* slot = perm == PagePerm::kNone ? nullptr : refs_.Find(page);
     if (slot == nullptr) {
       return;
     }
@@ -90,7 +80,7 @@ class MmuSim {
 
   // Would a load (write=false) or store (write=true) to this page fault?
   bool Check(PageNumber page, bool write) const {
-    const std::atomic<uint64_t>* slot = Slot(page);
+    const std::atomic<uint64_t>* slot = refs_.Find(page);
     const uint64_t refs = slot == nullptr ? 0 : slot->load(std::memory_order_acquire);
     return write ? (refs & ~kRoMask) != 0 : refs != 0;
   }
@@ -110,44 +100,12 @@ class MmuSim {
   }
 
  private:
-  static constexpr uint64_t kChunkPages = 512;  // One 4 KiB chunk of slots.
   static constexpr uint64_t kRoMask = 0xffffffffull;
   static constexpr uint64_t kRwUnit = 1ull << 32;
-  struct Chunk {
-    std::atomic<uint64_t> refs[kChunkPages];  // Zero-initialized (C++20 std::atomic).
-  };
 
   static uint64_t UnitOf(PagePerm perm) { return perm == PagePerm::kReadWrite ? kRwUnit : 1; }
 
-  // The page's slot, or nullptr if no grant ever reached its chunk (or it is out of range).
-  std::atomic<uint64_t>* Slot(PageNumber page) const {
-    if (page >= num_pages_) {
-      return nullptr;
-    }
-    Chunk* chunk = chunks_[page / kChunkPages].load(std::memory_order_acquire);
-    return chunk == nullptr ? nullptr : &chunk->refs[page % kChunkPages];
-  }
-
-  // The page's slot, allocating its chunk on first use; nullptr if out of range.
-  std::atomic<uint64_t>* SlotForGrant(PageNumber page) {
-    if (page >= num_pages_) {
-      return nullptr;
-    }
-    std::atomic<Chunk*>& entry = chunks_[page / kChunkPages];
-    Chunk* chunk = entry.load(std::memory_order_acquire);
-    if (chunk == nullptr) {
-      auto fresh = std::make_unique<Chunk>();
-      if (entry.compare_exchange_strong(chunk, fresh.get(), std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-        chunk = fresh.release();
-      }
-    }
-    return &chunk->refs[page % kChunkPages];
-  }
-
-  const uint64_t num_pages_;
-  const uint64_t num_chunks_;
-  const std::unique_ptr<std::atomic<Chunk*>[]> chunks_;
+  ChunkedWords refs_;
 };
 
 }  // namespace trio

@@ -1,11 +1,11 @@
 // Sharding primitives for the kernel controller scale-out (DESIGN.md §4.10):
 //
 //  * SeqlockCache — a fixed-size, direct-mapped, seqlock-published cache giving the
-//    syscall boundary LOCK-FREE reads of read-mostly ownership and grant state. Writers
-//    (who hold the authoritative shard/stripe lock for the key they publish) take the
-//    slot's Seqlock, store the payload and release it; readers retry a torn read and
-//    fall back to the locked slow path on a miss. Collisions simply evict (the cache may
-//    forget, it must never lie).
+//    syscall boundary LOCK-FREE revalidation of grants (LookupGrant). Writers (who hold
+//    the authoritative shard lock for the key they publish) take the slot's Seqlock,
+//    store the payload and release it; readers retry a torn read and fall back to the
+//    locked slow path on a miss. Collisions simply evict (the cache may forget, it must
+//    never lie). Ownership needs no cache: its tables are flat and read lock-free.
 //  * ShardRank — an always-on, thread-local lock-order guard. Shard mutexes are plain
 //    (non-recursive) std::mutex; the one legal order is ascending shard index, and any
 //    acquisition that would violate it aborts immediately instead of deadlocking later.
@@ -166,7 +166,7 @@ class OrderedShardSpan {
 // Eviction: a colliding insert simply takes over the slot; the evicted key misses and
 // its readers fall back to the authoritative (locked) tables. The ONE coherence rule is
 // that every mutation of authoritative state writes through (Store of the new value, or
-// Erase) before the shard/stripe lock protecting that mutation is released.
+// Erase) before the shard lock protecting that mutation is released.
 template <size_t kWords>
 class SeqlockCache {
  public:

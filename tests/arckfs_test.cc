@@ -582,6 +582,41 @@ TEST_F(ArckFsTest, RebuildAfterRevokeShowsOnlyTheNewCoreState) {
   EXPECT_EQ(ReadAll("/d/renamed"), "m");
 }
 
+// B maps a file, at either strength; A deletes it and releases the directory, so the kernel
+// reclaims it. Its pages go back to the free pool, and B must lose them first: the next
+// lessee's pages must not stay readable or writable through B's stale mapping.
+TEST_F(ArckFsTest, ReclaimRevokesEveryHoldersPagesOfTheDeletedFile) {
+  for (const bool write : {false, true}) {
+    SCOPED_TRACE(write ? "writer" : "reader");
+    ArckFs other(*kernel_);
+    WriteFile("/victim", std::string(2 * kPageSize, 'v'));
+    Result<Fd> fd =
+        other.Open("/victim", write ? OpenFlags::ReadWrite() : OpenFlags::ReadOnly());
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    char byte = 'b';
+    ASSERT_TRUE((write ? other.Pwrite(*fd, &byte, 1, 0) : other.Pread(*fd, &byte, 1, 0)).ok());
+    Result<StatInfo> info = fs_->Stat("/victim");
+    ASSERT_TRUE(info.ok());
+    std::vector<PageNumber> pages;
+    for (PageNumber page = FileRegionStart(pool_); page < pool_.num_pages(); ++page) {
+      const PageState state = kernel_->StateOfPage(page);
+      if (state.state == ResourceState::kOwned && state.owner == info->ino) {
+        pages.push_back(page);
+        ASSERT_TRUE(kernel_->MmuCheck(other.id(), page, write)) << page;
+      }
+    }
+    ASSERT_GE(pages.size(), 3u);  // An index page and two data pages.
+
+    ASSERT_TRUE(fs_->Unlink("/victim").ok());
+    ASSERT_TRUE(fs_->ReleaseFile("/").ok());
+    for (PageNumber page : pages) {
+      EXPECT_EQ(kernel_->StateOfPage(page).state, ResourceState::kFree) << page;
+      EXPECT_FALSE(kernel_->MmuCheck(other.id(), page, /*write=*/false)) << page;
+    }
+    (void)other.Close(*fd);
+  }
+}
+
 TEST_F(ArckFsTest, TrustGroupSharesOneLibFsWithoutVerification) {
   // Two "processes" in one trust group = two threads on one ArckFs (§3.2).
   WriteFile("/tg", "x");

@@ -35,14 +35,13 @@ namespace {
 
 class FleetTest : public ::testing::Test {
  protected:
-  void Build(size_t shards, bool lockfree = true) {
+  void Build(size_t shards) {
     pool_ = std::make_unique<NvmPool>(1 << 13);
     FormatOptions options;
     options.max_inodes = 4096;
     TRIO_CHECK_OK(Format(*pool_, options));
     KernelConfig config;
     config.controller_shards = shards;
-    config.lockfree_lookup = lockfree;
     kernel_ = std::make_unique<KernelController>(*pool_, config);
     TRIO_CHECK_OK(kernel_->Mount());
   }

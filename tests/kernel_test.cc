@@ -6,17 +6,20 @@
 #include <gtest/gtest.h>
 #include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "src/core/core_state.h"
 #include "src/kernel/controller.h"
 #include "src/kernel/watchdog.h"
+#include "src/sim/backend.h"
 
 namespace trio {
 namespace {
@@ -208,13 +211,228 @@ TEST_F(KernelTest, InoAllocationUniqueAndRecycled) {
   kernel_->UnregisterLibFs(id);
 }
 
+// Unregistering returns exactly the LibFS's own leases, each once: not another LibFS's, not
+// a page its session reconciled into a file, and not what it freed itself.
 TEST_F(KernelTest, UnregisterReturnsAllLeases) {
   const size_t free_before = kernel_->FreePageCount();
-  LibFsId id = Register();
+  const LibFsId id = Register();
+  const LibFsId other = Register();
   std::vector<PageNumber> pages;
+  std::vector<Ino> inos;
+  std::vector<PageNumber> others_pages;
+  std::vector<Ino> others_inos;
   ASSERT_TRUE(kernel_->AllocPages(id, 16, 0, &pages).ok());
+  ASSERT_TRUE(kernel_->AllocInos(id, 8, &inos).ok());
+  ASSERT_TRUE(kernel_->AllocPages(other, 4, 0, &others_pages).ok());
+  ASSERT_TRUE(kernel_->AllocInos(other, 4, &others_inos).ok());
+  ASSERT_TRUE(kernel_->FreePages(id, {pages[0], pages[1]}).ok());
+  ASSERT_TRUE(kernel_->FreeIno(id, inos[0]).ok());
+  // The root gains a (still empty) directory data page, which its verification reconciles.
+  ASSERT_TRUE(kernel_->MapRoot(id, /*write=*/true).ok());
+  auto* root_index = reinterpret_cast<IndexPage*>(
+      pool_.PageAddress(SuperblockOf(pool_)->root.first_index_page));
+  pool_.CommitStore64(&root_index->entries[0], pages[2]);
+  ASSERT_TRUE(kernel_->UnmapFile(id, kRootIno).ok());
+  ASSERT_EQ(kernel_->StateOfPage(pages[2]).owner, kRootIno);
+
   kernel_->UnregisterLibFs(id);
+  EXPECT_EQ(kernel_->FreePageCount(), free_before - others_pages.size() - 1);
+  for (size_t i = 3; i < pages.size(); ++i) {
+    EXPECT_EQ(kernel_->StateOfPage(pages[i]).state, ResourceState::kFree) << pages[i];
+  }
+  EXPECT_EQ(kernel_->StateOfPage(pages[2]).owner, kRootIno);
+  for (Ino ino : inos) {
+    EXPECT_EQ(kernel_->StateOfIno(ino).state, ResourceState::kFree) << ino;
+  }
+  for (PageNumber page : others_pages) {
+    EXPECT_EQ(kernel_->StateOfPage(page).lessee, other) << page;
+  }
+  for (Ino ino : others_inos) {
+    EXPECT_EQ(kernel_->StateOfIno(ino).lessee, other) << ino;
+  }
+  // Each ino went back to the free pool once: a fresh lessee gets no ino twice.
+  const LibFsId next = Register();
+  std::vector<Ino> fresh;
+  ASSERT_TRUE(kernel_->AllocInos(next, 2 * inos.size(), &fresh).ok());
+  EXPECT_EQ(std::set<Ino>(fresh.begin(), fresh.end()).size(), fresh.size());
+  kernel_->UnregisterLibFs(next);
+  kernel_->UnregisterLibFs(other);
+  EXPECT_EQ(kernel_->FreePageCount(), free_before - 1);
+}
+
+// Page numbers and inos arrive from untrusted LibFSes: past the ownership tables they read
+// as free and are never freed or promoted into.
+TEST(KernelBoundsTest, PagesAndInosPastTheTablesReadFreeAndAreRejected) {
+  constexpr PageNumber kPoolPages = 2048;
+  constexpr Ino kMaxInodes = 1024;
+  NvmPool pool(kPoolPages);
+  FormatOptions options;
+  options.max_inodes = kMaxInodes;
+  TRIO_CHECK_OK(Format(pool, options));
+  SlowBackend backend;
+  KernelConfig config;
+  config.tier.backend = &backend;
+  KernelController kernel(pool, config);
+  TRIO_CHECK_OK(kernel.Mount());
+  const LibFsId id = kernel.RegisterLibFs(LibFsOptions{});
+  for (const PageNumber page : {kPoolPages, kPoolPages + 512, ~PageNumber{0}}) {
+    EXPECT_EQ(kernel.StateOfPage(page).state, ResourceState::kFree) << page;
+    EXPECT_TRUE(kernel.FreePages(id, {page}).Is(ErrorCode::kInvalidArgument)) << page;
+    EXPECT_TRUE(kernel.PromoteRead(id, kRootIno, 1, page).Is(ErrorCode::kPermission)) << page;
+  }
+  for (const Ino ino : {kMaxInodes, kMaxInodes + 512, ~Ino{0}}) {
+    EXPECT_EQ(kernel.StateOfIno(ino).state, ResourceState::kFree) << ino;
+    EXPECT_TRUE(kernel.FreeIno(id, ino).Is(ErrorCode::kInvalidArgument)) << ino;
+  }
+  kernel.UnregisterLibFs(id);
+  TRIO_CHECK_OK(kernel.Unmount());
+}
+
+// Four LibFSes lease and free pages and inos while two threads read every page's and ino's
+// state: each read must be a state some writer stored (free, a lease of one of the four, or
+// the root's ownership from Mount), never a torn or stale mixture.
+TEST_F(KernelTest, OwnershipReadsSeeOnlyStoredStatesWhileLeasesChurn) {
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 2;
+  constexpr int kRounds = 100;
+  const size_t free_before = kernel_->FreePageCount();
+  std::vector<LibFsId> ids;
+  for (int i = 0; i < kWriters; ++i) {
+    ids.push_back(Register());
+  }
+  const PageNumber root_index = SuperblockOf(pool_)->root.first_index_page;
+  const Ino max_inodes = SuperblockOf(pool_)->max_inodes;
+  // `mounted` is the owner (page) or parent (ino) Mount stored, or kNone if it stored none.
+  constexpr Ino kNone = ~Ino{0};
+  auto stored = [&](ResourceState state, LibFsId lessee, Ino owner, Ino mounted) {
+    switch (state) {
+      case ResourceState::kFree:
+        return lessee == kNoLibFs && owner == kInvalidIno;
+      case ResourceState::kLeased:
+        return owner == kInvalidIno && std::find(ids.begin(), ids.end(), lessee) != ids.end();
+      case ResourceState::kOwned:
+        return lessee == kNoLibFs && owner == mounted;
+      default:
+        return false;
+    }
+  };
+  std::atomic<int> readers_started{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      readers_started.fetch_add(1);
+      while (!done.load()) {
+        for (PageNumber page = root_index; page < pool_.num_pages(); ++page) {
+          const PageState s = kernel_->StateOfPage(page);
+          const Ino mounted = page == root_index ? kRootIno : kNone;
+          bad += stored(s.state, s.lessee, s.owner, mounted) ? 0 : 1;
+        }
+        for (Ino ino = kRootIno; ino < max_inodes; ++ino) {
+          const InoState s = kernel_->StateOfIno(ino);
+          const Ino mounted = ino == kRootIno ? kInvalidIno : kNone;
+          bad += stored(s.state, s.lessee, s.parent, mounted) ? 0 : 1;
+        }
+      }
+    });
+  }
+  for (LibFsId id : ids) {
+    threads.emplace_back([&, id] {
+      while (readers_started.load() < kReaders) {
+        std::this_thread::yield();
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<PageNumber> pages;
+        std::vector<Ino> inos;
+        TRIO_CHECK_OK(kernel_->AllocPages(id, 8, 0, &pages));
+        TRIO_CHECK_OK(kernel_->AllocInos(id, 4, &inos));
+        TRIO_CHECK_OK(kernel_->FreePages(id, pages));
+        for (Ino ino : inos) {
+          TRIO_CHECK_OK(kernel_->FreeIno(id, ino));
+        }
+      }
+    });
+  }
+  for (size_t t = kReaders; t < threads.size(); ++t) {
+    threads[t].join();
+  }
+  done.store(true);
+  threads[0].join();
+  threads[1].join();
+  EXPECT_EQ(bad.load(), 0);
   EXPECT_EQ(kernel_->FreePageCount(), free_before);
+  for (LibFsId id : ids) {
+    kernel_->UnregisterLibFs(id);
+  }
+}
+
+// Hand-built images in which two files claim one data page, or two dirents name one ino:
+// Mount keeps the first claimant (dirent slot order) and frees what only the second held.
+TEST(KernelMountTest, KeepsTheFirstClaimantOfAPageOrAnIno) {
+  for (const bool same_ino : {false, true}) {
+    SCOPED_TRACE(same_ino ? "two dirents name one ino" : "two files claim one page");
+    NvmPool pool(2048);
+    FormatOptions options;
+    options.max_inodes = 1024;
+    TRIO_CHECK_OK(Format(pool, options));
+    const PageNumber root_index = SuperblockOf(pool)->root.first_index_page;
+    const PageNumber dir_page = root_index + 1;
+    const PageNumber index_a = root_index + 2;
+    const PageNumber index_b = root_index + 3;
+    const PageNumber data = root_index + 4;
+    const PageNumber data_b = root_index + 5;
+    auto index_of = [&](PageNumber page) {
+      return reinterpret_cast<IndexPage*>(pool.PageAddress(page));
+    };
+    pool.CommitStore64(&index_of(root_index)->entries[0], dir_page);
+    pool.CommitStore64(&index_of(index_a)->entries[0], data);
+    pool.CommitStore64(&index_of(index_b)->entries[0], same_ino ? data_b : data);
+    DirentBlock a{};
+    a.ino = 2;
+    a.first_index_page = index_a;
+    a.size = kPageSize;
+    a.mode = kModeRegular | 0644;
+    a.nlink = 1;
+    a.SetName("a");
+    DirentBlock b = a;
+    b.ino = same_ino ? 2 : 3;
+    b.first_index_page = index_b;
+    b.SetName("b");
+    auto* slots = reinterpret_cast<DirDataPage*>(pool.PageAddress(dir_page))->slots;
+    pool.Write(&slots[0], &a, sizeof(a));
+    pool.Write(&slots[1], &b, sizeof(b));
+
+    KernelController kernel(pool);
+    ASSERT_TRUE(kernel.Mount().ok());
+    EXPECT_EQ(kernel.StateOfPage(dir_page).owner, kRootIno);
+    for (PageNumber page : {index_a, data}) {
+      EXPECT_EQ(kernel.StateOfPage(page).owner, 2u) << page;
+    }
+    const InoState first = kernel.StateOfIno(2);
+    EXPECT_EQ(first.state, ResourceState::kOwned);
+    EXPECT_EQ(first.parent, kRootIno);
+    Result<Ino> parent = kernel.ParentOf(2);
+    ASSERT_TRUE(parent.ok());
+    EXPECT_EQ(*parent, kRootIno);
+    const LibFsId id = kernel.RegisterLibFs(LibFsOptions{});
+    Result<MapInfo> mapped = kernel.MapFile(id, kRootIno, 2, /*write=*/false);
+    ASSERT_TRUE(mapped.ok());
+    EXPECT_EQ(mapped->dirent_slot, 0u);  // Dirent "a", the first claimant.
+    if (same_ino) {
+      // The second dirent's subtree was skipped whole: its pages are free.
+      EXPECT_EQ(kernel.StateOfPage(index_b).state, ResourceState::kFree);
+      EXPECT_EQ(kernel.StateOfPage(data_b).state, ResourceState::kFree);
+    } else {
+      // "b" keeps what it claimed before the shared page stopped its walk.
+      EXPECT_EQ(kernel.StateOfPage(index_b).owner, 3u);
+      EXPECT_EQ(kernel.StateOfIno(3).state, ResourceState::kOwned);
+      EXPECT_EQ(kernel.StateOfIno(3).parent, kRootIno);
+    }
+    const size_t file_region = pool.num_pages() - FileRegionStart(pool);
+    EXPECT_EQ(kernel.FreePageCount(), file_region - (same_ino ? 4 : 5));
+    kernel.UnregisterLibFs(id);
+  }
 }
 
 TEST_F(KernelTest, MapRootGrantsPagesAndEnforcesPolicy) {
