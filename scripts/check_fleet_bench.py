@@ -2,17 +2,23 @@
 """CI gate for the sharded-controller fleet bench.
 
 Reads a bench_fleet --benchmark_out JSON and checks the property the shard refactor
-exists for: grant-lookup throughput with 8 shards + the lock-free fast path must beat
-the legacy one-big-mutex configuration (shards:1, cache off) at the same thread count.
-The comparison is a RATIO of two runs on the same machine in the same process, so it is
-robust to absolute machine speed; the fast-path hit counters are additionally required
-to be live so a silently-disabled cache cannot pass on lock-overhead noise alone.
+exists for, at the highest thread count run with both 1 and 8 shards: re-mapping held
+read grants (BM_GrantLookup) with 8 shards must beat the legacy one-big-mutex
+configuration (shards:1) on lookups per second, and must find a shard lock held less
+often per lookup (contended_per_lookup). Both compare two runs on the same machine in the
+same process, so they are robust to absolute machine speed; the contention check also
+fails a sharded run that passes the rate check on noise alone. With repetitions, each side
+is the median of its runs.
 
 Usage: check_fleet_bench.py <bench_fleet.json>
 """
 
 import json
+import re
+import statistics
 import sys
+
+NAME = re.compile(r"BM_GrantLookup/shards:(\d+)/.*threads:(\d+)$")
 
 
 def main() -> int:
@@ -22,40 +28,48 @@ def main() -> int:
     with open(sys.argv[1]) as f:
         data = json.load(f)
 
-    items = {}  # shards -> best items_per_second across thread counts
-    fast_hits = 0.0
+    rates = {}      # (shards, threads) -> items_per_second of each run
+    contended = {}  # (shards, threads) -> contended_per_lookup of each run
     for bench in data.get("benchmarks", []):
-        name = bench.get("name", "")
-        if "GrantLookup" not in name or "items_per_second" not in bench:
+        match = NAME.match(bench.get("name", ""))
+        if match is None or bench.get("run_type") == "aggregate" or \
+                "items_per_second" not in bench:
             continue
-        for token in name.split("/"):
-            if token.startswith("shards:"):
-                shards = int(token.split(":")[1])
-                rate = bench["items_per_second"]
-                items[shards] = max(items.get(shards, 0.0), rate)
-                if shards > 1:
-                    fast_hits = max(fast_hits, bench.get("fast_hits", 0.0))
+        key = (int(match[1]), int(match[2]))
+        rates.setdefault(key, []).append(bench["items_per_second"])
+        contended.setdefault(key, []).append(bench.get("contended_per_lookup", -1.0))
 
-    missing = [s for s in (1, 8) if s not in items]
-    if missing:
-        print(f"FAIL: no GrantLookup result for shards {missing} in {sys.argv[1]}")
+    paired = [threads for shards, threads in rates if shards == 8 and (1, threads) in rates]
+    if not paired:
+        print(f"FAIL: no GrantLookup thread count run with both shards:1 and shards:8 "
+              f"in {sys.argv[1]}")
         return 1
+    threads = max(paired)
+    legacy = statistics.median(rates[(1, threads)])
+    sharded = statistics.median(rates[(8, threads)])
+    legacy_contended = statistics.median(contended[(1, threads)])
+    sharded_contended = statistics.median(contended[(8, threads)])
 
-    legacy, sharded = items[1], items[8]
     if legacy <= 0 or sharded <= 0:
         print(f"FAIL: degenerate throughput (shards1={legacy}, shards8={sharded})")
         return 1
     if not sharded > legacy:
         print(f"FAIL: 8-shard lookup rate ({sharded:.0f}/s) not above the one-mutex "
-              f"baseline ({legacy:.0f}/s) - shard scale-out is broken")
+              f"baseline ({legacy:.0f}/s) at {threads} threads - shard scale-out is broken")
         return 1
-    if fast_hits <= 0:
-        print("FAIL: sharded run recorded zero grant_fast_hits - the lock-free "
-              "fast path never engaged")
+    if legacy_contended < 0 or sharded_contended < 0:
+        print("FAIL: a GrantLookup run reported no contended_per_lookup counter")
+        return 1
+    if not sharded_contended < legacy_contended:
+        print(f"FAIL: the 8-shard run found a shard lock held {sharded_contended:.3f} "
+              f"times per lookup, not fewer than the one-mutex baseline's "
+              f"{legacy_contended:.3f} at {threads} threads - the shards do not split "
+              f"the lock")
         return 1
 
-    print(f"OK: grant lookups/s shards1={legacy:.0f} shards8={sharded:.0f} "
-          f"({sharded / legacy:.2f}x), fast_hits={fast_hits:.0f}")
+    print(f"OK: grant lookups/s at {threads} threads shards1={legacy:.0f} "
+          f"shards8={sharded:.0f} ({sharded / legacy:.2f}x); contended per lookup "
+          f"shards1={legacy_contended:.3f} shards8={sharded_contended:.3f}")
     return 0
 
 

@@ -2,9 +2,9 @@
 # Builds the concurrency-heavy test binaries (the Parker park/wake primitive, the seqlock,
 # delegation pool, callback watchdog, crash explorer, op-ring drainer, multi-tenant
 # schedule explorer, fuzz corpus, fleet, trace ring, MMU page tables, ownership tables,
-# verifier scratch, dirent publish word, BRAVO reader fast path) under ThreadSanitizer
-# and under AddressSanitizer with UndefinedBehaviorSanitizer, and runs a smoke subset of
-# each.
+# shard locks, verifier scratch, dirent publish word, BRAVO reader fast path) under
+# ThreadSanitizer and under AddressSanitizer with UndefinedBehaviorSanitizer, and runs a
+# smoke subset of each.
 #
 # Usage: scripts/run_sanitizers.sh [thread|address] [--adversarial]
 #   (no sanitizer: both, thread first)
@@ -35,9 +35,8 @@ explorer_filter='FaultSimKernelTest.*:CrashExplorerTest.AppendHeavyWorkloadClean
 # Every OpRingTest crosses the submitter/drainer boundary (SPSC rings, park/wake, epoch
 # close before CQE post) — exactly what TSan needs to see; SpscRingTest adds the raw
 # two-thread ring in isolation, ParkerTest the park/wake primitive the delegation pool
-# and the drainer share, SeqlockTest the seqlock behind the kernel grant cache, the
-# promote cache and the trace ring, and BravoRwLockTest the LibFS inode lock's reader
-# fast path.
+# and the drainer share, SeqlockTest the seqlock behind the promote cache and the trace
+# ring, and BravoRwLockTest the LibFS inode lock's reader fast path.
 ring_filter='OpRingTest.*'
 common_filter='SpscRingTest.*:ParkerTest.*:SeqlockTest.*:BravoRwLockTest.*'
 # Schedule explorer smoke: determinism + a full clean sweep (both tenants, crash points);
@@ -63,6 +62,9 @@ mmu_filter='MmuSimTest.*:KernelTest.MmuCheckIsFalseForAnUnknownLibFsOrPage'
 # Ownership tables: lock-free state reads while four LibFSes lease and free, and page
 # numbers and inos past the tables.
 ownership_filter='KernelTest.OwnershipReadsSeeOnlyStoredStatesWhileLeasesChurn:KernelBoundsTest.*'
+# Shard locks: a ShardLock and an OrderedShardSpan that find a mutex held while another
+# thread holds it count one contended acquisition, and a rank-order violation aborts.
+shard_filter='ShardLockTest.*:OrderedShardSpanTest.*:ShardRankDeathTest.*'
 # Verifier scratch: a 3,000-entry directory's duplicate checks, the checkpoint diff, and
 # two threads verifying at once.
 verifier_filter='VerifierLargeDirTest.*:VerifierDirTest.CheckpointDiffListsEveryRemovedChild:VerifierDirTest.TwoThreadsVerifyingDifferentDirectoriesGetTheirOwnReports'
@@ -117,6 +119,9 @@ for san in "${sanitizers[@]}"; do
 
   echo "== TRIO_SANITIZE=$san: kernel_test (ownership tables) =="
   "$build/tests/kernel_test" --gtest_filter="$ownership_filter" --gtest_brief=1
+
+  echo "== TRIO_SANITIZE=$san: kernel_test (shard locks) =="
+  "$build/tests/kernel_test" --gtest_filter="$shard_filter" --gtest_brief=1
 
   echo "== TRIO_SANITIZE=$san: verifier_test (verification scratch) =="
   "$build/tests/verifier_test" --gtest_filter="$verifier_filter" --gtest_brief=1

@@ -1,6 +1,6 @@
 // Sequence lock: lock-free readers of a multi-word value, and writers that exclude one
-// another through the sequence itself. The kernel's SeqlockCache slots, the LibFS
-// promote-cache shards and the trace-ring slots all use this one protocol.
+// another through the sequence itself. The LibFS promote-cache shards and the trace-ring
+// slots both use this one protocol.
 //
 // The protected fields must be std::atomic, loaded and stored relaxed: a read that races
 // a write is then a discarded read, never a data race.

@@ -3,7 +3,7 @@
 // The implementation is split across three translation units behind the single
 // KernelController class:
 //   controller.cc        — this file
-//   controller_map.cc    — map/unmap/sharing, grant cache, and lease revocation
+//   controller_map.cc    — map/unmap/sharing and lease revocation
 //   controller_verify.cc — verify/reconcile, checkpoint/rollback, quarantine, reclaim
 // Every LibFS-callable entry point opens a SyscallScope (see syscall_boundary.h).
 //
@@ -25,11 +25,6 @@ namespace trio {
 
 using controller_internal::WmapSlots;
 
-namespace {
-// Grant-cache slots. Direct-mapped; collisions only cost fast-path misses.
-constexpr size_t kGrantCacheSlots = 4096;
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Construction / shard plumbing
 // ---------------------------------------------------------------------------
@@ -44,11 +39,10 @@ KernelController::KernelController(NvmPool& pool, KernelConfig config, Clock* cl
   }
   shards_.reserve(cap);
   for (size_t i = 0; i < cap; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    shards_.push_back(std::make_unique<Shard>(stats_.shard_lock_contended));
   }
   shard_mask_ = cap - 1;
   page_table_.Resize(pool_.num_pages());
-  grant_cache_.Reset(config_.lockfree_lookup ? kGrantCacheSlots : 0);
   verifier_ = std::make_unique<IntegrityVerifier>(pool_, *this, *this, clock_);
   // Digestion starts at Mount(), not here: its occupancy/cold scans read state the
   // mount rescan builds (file_region_pages_, the record tables).
@@ -134,7 +128,6 @@ Status KernelController::Mount() {
     ino_table_.Resize(sb->max_inodes);
   }
   ino_table_.Clear();
-  grant_cache_.Clear();
   {
     std::lock_guard<std::mutex> guard(alloc_mu_);
     free_pages_by_node_.assign(pool_.topology().num_nodes, {});
@@ -312,7 +305,7 @@ Status KernelController::RunRecovery() {
   const bool overflow = pool_.Load64(&sb->wmap_log_overflow) != 0;
   if (overflow || program_timed_out) {
     for (size_t si = 0; si < shards_.size(); ++si) {
-      ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+      ShardLock sl(shards_[si]->mu, si);
       for (const auto& [ino, record] : shards_[si]->records) {
         to_verify.push_back(ino);
       }
@@ -329,7 +322,7 @@ Status KernelController::RunRecovery() {
     const size_t si = ShardIndexOf(ino);
     VerifyRequest request;
     {
-      ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+      ShardLock sl(shards_[si]->mu, si);
       FileRecord* record = WaitNotBusyLocked(*shards_[si], sl.lock(), ino);
       if (record == nullptr) {
         continue;
@@ -351,7 +344,7 @@ Status KernelController::RunRecovery() {
       stats_.verify_timeouts.fetch_add(1, std::memory_order_relaxed);
     }
     {
-      ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+      ShardLock sl(shards_[si]->mu, si);
       FileRecord* record = FindRecordLocked(*shards_[si], ino);
       if (record != nullptr) {
         record->busy = false;
@@ -380,7 +373,7 @@ Status KernelController::RunRecovery() {
     bool known;
     {
       const size_t si = ShardIndexOf(ino);
-      ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+      ShardLock sl(shards_[si]->mu, si);
       known = shards_[si]->records.count(ino) != 0;
     }
     if (known) {
@@ -450,12 +443,11 @@ void KernelController::UnregisterLibFs(LibFsId libfs) {
   }
   for (Ino ino : reads) {
     const size_t si = ShardIndexOf(ino);
-    ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+    ShardLock sl(shards_[si]->mu, si);
     FileRecord* file = FindRecordLocked(*shards_[si], ino);
     if (file != nullptr) {
       file->readers.erase(libfs);
     }
-    grant_cache_.Erase(ino);
   }
 
   // Release write mappings: verify and reconcile each. Directories first: their
@@ -473,7 +465,7 @@ void KernelController::UnregisterLibFs(LibFsId libfs) {
     }
     std::stable_partition(snapshot.begin(), snapshot.end(), [&](Ino ino) {
       const size_t si = ShardIndexOf(ino);
-      ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+      ShardLock sl(shards_[si]->mu, si);
       const FileRecord* file = FindRecordLocked(*shards_[si], ino);
       return file != nullptr && file->is_dir;
     });
@@ -481,7 +473,7 @@ void KernelController::UnregisterLibFs(LibFsId libfs) {
       bool is_writer = false;
       {
         const size_t si = ShardIndexOf(ino);
-        ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+        ShardLock sl(shards_[si]->mu, si);
         FileRecord* file = WaitNotBusyLocked(*shards_[si], sl.lock(), ino);
         if (file != nullptr && file->writer == libfs) {
           file->busy = true;
@@ -594,7 +586,7 @@ Status KernelController::FreePages(LibFsId libfs, const std::vector<PageNumber>&
       // file's shard and re-validate (ownership may have moved while unlocked).
       const Ino owner = entry.holder;
       const size_t si = ShardIndexOf(owner);
-      ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+      ShardLock sl(shards_[si]->mu, si);
       FileRecord* file = WaitNotBusyLocked(*shards_[si], sl.lock(), owner);
       if (file == nullptr || !page_table_.Is(page, ResourceState::kOwned, owner)) {
         return PermissionDenied("page not freeable by caller");
@@ -676,7 +668,7 @@ Status KernelController::Chmod(LibFsId libfs, Ino ino, uint32_t perm_bits) {
     return InvalidArgument("unknown LibFS");
   }
   const size_t si = ShardIndexOf(ino);
-  ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+  ShardLock sl(shards_[si]->mu, si);
   FileRecord* record = FindRecordLocked(*shards_[si], ino);
   ShadowInode* shadow = ShadowInodeOf(pool_, ino);
   if (record == nullptr || shadow == nullptr || !shadow->Exists()) {
@@ -694,9 +686,6 @@ Status KernelController::Chmod(LibFsId libfs, Ino ino, uint32_t perm_bits) {
   DirentBlock* dirent = DirentOfLocked(*record);
   pool_.Write(&dirent->mode, &updated.mode, sizeof(updated.mode));
   span.PersistNow(&dirent->mode, sizeof(updated.mode));
-  // Cached grants were issued under the old mode; force the next lookup through the
-  // slow path's AccessAllowed check.
-  grant_cache_.Erase(ino);
   return OkStatus();
 }
 
@@ -710,7 +699,7 @@ Status KernelController::Chown(LibFsId libfs, Ino ino, uint32_t uid, uint32_t gi
     return PermissionDenied("only root may chown");
   }
   const size_t si = ShardIndexOf(ino);
-  ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+  ShardLock sl(shards_[si]->mu, si);
   FileRecord* record = FindRecordLocked(*shards_[si], ino);
   ShadowInode* shadow = ShadowInodeOf(pool_, ino);
   if (record == nullptr || shadow == nullptr || !shadow->Exists()) {
@@ -726,7 +715,6 @@ Status KernelController::Chown(LibFsId libfs, Ino ino, uint32_t uid, uint32_t gi
   pool_.Write(&dirent->uid, &updated.uid, sizeof(updated.uid));
   pool_.Write(&dirent->gid, &updated.gid, sizeof(updated.gid));
   span.PersistNow(&dirent->uid, sizeof(uint32_t) * 2);
-  grant_cache_.Erase(ino);
   return OkStatus();
 }
 
@@ -750,7 +738,7 @@ InoState KernelController::StateOfIno(Ino ino) const {
 
 Status KernelController::CheckRemovedChildDir(Ino child, LibFsId writer) const {
   const size_t si = ShardIndexOf(child);
-  ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+  ShardLock sl(shards_[si]->mu, si);
   const FileRecord* record = FindRecordLocked(*shards_[si], child);
   if (record == nullptr) {
     return OkStatus();  // Already reclaimed.
@@ -786,7 +774,7 @@ bool KernelController::IsMovePermitted(Ino child, Ino new_parent, LibFsId writer
     Ino parent = kInvalidIno;
     {
       const size_t si = ShardIndexOf(child);
-      ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+      ShardLock sl(shards_[si]->mu, si);
       const FileRecord* record = FindRecordLocked(*shards_[si], child);
       if (record == nullptr) {
         return false;
@@ -904,14 +892,14 @@ bool KernelController::MmuCheckRange(LibFsId libfs, const void* addr, size_t len
 
 bool KernelController::IsWriteMapped(Ino ino) const {
   const size_t si = ShardIndexOf(ino);
-  ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+  ShardLock sl(shards_[si]->mu, si);
   const FileRecord* record = FindRecordLocked(*shards_[si], ino);
   return record != nullptr && record->writer != kNoLibFs;
 }
 
 Result<Ino> KernelController::ParentOf(Ino ino) const {
   const size_t si = ShardIndexOf(ino);
-  ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+  ShardLock sl(shards_[si]->mu, si);
   const FileRecord* record = FindRecordLocked(*shards_[si], ino);
   if (record == nullptr) {
     return NotFound("no such file");

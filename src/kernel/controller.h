@@ -13,10 +13,9 @@
 // hash(ino) into `controller_shards` shards, each guarded by a plain (non-recursive) mutex.
 // Page and ino ownership live in two flat OwnershipTables of one atomic word per page or
 // ino; they are also the only record of which LibFS leases what, and a read is one
-// lock-free load. Grant lookups take a lock-free seqlock-cache fast path. Cross-shard
-// operations (renames across shards, reconciliation that touches children in other shards)
-// use a two-phase protocol: collect the shard set, then acquire in ascending index order
-// (enforced at runtime by ShardRank).
+// lock-free load. Cross-shard operations (renames across shards, reconciliation that
+// touches children in other shards) use a two-phase protocol: collect the shard set, then
+// acquire in ascending index order (enforced at runtime by ShardRank).
 //
 // Lock hierarchy (acquire strictly downward; each level optional):
 //   shard mutexes (ascending index only)
@@ -41,7 +40,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -106,10 +104,6 @@ struct KernelConfig {
   // Controller shards (rounded up to a power of two, clamped to [1, 64]). 1 reproduces
   // the legacy one-big-mutex controller; the fleet bench gates 8 > 1.
   size_t controller_shards = 8;
-  // Lock-free seqlock-cache fast path for LookupGrant on the syscall boundary. Off = every
-  // grant lookup takes its shard mutex (the legacy read path; the fleet bench's 1-shard
-  // baseline). Ownership reads are lock-free either way.
-  bool lockfree_lookup = true;
   // NVM absorb tier / slow-backend digestion (DESIGN.md §4.11).
   TierConfig tier;
 };
@@ -171,11 +165,8 @@ struct KernelStats : obs::StatGroup {
   obs::Counter quarantine_evictions{this, "quarantine_evictions"};
   obs::Counter pages_allocated{this, "pages_allocated"};
   obs::Counter pages_freed{this, "pages_freed"};
-  // Sharding telemetry: lock-free grant-lookup hits/misses on the syscall boundary,
-  // shard-mutex acquisitions that found the lock held, and multi-shard (two-phase)
-  // acquisitions.
-  obs::Counter grant_fast_hits{this, "grant_fast_hits"};
-  obs::Counter grant_fast_misses{this, "grant_fast_misses"};
+  // Sharding telemetry: shard-mutex acquisitions that found the lock held, and
+  // multi-shard (two-phase) acquisitions.
   obs::Counter shard_lock_contended{this, "shard_lock_contended"};
   obs::Counter cross_shard_acquires{this, "cross_shard_acquires"};
   // Sharing-cost breakdown (Fig 8): cumulative nanoseconds per phase.
@@ -321,14 +312,12 @@ class KernelController : public OwnershipView, public VerifyEnv {
 
   // ---- Mapping / sharing ----
   Result<MapInfo> MapRoot(LibFsId libfs, bool write);
-  // `parent` is the directory through which the LibFS resolved `ino` (it must hold at
-  // least a read mapping of the parent).
-  Result<MapInfo> MapFile(LibFsId libfs, Ino parent, Ino ino, bool write);
+  // Grants `libfs` read or write access to `ino` after the shadow-inode permission check,
+  // revoking conflicting holders. A grant the LibFS already holds at a sufficient strength
+  // is answered as it stands, a write lease renewed: re-mapping is how a LibFS revalidates
+  // a grant.
+  Result<MapInfo> MapFile(LibFsId libfs, Ino ino, bool write);
   Status UnmapFile(LibFsId libfs, Ino ino);
-  // Revalidate an existing grant without a full MapFile. Lock-free when the seqlock grant
-  // cache hits (the scalable syscall-boundary read path); falls back to one shard lock.
-  // NotFound if the caller holds no suitable grant — callers then MapFile as usual.
-  Result<MapInfo> LookupGrant(LibFsId libfs, Ino ino);
   // Verify now and replace the checkpoint with the current (valid) state, keeping the
   // write grant (§4.3 "commit call").
   Status CommitFile(LibFsId libfs, Ino ino);
@@ -412,7 +401,7 @@ class KernelController : public OwnershipView, public VerifyEnv {
     LibFsId writer = kNoLibFs;
     std::unordered_set<LibFsId> readers;
     uint64_t lease_deadline_ns = 0;
-    // Last grant activity (MapFile/LookupGrant), for coldest-first digestion ordering.
+    // Last grant activity (MapFile), for coldest-first digestion ordering.
     uint64_t last_use_ns = 0;
     std::unique_ptr<FileCheckpointData> checkpoint;
     // Verification in flight: the record is pinned (no release/reclaim/grant may touch
@@ -446,6 +435,7 @@ class KernelController : public OwnershipView, public VerifyEnv {
   };
 
   struct Shard {
+    explicit Shard(obs::Counter& contended) : mu(contended) {}
     ShardMutex mu;
     std::condition_variable cv;  // Signalled when a record's busy flag clears.
     std::unordered_map<Ino, FileRecord> records;
@@ -478,12 +468,9 @@ class KernelController : public OwnershipView, public VerifyEnv {
   // Releases the MMU references this LibFS's mapping of `record` holds. `write` names the
   // mapping strength being torn down (the MMU refcounts per strength; see MmuSim).
   void RevokeFilePagesLocked(LibFsRecord& libfs, const FileRecord& record, bool write);
-  void PublishGrantLocked(const FileRecord& record, LibFsId holder, bool writable);
-  // Lock-free grant revalidation against the seqlock cache. nullopt = miss.
-  std::optional<MapInfo> TryFastGrant(LibFsId libfs, Ino ino, bool write);
   // Tear down `libfs`'s write session on `ino`: clear writer/checkpoint, release MMU
-  // refs, drop the grant cache entry and wmap log slot, clear busy, resolve orphans if
-  // the session quiesced. PRE: this thread set `busy` on the record; no locks held.
+  // refs, drop the wmap log slot, clear busy, resolve orphans if the session quiesced.
+  // PRE: this thread set `busy` on the record; no locks held.
   void FinishWriteRelease(LibFsId libfs, Ino ino,
                           const std::shared_ptr<LibFsRecord>& me);
   // Reclaims `holder`'s mapping of `ino` after its revoke callback overran the lease
@@ -534,7 +521,7 @@ class KernelController : public OwnershipView, public VerifyEnv {
   NvmPool& pool_;
   KernelConfig config_;
   Clock* clock_;
-  // mutable: const read paths (VerifyEnv, inspection) count shard contention.
+  // mutable: a const read path (IsMovePermitted) counts its cross-shard acquisitions.
   mutable KernelStats stats_;
   // Persistence accounting for every PersistSpan the controller opens (layer "kernel").
   obs::PersistStats persist_stats_{"kernel"};
@@ -553,7 +540,6 @@ class KernelController : public OwnershipView, public VerifyEnv {
   // Mount. Mount zeroes them in place: a LibFS may read them during RunRecovery's Mount.
   OwnershipTable page_table_;
   OwnershipTable ino_table_;
-  mutable SeqlockCache<3> grant_cache_;  // ino -> packed grant (one holder).
 
   // LibFS registry. registry_mu_ is never held across any other lock acquisition;
   // lookups copy the shared_ptr out.

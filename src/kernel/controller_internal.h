@@ -31,25 +31,6 @@ inline size_t WmapSlots(const NvmPool& pool) {
   return SuperblockOf(pool)->wmap_log_pages * kPageSize / sizeof(uint64_t);
 }
 
-// --- grant-cache payload packing -------------------------------------------------------
-// Grants pack as {dirent_page, holder << 9 | slot << 1 | writable, lease_deadline_ns}.
-// kDirentsPerPage is 32 so a slot index fits the 8 bits between the writable flag and the
-// holder id.
-
-static_assert(kDirentsPerPage <= 256, "grant packing gives dirent slots 8 bits");
-
-inline uint64_t PackGrantWord(LibFsId holder, size_t dirent_slot, bool writable) {
-  return (static_cast<uint64_t>(holder) << 9) |
-         (static_cast<uint64_t>(dirent_slot) << 1) | (writable ? 1u : 0u);
-}
-
-inline void UnpackGrantWord(uint64_t word, LibFsId* holder, size_t* dirent_slot,
-                            bool* writable) {
-  *holder = static_cast<LibFsId>(word >> 9);
-  *dirent_slot = static_cast<size_t>((word >> 1) & 0xff);
-  *writable = (word & 1) != 0;
-}
-
 }  // namespace controller_internal
 }  // namespace trio
 

@@ -1,9 +1,9 @@
 // KernelController mapping and sharing: file record lookup, page-permission grants and
 // revocation (reference counted in each LibFS's MmuSim page table, which the caller reaches
 // through the LibFS record it already holds — no global MMU lock, no registry lookup per
-// page), MapFile/UnmapFile with lease-based revocation of conflicting holders, the
-// lock-free LookupGrant fast path, and forced release of unresponsive LibFSes. Part of the
-// KernelController split; see controller.cc for the TU map.
+// page), MapFile/UnmapFile with lease-based revocation of conflicting holders, and forced
+// release of unresponsive LibFSes. Part of the KernelController split; see controller.cc
+// for the TU map.
 //
 // Grant/revoke pairing (the refcount contract with MmuSim; a file's pages go in one
 // GrantPages/RevokePages call):
@@ -31,8 +31,6 @@
 namespace trio {
 
 using controller_internal::AccessAllowed;
-using controller_internal::PackGrantWord;
-using controller_internal::UnpackGrantWord;
 
 KernelController::FileRecord* KernelController::FindRecordLocked(Shard& shard, Ino ino) {
   auto it = shard.records.find(ino);
@@ -75,111 +73,12 @@ void KernelController::RevokeFilePagesLocked(LibFsRecord& libfs, const FileRecor
   }
 }
 
-void KernelController::PublishGrantLocked(const FileRecord& record, LibFsId holder,
-                                          bool writable) {
-  const uint64_t words[3] = {record.dirent_page,
-                             PackGrantWord(holder, record.dirent_slot, writable),
-                             record.lease_deadline_ns};
-  grant_cache_.Store(record.ino, words);
-}
-
-std::optional<MapInfo> KernelController::TryFastGrant(LibFsId libfs, Ino ino, bool write) {
-  uint64_t w[3];
-  if (!grant_cache_.Lookup(ino, w)) {
-    return std::nullopt;
-  }
-  LibFsId holder;
-  size_t dirent_slot;
-  bool writable;
-  UnpackGrantWord(w[1], &holder, &dirent_slot, &writable);
-  if (holder != libfs) {
-    return std::nullopt;
-  }
-  if (write && !writable) {
-    return std::nullopt;
-  }
-  // Write grants are leases: past the deadline the holder may have been revoked, so only
-  // the locked path (which renews) may answer. Read grants don't expire.
-  if (writable && NowNs() >= w[2]) {
-    return std::nullopt;
-  }
-  MapInfo info;
-  info.dirent_page = static_cast<PageNumber>(w[0]);
-  info.dirent_slot = dirent_slot;
-  info.writable = writable;
-  info.lease_deadline_ns = writable ? w[2] : 0;
-  // first_index_page is read fresh from the NVM dirent (it moves on reconcile; the cache
-  // word would go stale). Lock-free NVM reads are the LibFS's normal operating condition.
-  const DirentBlock* dirent =
-      info.dirent_page == 0
-          ? &SuperblockOf(pool_)->root
-          : &reinterpret_cast<DirDataPage*>(pool_.PageAddress(info.dirent_page))
-                 ->slots[dirent_slot];
-  info.first_index_page = dirent->first_index_page;
-  return info;
-}
-
-Result<MapInfo> KernelController::LookupGrant(LibFsId libfs, Ino ino) {
-  SyscallScope syscall(stats_, "LookupGrant");
-  const uint64_t t0 = NowNs();
-  // Fast path: lock-free revalidation against the seqlock grant cache. Asking for the
-  // strength we already hold: try write first (a write grant also satisfies reads).
-  if (std::optional<MapInfo> fast = TryFastGrant(libfs, ino, /*write=*/false)) {
-    stats_.grant_fast_hits.fetch_add(1, std::memory_order_relaxed);
-    stats_.map_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    return *fast;
-  }
-  stats_.grant_fast_misses.fetch_add(1, std::memory_order_relaxed);
-
-  std::shared_ptr<LibFsRecord> me = FindLibFs(libfs);
-  if (me == nullptr) {
-    return InvalidArgument("unknown LibFS");
-  }
-  const size_t si = ShardIndexOf(ino);
-  ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
-  FileRecord* record = FindRecordLocked(*shards_[si], ino);
-  if (record == nullptr) {
-    return NotFound("no such file");
-  }
-  // Shadow-inode re-check: permissions may have changed since the grant (Chmod/Chown
-  // invalidate the cache precisely so stale grants funnel through this check).
-  const ShadowInode* shadow = ShadowInodeOf(pool_, ino);
-  if (shadow == nullptr || !shadow->Exists()) {
-    return NotFound("file has no shadow inode");
-  }
-  if (record->writer == libfs) {
-    if (!AccessAllowed(*shadow, me->uid, me->gid, /*write=*/true)) {
-      return PermissionDenied("access denied by shadow inode");
-    }
-    record->lease_deadline_ns = NowNs() + config_.lease_ms * 1000000ull;
-    record->last_use_ns = NowNs();  // Digestion cold-scan signal.
-    PublishGrantLocked(*record, libfs, /*writable=*/true);
-    MapInfo info{record->dirent_page, record->dirent_slot, true,
-                 record->lease_deadline_ns, DirentOfLocked(*record)->first_index_page};
-    stats_.map_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    return info;
-  }
-  if (record->readers.count(libfs) != 0 && record->writer == kNoLibFs) {
-    if (!AccessAllowed(*shadow, me->uid, me->gid, /*write=*/false)) {
-      return PermissionDenied("access denied by shadow inode");
-    }
-    record->last_use_ns = NowNs();
-    PublishGrantLocked(*record, libfs, /*writable=*/false);
-    MapInfo info{record->dirent_page, record->dirent_slot, false, 0,
-                 DirentOfLocked(*record)->first_index_page};
-    stats_.map_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    return info;
-  }
-  return NotFound("no grant held");
-}
-
 Result<MapInfo> KernelController::MapRoot(LibFsId libfs, bool write) {
-  return MapFile(libfs, kInvalidIno, kRootIno, write);
+  return MapFile(libfs, kRootIno, write);
 }
 
-Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bool write) {
+Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino ino, bool write) {
   SyscallScope syscall(stats_, "MapFile");
-  (void)parent;
   const uint64_t t0 = NowNs();
   std::shared_ptr<LibFsRecord> me = FindLibFs(libfs);
   if (me == nullptr) {
@@ -225,7 +124,7 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
     std::shared_ptr<LibFsRecord> dead_writer_record;
 
     {
-      ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+      ShardLock sl(shards_[si]->mu, si);
       FileRecord* record = WaitNotBusyLocked(*shards_[si], sl.lock(), ino);
       if (record == nullptr) {
         return NotFound("no such file");
@@ -244,7 +143,6 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
       if (record->writer == libfs) {
         record->lease_deadline_ns = NowNs() + config_.lease_ms * 1000000ull;
         record->last_use_ns = NowNs();
-        PublishGrantLocked(*record, libfs, /*writable=*/true);
         MapInfo info{record->dirent_page, record->dirent_slot, true,
                      record->lease_deadline_ns, DirentOfLocked(*record)->first_index_page};
         stats_.map_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
@@ -305,7 +203,6 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
               std::lock_guard<std::mutex> guard(holder->mu);
               holder->read_mapped.erase(ino);
             }
-            grant_cache_.Erase(ino);
             continue;
           }
           stage_revoke(reader, *holder);
@@ -347,7 +244,6 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino parent, Ino ino, bo
         }
         GrantFilePagesLocked(*me, *record, write);
         record->last_use_ns = NowNs();  // Digestion's cold scan orders by last grant.
-        PublishGrantLocked(*record, libfs, write);
         stats_.maps.fetch_add(1, std::memory_order_relaxed);
         MapInfo info{record->dirent_page, record->dirent_slot, write,
                      write ? record->lease_deadline_ns : 0,
@@ -424,7 +320,7 @@ void KernelController::FinishWriteRelease(LibFsId libfs, Ino ino,
                                           const std::shared_ptr<LibFsRecord>& me) {
   const size_t si = ShardIndexOf(ino);
   {
-    ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+    ShardLock sl(shards_[si]->mu, si);
     FileRecord* record = FindRecordLocked(*shards_[si], ino);
     if (record != nullptr) {
       record->writer = kNoLibFs;
@@ -433,7 +329,6 @@ void KernelController::FinishWriteRelease(LibFsId libfs, Ino ino,
         // An unregistered holder's page table went with its record.
         RevokeFilePagesLocked(*me, *record, /*write=*/true);
       }
-      grant_cache_.Erase(ino);
       record->busy = false;
     }
     shards_[si]->cv.notify_all();
@@ -457,7 +352,7 @@ void KernelController::ForceRelease(Ino ino, LibFsId holder) {
   const size_t si = ShardIndexOf(ino);
   bool writer_path = false;
   {
-    ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+    ShardLock sl(shards_[si]->mu, si);
     FileRecord* record = WaitNotBusyLocked(*shards_[si], sl.lock(), ino);
     if (record == nullptr) {
       return;
@@ -475,7 +370,6 @@ void KernelController::ForceRelease(Ino ino, LibFsId holder) {
         }
         RevokeFilePagesLocked(*holder_record, *record, /*write=*/false);
       }
-      grant_cache_.Erase(ino);
     } else {
       return;
     }
@@ -497,7 +391,7 @@ Status KernelController::UnmapFile(LibFsId libfs, Ino ino) {
   const size_t si = ShardIndexOf(ino);
   bool writer_path = false;
   {
-    ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+    ShardLock sl(shards_[si]->mu, si);
     FileRecord* record = WaitNotBusyLocked(*shards_[si], sl.lock(), ino);
     if (record == nullptr) {
       std::lock_guard<std::mutex> guard(me->mu);
@@ -514,7 +408,6 @@ Status KernelController::UnmapFile(LibFsId libfs, Ino ino) {
         me->read_mapped.erase(ino);
       }
       RevokeFilePagesLocked(*me, *record, /*write=*/false);
-      grant_cache_.Erase(ino);
     } else {
       return InvalidArgument("file not mapped by caller");
     }

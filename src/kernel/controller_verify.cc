@@ -40,7 +40,7 @@ Status KernelController::CommitFile(LibFsId libfs, Ino ino) {
   VerifyRequest request;
   std::vector<CheckpointChild> checkpoint_children;
   {
-    ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+    ShardLock sl(shards_[si]->mu, si);
     FileRecord* record = WaitNotBusyLocked(*shards_[si], sl.lock(), ino);
     if (record == nullptr || record->writer != libfs) {
       return InvalidArgument("file not write-mapped by caller");
@@ -77,7 +77,7 @@ Status KernelController::CommitFile(LibFsId libfs, Ino ino) {
     result = ApplyReport(ino, *report);
   }
 
-  ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+  ShardLock sl(shards_[si]->mu, si);
   FileRecord* record = FindRecordLocked(*shards_[si], ino);
   if (record != nullptr) {
     if (result.ok()) {
@@ -95,7 +95,7 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
   std::vector<CheckpointChild> checkpoint_children;
   LibFsId writer = kNoLibFs;
   {
-    ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+    ShardLock sl(shards_[si]->mu, si);
     FileRecord* record = FindRecordLocked(*shards_[si], ino);
     if (record == nullptr) {
       return Internal("record vanished under busy pin");
@@ -150,7 +150,7 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
     if (completed && claimed->load(std::memory_order_acquire) && NowNs() <= deadline) {
       {
         // Re-read the dirent location: a concurrent parent reconcile may have moved it.
-        ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+        ShardLock sl(shards_[si]->mu, si);
         FileRecord* record = FindRecordLocked(*shards_[si], ino);
         if (record == nullptr) {
           return failure;
@@ -175,12 +175,11 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
     stats_.verify_timeouts.fetch_add(1, std::memory_order_relaxed);
   }
   {
-    ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+    ShardLock sl(shards_[si]->mu, si);
     FileRecord* record = FindRecordLocked(*shards_[si], ino);
     if (record != nullptr) {
       QuarantineLocked(record, failure);
       RollbackToCheckpointLocked(record);
-      grant_cache_.Erase(ino);
     }
   }
   stats_.corruptions_rolled_back.fetch_add(1, std::memory_order_relaxed);
@@ -215,7 +214,7 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
   // Reclaims are deferred past the span: ReclaimTree takes shard locks itself.
   std::vector<Ino> reclaim;
   {
-    OrderedShardSpan span(ShardMutexesFor(set), set, &stats_.shard_lock_contended);
+    OrderedShardSpan span(ShardMutexesFor(set), set);
     FileRecord* record = FindRecordLocked(ShardOf(ino), ino);
     if (record == nullptr) {
       return Internal("record vanished under busy pin");
@@ -323,7 +322,6 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
       auto [it, inserted] = child_shard.records.emplace(child.ino, std::move(fresh));
       if (inserted && it->second.writer != kNoLibFs) {
         (void)TakeCheckpointLocked(&it->second);
-        PublishGrantLocked(it->second, writer_id, /*writable=*/true);
       }
     }
 
@@ -361,7 +359,6 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
       child->dirent_page = moved.dirent_page;
       child->dirent_slot = moved.dirent_slot;
       ino_table_.Set(moved.ino, ResourceState::kOwned, ino);
-      grant_cache_.Erase(moved.ino);  // Cached dirent location went stale.
       if (writer != nullptr) {
         std::lock_guard<std::mutex> guard(writer->mu);
         writer->pending_orphans.erase(moved.ino);
@@ -401,7 +398,7 @@ void KernelController::ResolveOrphans(const std::shared_ptr<LibFsRecord>& libfs)
     bool reclaim = false;
     {
       const size_t si = ShardIndexOf(ino);
-      ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+      ShardLock sl(shards_[si]->mu, si);
       // Still owned with the stale parent: a deletion. Directories were checked empty by
       // I3 at parent-verify time.
       reclaim = FindRecordLocked(*shards_[si], ino) != nullptr &&
@@ -420,7 +417,7 @@ void KernelController::ReclaimTree(Ino root) {
   for (size_t i = 0; i < order.size(); ++i) {
     const Ino cur = order[i];
     for (size_t si = 0; si < shards_.size(); ++si) {
-      ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+      ShardLock sl(shards_[si]->mu, si);
       for (const auto& [child_ino, child] : shards_[si]->records) {
         if (child.parent == cur && child_ino != cur) {
           order.push_back(child_ino);
@@ -438,7 +435,7 @@ void KernelController::ReclaimOne(Ino ino) {
   std::vector<uint64_t> backend_slots;
   {
     const size_t si = ShardIndexOf(ino);
-    ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+    ShardLock sl(shards_[si]->mu, si);
     FileRecord* record = WaitNotBusyLocked(*shards_[si], sl.lock(), ino);
     if (record == nullptr) {
       return;
@@ -465,7 +462,6 @@ void KernelController::ReclaimOne(Ino ino) {
     backend_slots.assign(record->backend_slots.begin(), record->backend_slots.end());
     shards_[si]->records.erase(ino);
     ino_table_.Set(ino, ResourceState::kFree, 0);
-    grant_cache_.Erase(ino);
   }
   for (PageNumber page : pages) {
     ReleasePageToFree(page);

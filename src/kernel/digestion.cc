@@ -3,9 +3,9 @@
 //
 // Migration/grant coherence reuses the verification protocol: DigestFile pins the
 // record's `busy` flag under the shard lock, then copies and rewrites index entries with
-// NO shard held. MapFile/LookupGrant wait on the shard cv while a record is busy, so a
-// grant can never observe a half-migrated file, and digestion skips any file that has a
-// writer, readers, or an in-flight verification.
+// NO shard held. MapFile waits on the shard cv while a record is busy, so a grant can
+// never observe a half-migrated file, and digestion skips any file that has a writer,
+// readers, or an in-flight verification.
 //
 // Crash ordering per batch (one fence total, PersistSpan-amortized):
 //   1. copy each cold page to the backend (write-once slot, data never erased);
@@ -99,7 +99,7 @@ double KernelController::NvmOccupancy() const {
 std::vector<Ino> KernelController::CollectDigestCandidates(size_t max_files) {
   std::vector<std::pair<uint64_t, Ino>> cold;  // (last_use_ns, ino)
   for (size_t si = 0; si < shards_.size(); ++si) {
-    ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+    ShardLock sl(shards_[si]->mu, si);
     for (const auto& [ino, record] : shards_[si]->records) {
       if (record.is_dir || record.busy || record.writer != kNoLibFs ||
           !record.readers.empty()) {
@@ -134,7 +134,7 @@ size_t KernelController::DigestFile(Ino ino, size_t max_pages) {
   PageNumber first_index_page = 0;
   {
     const size_t si = ShardIndexOf(ino);
-    ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+    ShardLock sl(shards_[si]->mu, si);
     FileRecord* record = FindRecordLocked(*shards_[si], ino);
     if (record == nullptr || record->is_dir || record->busy ||
         record->writer != kNoLibFs || !record->readers.empty()) {
@@ -179,7 +179,7 @@ size_t KernelController::DigestFile(Ino ino, size_t max_pages) {
   // Phase 3: unpin and account. The record cannot have vanished — reclaim waits out busy.
   {
     const size_t si = ShardIndexOf(ino);
-    ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+    ShardLock sl(shards_[si]->mu, si);
     FileRecord* record = FindRecordLocked(*shards_[si], ino);
     TRIO_CHECK(record != nullptr && record->busy);
     for (const auto& [page, slot] : moved) {
@@ -196,7 +196,6 @@ size_t KernelController::DigestFile(Ino ino, size_t max_pages) {
     record->busy = false;
     shards_[si]->cv.notify_all();
   }
-  grant_cache_.Erase(ino);
   for (const auto& [page, slot] : moved) {
     ReleasePageToFree(page);
   }
@@ -244,7 +243,7 @@ Status KernelController::PromoteRead(LibFsId libfs, Ino ino, uint64_t slot,
   }
   {
     const size_t si = ShardIndexOf(ino);
-    ShardLock sl(shards_[si]->mu, si, &stats_.shard_lock_contended);
+    ShardLock sl(shards_[si]->mu, si);
     FileRecord* record = WaitNotBusyLocked(*shards_[si], sl.lock(), ino);
     if (record == nullptr) {
       return NotFound("no such file");

@@ -162,8 +162,8 @@ class ArckFs : public FsInterface, private RingPassHooks {
     // revoke slipped into that window and the fresh grant must be re-requested.
     uint64_t map_revision = 0;
     // Set by RevokeNode, cleared by the next map (both under map_mutex). While set the
-    // kernel holds no grant of ours, so EnsureMapped skips the LookupGrant that could
-    // only miss.
+    // auxiliary state is the revoked file's, so CreateNode under a recycled ino rebuilds
+    // it.
     bool revoked = false;
     DirentBlock* dirent = nullptr;
 

@@ -68,24 +68,14 @@ Status ArckFs::EnsureMapped(FileNode* node, bool write) {
     const bool was_unmapped =
         node->map_state.load(std::memory_order_relaxed) == 0 || node->stale.load();
     const uint64_t revision = node->map_revision;
-    const bool revoked = node->revoked;
     // The kernel crossing runs WITHOUT our node lock: MapFile may synchronously revoke
     // the conflicting holder, and that holder's RevokeNode takes its own node's
     // map_mutex — holding ours across the call is an ABBA inversion when two tenants
     // revoke each other. If a revoke of THIS node lands in the unlocked window the
     // revision moves and the (now possibly stale) grant is simply requested again.
+    // A grant the kernel still holds for us is revalidated by the same call.
     guard.unlock();
-    // Grant revalidation first: if the kernel still holds our grant (seqlock cache hit —
-    // no shard mutex on the kernel side), skip the full MapFile. Safe against concurrent
-    // revocation because RevokeNode holds this node's map_mutex for its whole duration:
-    // any revoke serializes either before this window (revision moves, we retry) or
-    // after we re-lock (stale flips and the next op remaps). After a revoke of this node
-    // we answered with UnmapFile, so the lookup could only miss: MapFile decides alone.
-    Result<MapInfo> mapped = revoked ? kernel_.MapFile(libfs_, node->parent, node->ino, write)
-                                     : kernel_.LookupGrant(libfs_, node->ino);
-    if (!revoked && (!mapped.ok() || (write && !mapped->writable))) {
-      mapped = kernel_.MapFile(libfs_, node->parent, node->ino, write);
-    }
+    Result<MapInfo> mapped = kernel_.MapFile(libfs_, node->ino, write);
     guard.lock();
     TRIO_RETURN_IF_ERROR(mapped.status());
     if (node->map_revision != revision) {

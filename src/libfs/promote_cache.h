@@ -4,14 +4,13 @@
 // entry in the file's index page stays the authoritative mapping; losing the cache (or
 // the whole process) merely re-promotes on the next read.
 //
-// Concurrency model mirrors the kernel's SeqlockCache: reads are lock-free, one Seqlock
-// (src/common/seqlock.h) per shard. A reader begins a read, scans the fixed slot array
-// for its key, copies the bytes out of the cached NVM page, then validates the read — a
-// concurrent insert/evict fails it and the reader retries or falls back to a miss.
-// Copying the *bytes* under the seqlock (not just the page number) is what makes reuse
-// safe: an evicted page may be recycled through the LeaseCache and rewritten by anyone,
-// so a page number alone could go stale between lookup and copy. Eviction is CLOCK over
-// per-slot access bits.
+// Concurrency model: reads are lock-free, one Seqlock (src/common/seqlock.h) per shard. A
+// reader begins a read, scans the fixed slot array for its key, copies the bytes out of
+// the cached NVM page, then validates the read — a concurrent insert/evict fails it and
+// the reader retries or falls back to a miss. Copying the *bytes* under the seqlock (not
+// just the page number) is what makes reuse safe: an evicted page may be recycled through
+// the LeaseCache and rewritten by anyone, so a page number alone could go stale between
+// lookup and copy. Eviction is CLOCK over per-slot access bits.
 //
 // The cache never owns pages: Insert/Erase/EraseFile hand evicted page numbers back to
 // the caller, who recycles them into its LeaseCache.

@@ -613,7 +613,7 @@ Status FleetWorkload::Op(int tenant, uint64_t i) {
     return OkStatus();
   }
 
-  // Zipfian shared read: the read-mostly path the lock-free grant lookup serves.
+  // Zipfian shared read: the read-mostly path.
   const uint64_t rank = zipf_->Next(state.rng);
   TRIO_ASSIGN_OR_RETURN(Fd fd, fs.Open(SharedPath(rank), OpenFlags::ReadOnly()));
   std::vector<char> buffer(config_.io_size);

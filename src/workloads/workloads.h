@@ -168,10 +168,10 @@ class FilebenchWorkload {
 // Multi-tenant fleet over ONE kernel controller: `tenants` LibFS instances sharing a
 // Zipfian-skewed pool of read-mostly files, each tenant also owning a private working
 // file, with occasional renames between the private and shared namespaces. Built to
-// drive the sharded controller: shared-file reads hit the lock-free grant fast path,
-// private writes churn leases in the owner's shard, and the renames force two-phase
-// cross-shard acquisitions plus write-map revocation of every reader of the shared
-// directory.
+// drive the sharded controller: shared-file reads map read grants in their files'
+// shards, private writes churn leases in the owner's shard, and the renames force
+// two-phase cross-shard acquisitions plus write-map revocation of every reader of the
+// shared directory.
 struct FleetConfig {
   int tenants = 64;
   int shared_files = 128;   // Zipfian-shared pool under /fleet_shared.

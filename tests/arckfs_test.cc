@@ -443,6 +443,31 @@ TEST_F(ArckFsTest, ExclusiveWriteHandoff) {
   EXPECT_EQ(kernel_->stats().verify_failures.load(), 0u);
 }
 
+// Mapping a file, and upgrading a read grant to write, each take one MapFile crossing.
+TEST_F(ArckFsTest, MappingAFileTheLibFsDoesNotHoldIsOneKernelCrossing) {
+  {
+    ArckFs creator(*kernel_);
+    Result<Fd> fd = creator.Open("/f", OpenFlags::CreateTrunc());
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    ASSERT_TRUE(creator.Close(*fd).ok());
+  }  // Unregistering hands "/" and "/f" back to the kernel.
+  // Map "/" first, so each open below maps only "/f".
+  ASSERT_TRUE(fs_->Stat("/f").ok());
+
+  const uint64_t before_read = kernel_->stats().syscalls.load();
+  Result<Fd> read_fd = fs_->Open("/f", OpenFlags::ReadOnly());
+  ASSERT_TRUE(read_fd.ok()) << read_fd.status().ToString();
+  EXPECT_EQ(kernel_->stats().syscalls.load() - before_read, 1u);
+
+  const uint64_t before_write = kernel_->stats().syscalls.load();
+  Result<Fd> write_fd = fs_->Open("/f", OpenFlags::ReadWrite());
+  ASSERT_TRUE(write_fd.ok()) << write_fd.status().ToString();
+  EXPECT_EQ(kernel_->stats().syscalls.load() - before_write, 1u);
+
+  ASSERT_TRUE(fs_->Close(*read_fd).ok());
+  ASSERT_TRUE(fs_->Close(*write_fd).ok());
+}
+
 TEST_F(ArckFsTest, WriterSeesOtherWritersCreations) {
   ArckFs other(*kernel_);
   ASSERT_TRUE(fs_->Mkdir("/box").ok());

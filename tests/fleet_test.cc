@@ -8,8 +8,8 @@
 //   * UncooperativeHolderIsForceReleasedAfterCompletedRevoke — the kernel-side half of
 //     the same bug: a completed revoke that does not dislodge the holder must escalate
 //     to ForceRelease instead of re-issuing callbacks past the lease deadline.
-//   * StaleGrantInvalidatedOnChmod — the seqlock grant cache must not serve a grant
-//     that a permission change has revoked (write-through invalidation on Chmod).
+//   * StaleGrantInvalidatedOnChmod — re-mapping a held grant re-checks the shadow
+//     inode, so a permission change denies it.
 //   * RequarantineKeepsEvictionOrder — the O(1) FIFO quarantine eviction must skip
 //     stale sequence entries left behind when the same ino is quarantined twice.
 //
@@ -97,9 +97,7 @@ TEST_F(FleetTest, SixtyFourTenantsZipfianSharing) {
     total_ops += fleet.stats(t).ops;
   }
   EXPECT_EQ(total_ops, static_cast<uint64_t>(config.tenants) * kOpsPerTenant);
-  // The Zipfian read stream must ride the lock-free fast path, and the rename mix must
-  // have exercised the two-phase cross-shard acquire at least once.
-  EXPECT_GT(kernel_->stats().grant_fast_hits.load(), 0u);
+  // The rename mix must have exercised the two-phase cross-shard acquire at least once.
   EXPECT_GT(kernel_->stats().cross_shard_acquires.load(), 0u);
 }
 
@@ -213,7 +211,7 @@ TEST_F(FleetTest, UncooperativeHolderIsForceReleasedAfterCompletedRevoke) {
   LibFsOptions options;
   options.callbacks.revoke = [](Ino) {};
   LibFsId squatter = kernel_->RegisterLibFs(options);
-  Result<MapInfo> grabbed = kernel_->MapFile(squatter, kInvalidIno, info->ino, true);
+  Result<MapInfo> grabbed = kernel_->MapFile(squatter, info->ino, true);
   ASSERT_TRUE(grabbed.ok()) << grabbed.status().ToString();
 
   ArckFs reader(*kernel_, fs_config);
@@ -224,7 +222,7 @@ TEST_F(FleetTest, UncooperativeHolderIsForceReleasedAfterCompletedRevoke) {
   kernel_->UnregisterLibFs(squatter);
 }
 
-// ---- Canary: Chmod write-through on the seqlock grant cache ----
+// ---- Canary: a held grant is re-checked against the shadow inode on every map ----
 
 TEST_F(FleetTest, StaleGrantInvalidatedOnChmod) {
   Build(8);
@@ -254,14 +252,14 @@ TEST_F(FleetTest, StaleGrantInvalidatedOnChmod) {
   ASSERT_TRUE(rfd.ok()) << rfd.status().ToString();
   Result<StatInfo> info = other.Stat("/pub/secret");
   TRIO_CHECK(info.ok());
-  // The read map published a grant; the fast path serves it lock-free.
-  ASSERT_TRUE(kernel_->LookupGrant(other.id(), info->ino).ok());
+  // The open holds a read grant; re-mapping revalidates it.
+  ASSERT_TRUE(kernel_->MapFile(other.id(), info->ino, /*write=*/false).ok());
 
   TRIO_CHECK_OK(owner.Chmod("/pub/secret", 0600));
-  // Chmod must have erased the cached grant: the lookup now funnels through the locked
-  // fallback, which re-checks the shadow inode and denies. A stale seqlock hit here
-  // would hand uid 200 a grant its permissions no longer cover.
-  Result<MapInfo> stale = kernel_->LookupGrant(other.id(), info->ino);
+  // The re-map checks the shadow inode before it answers from the held grant, so it
+  // denies: answering from the grant alone would hand uid 200 a file its permissions no
+  // longer cover.
+  Result<MapInfo> stale = kernel_->MapFile(other.id(), info->ino, /*write=*/false);
   EXPECT_FALSE(stale.ok());
   EXPECT_TRUE(stale.status().Is(ErrorCode::kPermission)) << stale.status().ToString();
   TRIO_CHECK_OK(other.Close(*rfd));

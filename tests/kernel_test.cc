@@ -157,6 +157,53 @@ TEST(MmuSimTest, StaysConsistentWhileFourThreadsGrantRevokeAndCheck) {
   }
 }
 
+// Holds `held` while `acquire` runs on a second thread, and releases it once the shards'
+// counter shows the waiter found it held: the counter orders the threads, not a sleep. A
+// counter that never moves fails the test at the deadline instead of hanging it.
+void ExpectOneContendedAcquisition(ShardMutex& held, const obs::Counter& contended,
+                                   const std::function<void()>& acquire) {
+  held.lock();
+  std::thread waiter(acquire);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (contended.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  held.raw().unlock();
+  waiter.join();
+  EXPECT_EQ(contended.load(), 1u);
+}
+
+TEST(ShardLockTest, CountsOneContendedAcquisitionWhenItFindsTheMutexHeld) {
+  obs::Counter contended;
+  ShardMutex mu(contended);
+  { ShardLock uncontended(mu, 0); }
+  EXPECT_EQ(contended.load(), 0u);
+  ExpectOneContendedAcquisition(mu, contended, [&] { ShardLock lock(mu, 0); });
+}
+
+TEST(OrderedShardSpanTest, CountsOneContendedAcquisitionWhenItFindsAMutexHeld) {
+  obs::Counter contended;
+  ShardMutex low(contended);
+  ShardMutex high(contended);
+  { OrderedShardSpan uncontended({&low, &high}, {0, 1}); }
+  EXPECT_EQ(contended.load(), 0u);
+  ExpectOneContendedAcquisition(high, contended,
+                                [&] { OrderedShardSpan span({&low, &high}, {0, 1}); });
+}
+
+TEST(ShardRankDeathTest, TakingALowerRankWhileAHigherOneIsHeldAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  obs::Counter contended;
+  ShardMutex low(contended);
+  ShardMutex high(contended);
+  EXPECT_DEATH(
+      {
+        ShardLock second(high, 1);
+        ShardLock first(low, 0);
+      },
+      "shard lock order violation");
+}
+
 TEST_F(KernelTest, AllocPagesLeasesZeroedWritablePages) {
   LibFsId id = Register();
   std::vector<PageNumber> pages;
@@ -416,7 +463,7 @@ TEST(KernelMountTest, KeepsTheFirstClaimantOfAPageOrAnIno) {
     ASSERT_TRUE(parent.ok());
     EXPECT_EQ(*parent, kRootIno);
     const LibFsId id = kernel.RegisterLibFs(LibFsOptions{});
-    Result<MapInfo> mapped = kernel.MapFile(id, kRootIno, 2, /*write=*/false);
+    Result<MapInfo> mapped = kernel.MapFile(id, 2, /*write=*/false);
     ASSERT_TRUE(mapped.ok());
     EXPECT_EQ(mapped->dirent_slot, 0u);  // Dirent "a", the first claimant.
     if (same_ino) {
@@ -451,7 +498,7 @@ TEST_F(KernelTest, MapRootGrantsPagesAndEnforcesPolicy) {
   ASSERT_TRUE(kernel_->MapRoot(b, false).ok());
 
   // A writer revokes both readers (no revoke callbacks registered: forced release).
-  Result<MapInfo> write_b = kernel_->MapFile(b, kInvalidIno, kRootIno, true);
+  Result<MapInfo> write_b = kernel_->MapFile(b, kRootIno, true);
   ASSERT_TRUE(write_b.ok());
   EXPECT_TRUE(write_b->writable);
   EXPECT_TRUE(kernel_->IsWriteMapped(kRootIno));
@@ -664,7 +711,7 @@ TEST_F(KernelTest, ChownRequiresRoot) {
 
 TEST_F(KernelTest, MapUnknownInoFails) {
   LibFsId id = Register();
-  EXPECT_TRUE(kernel_->MapFile(id, kRootIno, 999, false).status().Is(ErrorCode::kNotFound));
+  EXPECT_TRUE(kernel_->MapFile(id, 999, false).status().Is(ErrorCode::kNotFound));
   kernel_->UnregisterLibFs(id);
 }
 

@@ -147,8 +147,7 @@ TEST(StatRegistryTest, KeysUnchanged) {
       "kernel.commit_stores", "kernel.corruptions_fixed_by_libfs",
       "kernel.corruptions_rolled_back", "kernel.cross_shard_acquires",
       "kernel.deferred_fences", "kernel.epoch_fences", "kernel.fences",
-      "kernel.files_quarantined", "kernel.forced_releases", "kernel.grant_fast_hits",
-      "kernel.grant_fast_misses", "kernel.map_ns", "kernel.maps",
+      "kernel.files_quarantined", "kernel.forced_releases", "kernel.map_ns", "kernel.maps",
       "kernel.pages_allocated", "kernel.pages_freed", "kernel.persists",
       "kernel.quarantine_evictions", "kernel.revocations", "kernel.shard_lock_contended",
       "kernel.syscall_latency", "kernel.syscalls", "kernel.unmap_ns", "kernel.unmaps",
