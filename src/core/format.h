@@ -100,6 +100,13 @@ struct DirentBlock {
   }
 };
 static_assert(sizeof(DirentBlock) == kDirentBlockSize);
+// A data write stores mtime_ns and then commits size: the commit's one flush and fence
+// cover both only because they share a cache line, and slots of a (page-aligned)
+// directory data page start on line boundaries. (The root's dirent in the superblock is
+// not line-aligned, but a directory never takes a size commit.)
+static_assert(kDirentBlockSize % kCacheLineSize == 0);
+static_assert(offsetof(DirentBlock, size) / kCacheLineSize ==
+              (offsetof(DirentBlock, mtime_ns) + sizeof(int64_t) - 1) / kCacheLineSize);
 
 // A directory data page is an array of DirentBlock slots; appending to a non-full page is
 // the per-page "logging tail" the LibFS parallelizes over (§4.2).

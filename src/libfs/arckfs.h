@@ -249,10 +249,23 @@ class ArckFs : public FsInterface, private RingPassHooks {
   // Rebuilding auxiliary state from core state (§4.2).
   Status RebuildAux(FileNode* node);
 
-  // Data-page plumbing.
-  Status EnsureIndexCapacity(FileNode* node, uint64_t max_page_index);
-  Result<PageNumber> AllocDataPage(FileNode* node, uint64_t page_index, bool zero);
-  Status LinkDataPage(FileNode* node, uint64_t page_index, PageNumber page);
+  // Data-page plumbing. A write persists its payload and zeros through one span, fences,
+  // links, fences, then commits the size (DESIGN.md §4.4). The helpers below persist
+  // through the caller's span and never fence.
+  // Grows the DRAM index chain until entry `max_page_index` exists. New index pages are
+  // zeroed and persisted but not yet linked on NVM (LinkIndexPages does that).
+  Status EnsureIndexCapacity(FileNode* node, uint64_t max_page_index,
+                             obs::PersistSpan* span);
+  // Stores and persists the NVM chain pointers to index_pages[first..].
+  void LinkIndexPages(FileNode* node, size_t first, obs::PersistSpan* span);
+  // A new data page for `page_index` whose bytes outside [in_page, in_page + len), the
+  // part the write leaves uncovered, are zeroed and persisted.
+  Result<PageNumber> AllocDataPage(FileNode* node, uint64_t page_index, size_t in_page,
+                                   size_t len, obs::PersistSpan* span);
+  // Stores and persists the index entries of `pages` (ascending page order) and makes
+  // them visible in the radix tree.
+  void LinkDataPages(FileNode* node, const std::vector<std::pair<uint64_t, PageNumber>>& pages,
+                     obs::PersistSpan* span);
   Status AppendDirDataPage(FileNode* dir);
 
   // ---- Tier promote path (DESIGN.md §4.11) ----

@@ -12,7 +12,6 @@
 
 namespace trio {
 
-using arckfs_internal::AllocZeroedPage;
 using arckfs_internal::FakeTimeNs;
 
 size_t ArckFs::ReadDelegateThreshold() const {
@@ -69,35 +68,38 @@ void ArckFs::CopyFromNvm(char* dst, const char* src, size_t len, DelegationBatch
   pool_.Read(dst, src, len);
 }
 
-Status ArckFs::EnsureIndexCapacity(FileNode* node, uint64_t max_page_index) {
-  // Exclusive inode lock held. Extend the chain so entry slot `max_page_index` exists.
+Status ArckFs::EnsureIndexCapacity(FileNode* node, uint64_t max_page_index,
+                                   obs::PersistSpan* span) {
+  // Exclusive inode lock held. The zeros of a new index page are payload: they become
+  // durable at the caller's payload fence, before any chain pointer reaches them.
   while (node->index_pages.size() * kIndexEntriesPerPage <= max_page_index) {
-    TRIO_ASSIGN_OR_RETURN(PageNumber index_page,
-                          AllocZeroedPage(leases_, pool_, &persist_stats_, 0));
-    obs::PersistSpan span(pool_, &persist_stats_);
-    if (node->index_pages.empty()) {
-      span.CommitStore64(&node->dirent->first_index_page, index_page);
-    } else {
-      auto* last = reinterpret_cast<IndexPage*>(pool_.PageAddress(node->index_pages.back()));
-      span.CommitStore64(&last->next, index_page);
-    }
+    TRIO_ASSIGN_OR_RETURN(PageNumber index_page, leases_.AllocPage(0));
+    pool_.Set(pool_.PageAddress(index_page), 0, kPageSize);
+    span->Persist(pool_.PageAddress(index_page), kPageSize);
     node->index_pages.push_back(index_page);
   }
   return OkStatus();
 }
 
-Result<PageNumber> ArckFs::AllocDataPage(FileNode* node, uint64_t page_index, bool zero) {
+void ArckFs::LinkIndexPages(FileNode* node, size_t first, obs::PersistSpan* span) {
+  for (size_t i = first; i < node->index_pages.size(); ++i) {
+    uint64_t* pointer =
+        i == 0 ? &node->dirent->first_index_page
+               : &reinterpret_cast<IndexPage*>(pool_.PageAddress(node->index_pages[i - 1]))
+                      ->next;
+    pool_.Store64(pointer, node->index_pages[i]);
+    span->Persist(pointer, sizeof(uint64_t));
+  }
+}
+
+Result<PageNumber> ArckFs::AllocDataPage(FileNode* node, uint64_t page_index, size_t in_page,
+                                         size_t len, obs::PersistSpan* span) {
   PageNumber page = kInvalidPage;
   {
     std::lock_guard<SpinLock> guard(node->tails_lock);  // Reused as the reuse-pool lock.
     if (!node->reuse_pages.empty()) {
       page = node->reuse_pages.back();
       node->reuse_pages.pop_back();
-      if (!zero) {
-        // Recycled pages carry stale data; a full overwrite makes zeroing redundant, but a
-        // partial write must start from zeros.
-      }
-      zero = true;  // Conservative: recycled content must never leak.
     }
   }
   if (page == kInvalidPage) {
@@ -105,11 +107,17 @@ Result<PageNumber> ArckFs::AllocDataPage(FileNode* node, uint64_t page_index, bo
     TRIO_ASSIGN_OR_RETURN(page,
                           leases_.AllocPage(static_cast<int>(page_index % nodes)));
   }
-  if (zero) {
-    pool_.Set(pool_.PageAddress(page), 0, kPageSize);
-    obs::PersistSpan span(pool_, &persist_stats_);
-    span.Persist(pool_.PageAddress(page), kPageSize);
-    span.Disarm();  // The caller's data fence commits the zeroing with the payload.
+  // Recycled pages carry stale data and a fresh page's kernel zeros are not durable, so
+  // every byte the write does not cover is zeroed and persisted with the payload.
+  char* base = pool_.PageAddress(page);
+  const size_t end = in_page + len;
+  if (in_page != 0) {
+    pool_.Set(base, 0, in_page);
+    span->Persist(base, in_page);
+  }
+  if (end != kPageSize) {
+    pool_.Set(base + end, 0, kPageSize - end);
+    span->Persist(base + end, kPageSize - end);
   }
   return page;
 }
@@ -175,14 +183,33 @@ bool ArckFs::RangeHasTierEntries(FileNode* node, uint64_t offset, size_t count) 
   return false;
 }
 
-Status ArckFs::LinkDataPage(FileNode* node, uint64_t page_index, PageNumber page) {
-  const size_t chain_slot = page_index / kIndexEntriesPerPage;
-  TRIO_CHECK(chain_slot < node->index_pages.size()) << "index chain does not cover page";
-  auto* index = reinterpret_cast<IndexPage*>(pool_.PageAddress(node->index_pages[chain_slot]));
-  obs::PersistSpan(pool_, &persist_stats_)
-      .CommitStore64(&index->entries[page_index % kIndexEntriesPerPage], page);
-  node->radix.Insert(page_index, page);
-  return OkStatus();
+void ArckFs::LinkDataPages(FileNode* node,
+                           const std::vector<std::pair<uint64_t, PageNumber>>& pages,
+                           obs::PersistSpan* span) {
+  // Adjacent entries of one index page share cache lines: each run is flushed once.
+  uint64_t* run = nullptr;
+  size_t run_len = 0;
+  for (const auto& [page_index, page] : pages) {
+    const size_t chain_slot = page_index / kIndexEntriesPerPage;
+    TRIO_CHECK(chain_slot < node->index_pages.size()) << "index chain does not cover page";
+    auto* index =
+        reinterpret_cast<IndexPage*>(pool_.PageAddress(node->index_pages[chain_slot]));
+    uint64_t* entry = &index->entries[page_index % kIndexEntriesPerPage];
+    pool_.Store64(entry, page);
+    node->radix.Insert(page_index, page);
+    if (run != nullptr && entry == run + run_len) {
+      ++run_len;
+      continue;
+    }
+    if (run != nullptr) {
+      span->Persist(run, run_len * sizeof(uint64_t));
+    }
+    run = entry;
+    run_len = 1;
+  }
+  if (run != nullptr) {
+    span->Persist(run, run_len * sizeof(uint64_t));
+  }
 }
 
 Result<size_t> ArckFs::WriteLocked(FileNode* node, const void* buf, size_t count,
@@ -254,11 +281,16 @@ Result<size_t> ArckFs::WriteLocked(FileNode* node, const void* buf, size_t count
                                ? pass_batch
                                : (local_batch.has_value() ? &*local_batch : nullptr);
 
+  // At most three fences, in crash order (§4.4): (1) every payload and zeroing byte,
+  // (2) the index-chain pointers and entries of pages this write allocated, (3) the size
+  // commit, which makes the write visible.
   obs::PersistSpan span(pool_, &persist_stats_);
   Status status = OkStatus();
+  // Pages this write allocates or promotes, in ascending page order.
   std::vector<std::pair<uint64_t, PageNumber>> to_link;
+  const size_t linked_index_pages = node->index_pages.size();
   if (extend) {
-    status = EnsureIndexCapacity(node, (offset + count - 1) / kPageSize);
+    status = EnsureIndexCapacity(node, (offset + count - 1) / kPageSize, &span);
   }
   if (status.ok()) {
     uint64_t cursor = offset;
@@ -270,8 +302,8 @@ Result<size_t> ArckFs::WriteLocked(FileNode* node, const void* buf, size_t count
       PageNumber page = node->radix.Lookup(page_index);
       if (page != 0 && IsTierEntry(page)) {
         // Writing a digested page: promote it back to NVM authority. The tagged entry
-        // is replaced below via the normal to_link commit; the orphaned backend slot is
-        // released when this write session reconciles.
+        // is replaced when to_link is linked; the orphaned backend slot is released when
+        // this write session reconciles.
         const bool full_page = in_page == 0 && chunk == kPageSize;
         Result<PageNumber> promoted =
             PromoteForWrite(node, page_index, TierSlotOfEntry(page), /*fill=*/!full_page);
@@ -281,18 +313,14 @@ Result<size_t> ArckFs::WriteLocked(FileNode* node, const void* buf, size_t count
         }
         page = *promoted;
         to_link.push_back({page_index, page});
-        node->radix.Insert(page_index, page);
       } else if (page == 0) {
-        const bool full_page = in_page == 0 && chunk == kPageSize;
-        Result<PageNumber> fresh = AllocDataPage(node, page_index, /*zero=*/!full_page);
+        Result<PageNumber> fresh = AllocDataPage(node, page_index, in_page, chunk, &span);
         if (!fresh.ok()) {
           status = fresh.status();
           break;
         }
         page = *fresh;
         to_link.push_back({page_index, page});
-        // Make it visible to this op's later iterations (not yet linked in core state).
-        node->radix.Insert(page_index, page);
       }
       CopyToNvm(pool_.PageAddress(page) + in_page, src + (cursor - offset), chunk,
                 batch, config_.sync_data, &span);
@@ -304,13 +332,15 @@ Result<size_t> ArckFs::WriteLocked(FileNode* node, const void* buf, size_t count
     }
   }
 
-  // Data durable before any index entry or size commit (§4.4). The delegated path fences
-  // once per touched node inside the batch; the direct path fences here. A pass-wide
-  // batch is flushed only when this op commits metadata below — a pure in-place write
-  // has no commit to order against, so its chunks ride until the pass-end flush (which
-  // precedes the epoch close and therefore every CQE).
+  // (1) Payload fence. The delegated path fences once per touched node inside the batch,
+  // and that fence also commits the zeroing this thread persisted (a fence commits every
+  // pending line); the direct path fences here. A pass-wide batch is flushed only when
+  // this op links or commits below: a pure in-place write has nothing to order against,
+  // so its chunks ride until the pass-end flush (which precedes the epoch close and
+  // therefore every CQE).
+  const bool allocated = node->index_pages.size() > linked_index_pages || !to_link.empty();
   if (pass_batch != nullptr) {
-    if (extend || !to_link.empty()) {
+    if (extend || allocated) {
       FlushPass();
     }
   } else if (delegate) {
@@ -320,19 +350,20 @@ Result<size_t> ArckFs::WriteLocked(FileNode* node, const void* buf, size_t count
     span.Fence();
   }
 
-  if (status.ok()) {
-    for (const auto& [page_index, page] : to_link) {
-      status = LinkDataPage(node, page_index, page);
-      if (!status.ok()) {
-        break;
-      }
-    }
+  // (2) Link fence. A write that failed part-way still links what it allocated: those
+  // bytes are durable, and the DRAM index chain already counts the new index pages.
+  if (allocated) {
+    LinkIndexPages(node, linked_index_pages, &span);
+    LinkDataPages(node, to_link, &span);
+    span.Fence();
   }
+
+  // (3) Commit. mtime shares the size's cache line (format.h), so the size commit's one
+  // flush and fence make both durable together.
   if (status.ok() && extend) {
-    span.CommitStore64(&node->dirent->size, offset + count);
     const int64_t now = FakeTimeNs();
     pool_.Write(&node->dirent->mtime_ns, &now, sizeof(now));
-    span.PersistNow(&node->dirent->mtime_ns, sizeof(now));
+    span.CommitStore64(&node->dirent->size, offset + count);
   }
 
   if (!exclusive) {
@@ -403,8 +434,14 @@ Status ArckFs::TruncateLocked(FileNode* node, uint64_t new_size) {
   }
   obs::PersistSpan span(pool_, &persist_stats_);
   if (new_size > old_size) {
-    // Growing: the index chain must cover the new size (I1), holes read as zeros.
-    TRIO_RETURN_IF_ERROR(EnsureIndexCapacity(node, (new_size - 1) / kPageSize));
+    // Growing: the index chain must cover the new size (I1), holes read as zeros. New
+    // index pages' zeros are fenced, then their links, then the size is committed.
+    const size_t linked_index_pages = node->index_pages.size();
+    const Status status = EnsureIndexCapacity(node, (new_size - 1) / kPageSize, &span);
+    span.Fence();
+    LinkIndexPages(node, linked_index_pages, &span);
+    span.Fence();
+    TRIO_RETURN_IF_ERROR(status);
     span.CommitStore64(&node->dirent->size, new_size);
     return OkStatus();
   }
@@ -421,7 +458,7 @@ Status ArckFs::TruncateLocked(FileNode* node, uint64_t new_size) {
       TRIO_ASSIGN_OR_RETURN(
           PageNumber promoted,
           PromoteForWrite(node, boundary_index, TierSlotOfEntry(boundary), /*fill=*/true));
-      TRIO_RETURN_IF_ERROR(LinkDataPage(node, boundary_index, promoted));
+      LinkDataPages(node, {{boundary_index, promoted}}, &span);
       boundary = promoted;
     }
     if (boundary != 0) {

@@ -14,8 +14,8 @@
 // per-node shards by each page's REAL NodeOfPage — filing a remote page under the hint
 // node would poison that shard's locality forever (every later AllocPage(hint) would
 // hand out a remote page believing it local). RecyclePage files by real node for the
-// same reason. Recycled pages carry stale data by contract; AllocDataPage re-zeroes them
-// on the partial-write path.
+// same reason. Recycled pages carry stale data by contract; AllocDataPage zeroes the
+// bytes of a new page that the write leaves uncovered.
 
 #ifndef SRC_LIBFS_LEASE_CACHE_H_
 #define SRC_LIBFS_LEASE_CACHE_H_
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "src/common/per_cpu.h"
-#include "src/common/spinlock.h"
 #include "src/kernel/controller.h"
 
 namespace trio {
@@ -64,14 +63,13 @@ class LeaseCache {
   }
 
   // A write-mapped, leased page on (approximately) the requested node. Fresh kernel
-  // pages arrive zeroed; recycled ones are dirty (re-zeroed by the caller's
-  // partial-write path).
+  // pages arrive zeroed (not durably); recycled ones are dirty.
   Result<PageNumber> AllocPage(int node_hint) {
     const int nodes = static_cast<int>(page_caches_.size());
     const int node = node_hint >= 0 ? node_hint % nodes : 0;
     PageShard& local = page_caches_[node]->Local();
     {
-      std::lock_guard<SpinLock> guard(local.lock);
+      std::lock_guard<std::mutex> guard(local.lock);
       if (!local.pages.empty()) {
         const PageNumber page = local.pages.back();
         local.pages.pop_back();
@@ -87,7 +85,7 @@ class LeaseCache {
       PerCpu<PageShard>& cache = *page_caches_[(node + dn) % nodes];
       for (size_t s = 0; s < cache.NumShards(); ++s) {
         PageShard& shard = cache.Shard(s);
-        std::lock_guard<SpinLock> guard(shard.lock);
+        std::lock_guard<std::mutex> guard(shard.lock);
         if (!shard.pages.empty()) {
           const PageNumber page = shard.pages.back();
           shard.pages.pop_back();
@@ -107,19 +105,23 @@ class LeaseCache {
   }
 
   // Returns a *leased* page to the cache, filed under the page's real NUMA node. The
-  // caller must treat recycled pages as dirty (they are re-zeroed on the partial-write
-  // path).
+  // caller must treat recycled pages as dirty.
   void RecyclePage(PageNumber page) {
     const int node =
         kernel_.pool().NodeOfPage(page) % static_cast<int>(page_caches_.size());
     PageShard& shard = page_caches_[node]->Local();
-    std::lock_guard<SpinLock> guard(shard.lock);
+    std::lock_guard<std::mutex> guard(shard.lock);
     shard.pages.push_back(page);
+  }
+
+  // RecyclePage for a whole file's pages, taking each node's shard lock once.
+  void RecyclePages(const std::vector<PageNumber>& pages) {
+    ScatterPages(pages, nullptr, -1);
   }
 
   Result<Ino> AllocIno() {
     InoShard& shard = ino_caches_.Local();
-    std::lock_guard<SpinLock> guard(shard.lock);
+    std::lock_guard<std::mutex> guard(shard.lock);
     if (shard.inos.empty()) {
       TRIO_RETURN_IF_ERROR(kernel_.AllocInos(libfs_, ino_batch_, &shard.inos));
       sync_refills_.fetch_add(1, std::memory_order_relaxed);
@@ -134,7 +136,7 @@ class LeaseCache {
 
   void RecycleIno(Ino ino) {
     InoShard& shard = ino_caches_.Local();
-    std::lock_guard<SpinLock> guard(shard.lock);
+    std::lock_guard<std::mutex> guard(shard.lock);
     shard.inos.push_back(ino);
   }
 
@@ -144,13 +146,16 @@ class LeaseCache {
   uint64_t sync_refills() const { return sync_refills_.load(std::memory_order_relaxed); }
 
  private:
+  // The shard locks are mutexes, not spinlocks: the refill worker takes them too, and a
+  // worker preempted while holding one would leave a writer on the same CPU spinning for
+  // a whole scheduler slice.
   struct PageShard {
-    SpinLock lock;
+    std::mutex lock;
     std::vector<PageNumber> pages;
     std::atomic<bool> refill_pending{false};  // One in-flight refill per shard.
   };
   struct InoShard {
-    SpinLock lock;
+    std::mutex lock;
     std::vector<Ino> inos;
     std::atomic<bool> refill_pending{false};
   };
@@ -160,18 +165,22 @@ class LeaseCache {
     int node = 0;
   };
 
-  // File each page under its REAL node; `preferred` gets the ones that match
-  // `preferred_node` (it is the shard the caller is actively allocating from).
-  void ScatterPages(std::vector<PageNumber>& batch, PageShard* preferred,
+  // File each page under its REAL node, one shard lock per node; `preferred` gets the
+  // ones that match `preferred_node` (it is the shard the caller is actively allocating
+  // from).
+  void ScatterPages(const std::vector<PageNumber>& batch, PageShard* preferred,
                     int preferred_node) {
     const int nodes = static_cast<int>(page_caches_.size());
-    for (PageNumber page : batch) {
-      const int real = kernel_.pool().NodeOfPage(page) % nodes;
-      PageShard& shard =
-          (real == preferred_node && preferred != nullptr) ? *preferred
-                                                           : page_caches_[real]->Local();
-      std::lock_guard<SpinLock> guard(shard.lock);
-      shard.pages.push_back(page);
+    for (int node = 0; node < nodes; ++node) {
+      PageShard& shard = (node == preferred_node && preferred != nullptr)
+                             ? *preferred
+                             : page_caches_[node]->Local();
+      std::lock_guard<std::mutex> guard(shard.lock);
+      for (PageNumber page : batch) {
+        if (kernel_.pool().NodeOfPage(page) % nodes == node) {
+          shard.pages.push_back(page);
+        }
+      }
     }
   }
 
@@ -216,7 +225,7 @@ class LeaseCache {
         std::vector<Ino> batch;
         if (kernel_.AllocInos(libfs_, ino_batch_, &batch).ok()) {
           {
-            std::lock_guard<SpinLock> guard(req.ino_shard->lock);
+            std::lock_guard<std::mutex> guard(req.ino_shard->lock);
             req.ino_shard->inos.insert(req.ino_shard->inos.end(), batch.begin(),
                                        batch.end());
           }

@@ -241,9 +241,7 @@ Status ArckFs::RemoveEntry(FileNode* dir, std::string_view name, bool must_be_di
       pages.push_back(p);
       return OkStatus();
     });
-    for (PageNumber p : pages) {
-      leases_.RecyclePage(p);
-    }
+    leases_.RecyclePages(pages);
     leases_.RecycleIno(slot.ino);
   }
   DropNode(slot.ino);
@@ -549,15 +547,17 @@ Status ArckFs::Rename(const std::string& from, const std::string& to) {
     if (replaced_ino != kInvalidIno) {
       const InoState state = kernel_.StateOfIno(replaced_ino);
       if (state.state == ResourceState::kLeased && state.lessee == libfs_) {
+        std::vector<PageNumber> pages;
         (void)ForEachIndexPage(pool_, replaced_chain, [&](PageNumber p) -> Status {
-          leases_.RecyclePage(p);
+          pages.push_back(p);
           return OkStatus();
         });
         (void)ForEachDataPage(pool_, replaced_chain,
                               [&](uint64_t, PageNumber p) -> Status {
-                                leases_.RecyclePage(p);
+                                pages.push_back(p);
                                 return OkStatus();
                               });
+        leases_.RecyclePages(pages);
         leases_.RecycleIno(replaced_ino);
       }
       DropNode(replaced_ino);

@@ -164,9 +164,7 @@ void ArckFs::RevokeNode(Ino ino) {
     // of these pages, and a stale cached copy would serve old bytes.
     std::vector<PageNumber> recycled;
     promote_cache_.EraseFile(ino, &recycled);
-    for (PageNumber p : recycled) {
-      leases_.RecyclePage(p);
-    }
+    leases_.RecyclePages(recycled);
   }
   node->locally_created = false;
   node->revoked = true;

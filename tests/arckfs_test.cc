@@ -771,5 +771,46 @@ TEST_F(ArckFsTest, SharedFdCursorAdvancesByCompletedBytes) {
   ASSERT_TRUE(fs_->Close(*fd).ok());
 }
 
+TEST_F(ArckFsTest, ExtendingWriteFenceBudget) {
+  // §4.4's write budget: a write fences its payload once, its new links once (only if it
+  // allocated), and commits size and mtime with one fence (only if it extends). The
+  // counts are NVM fences, deterministic on a kFast pool with no delegation and no ring.
+  Result<Fd> fd = fs_->Open("/budget", OpenFlags::CreateTrunc());
+  ASSERT_TRUE(fd.ok());
+  const std::string head(100, 'h');
+  ASSERT_TRUE(fs_->Pwrite(*fd, head.data(), head.size(), 0).ok());  // Index page + page 0.
+  auto fences_of = [&](const std::string& data, uint64_t offset) {
+    const uint64_t before = pool_.stats().fences.load();
+    Result<size_t> n = fs_->Pwrite(*fd, data.data(), data.size(), offset);
+    TRIO_CHECK(n.ok() && *n == data.size()) << n.status().ToString();
+    return pool_.stats().fences.load() - before;
+  };
+  EXPECT_EQ(fences_of(std::string(50, 'o'), 10), 1u);      // In-place overwrite.
+  EXPECT_EQ(fences_of(std::string(128, 'a'), 100), 2u);    // Append inside page 0.
+  EXPECT_EQ(fences_of(std::string(4000, 'p'), 228), 3u);   // Allocates page 1, partly.
+  EXPECT_EQ(fences_of(std::string(64 * kPageSize, 'm'), 2 * kPageSize), 3u);  // 64 pages.
+  EXPECT_EQ(fs_->Stat("/budget")->size, 66 * kPageSize);
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+
+  // 768 pages at offset 0 of a fresh file: two new index pages, one write.
+  fd = fs_->Open("/big", OpenFlags::CreateTrunc());
+  ASSERT_TRUE(fd.ok());
+  std::string big(3 << 20, '\0');
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>('a' + (i / kPageSize) % 26);
+  }
+  EXPECT_EQ(fences_of(big, 0), 3u);
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+  EXPECT_EQ(ReadAll("/big"), big);
+  const std::string budget = ReadAll("/budget");
+  EXPECT_EQ(budget.substr(0, 10), std::string(10, 'h'));
+  EXPECT_EQ(budget.substr(10, 50), std::string(50, 'o'));
+  EXPECT_EQ(budget.substr(100, 128), std::string(128, 'a'));
+  EXPECT_EQ(budget.substr(228, 4000), std::string(4000, 'p'));
+  const size_t hole = 2 * kPageSize - 4228;  // Page 1's uncovered tail reads as zeros.
+  EXPECT_EQ(budget.substr(4228, hole), std::string(hole, '\0'));
+  EXPECT_EQ(budget.substr(2 * kPageSize), std::string(64 * kPageSize, 'm'));
+}
+
 }  // namespace
 }  // namespace trio

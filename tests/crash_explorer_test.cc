@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -15,6 +16,8 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/core/core_state.h"
@@ -209,6 +212,66 @@ TEST(CrashExplorerTest, AppendHeavyWorkloadCleanAtEveryFence) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->Clean()) << FirstFailure(*report);
   EXPECT_GT(report->fences, 10u);
+  EXPECT_EQ(report->explored, report->fences + 1);
+  EXPECT_EQ(explorer.stats().sampled_out.load(), 0u);
+}
+
+TEST(CrashExplorerTest, SizeAndMtimeCommitTogether) {
+  // A data write makes mtime durable with the size commit, not after it: at every fence
+  // the file's (size, mtime) is a pair some completed write left behind, and its bytes
+  // are the written prefix. The workload appends inside a page, across pages, and once
+  // past 2 MiB so the write links a second index page.
+  CrashExplorerOptions options = SmallPoolOptions();
+  options.pool_pages = kPoolPages;
+  CrashExplorer explorer(options);
+
+  struct Recorded {
+    std::string data;
+    std::vector<std::pair<uint64_t, int64_t>> states;  // (size, mtime_ns) per write.
+  };
+  auto recorded = std::make_shared<Recorded>();
+  Result<CrashExplorerReport> report = explorer.Explore(
+      [recorded](ArckFs& fs) {
+        Result<Fd> fd = fs.Open("/f", OpenFlags::CreateTrunc());
+        TRIO_CHECK(fd.ok());
+        auto record = [&] {
+          Result<StatInfo> info = fs.Stat("/f");
+          TRIO_CHECK(info.ok());
+          recorded->states.push_back({info->size, info->mtime_ns});
+        };
+        record();
+        const size_t lengths[] = {100, 300, 5000, 200, (2u << 20) + 8192, 64};
+        for (size_t i = 0; i < sizeof(lengths) / sizeof(lengths[0]); ++i) {
+          std::string chunk(lengths[i], '\0');
+          for (size_t b = 0; b < chunk.size(); ++b) {
+            chunk[b] = static_cast<char>('a' + (i * 7 + b / kPageSize) % 26);
+          }
+          TRIO_CHECK(fs.Pwrite(*fd, chunk.data(), chunk.size(), recorded->data.size()).ok());
+          recorded->data += chunk;
+          record();
+        }
+        TRIO_CHECK_OK(fs.Close(*fd));
+      },
+      [recorded](ArckFs& fs) -> Status {
+        Result<StatInfo> info = fs.Stat("/f");
+        if (!info.ok()) {
+          return OkStatus();  // Crash before the create committed.
+        }
+        const std::pair<uint64_t, int64_t> state{info->size, info->mtime_ns};
+        if (std::find(recorded->states.begin(), recorded->states.end(), state) ==
+            recorded->states.end()) {
+          return Corrupted("/f has size " + std::to_string(info->size) + " with mtime " +
+                           std::to_string(info->mtime_ns) + ", a pair no write left");
+        }
+        if (ReadAll(fs, "/f") != recorded->data.substr(0, info->size)) {
+          return Corrupted("/f is not the written prefix at size " +
+                           std::to_string(info->size));
+        }
+        return OkStatus();
+      });
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->Clean()) << FirstFailure(*report);
+  EXPECT_GT(report->fences, 15u);
   EXPECT_EQ(report->explored, report->fences + 1);
   EXPECT_EQ(explorer.stats().sampled_out.load(), 0u);
 }
