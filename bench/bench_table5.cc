@@ -14,7 +14,7 @@
 // the run conditions, and scripts/check_paper_orderings.py gates it.
 //
 // Default 8000 ops per workload; set TRIO_DBBENCH_OPS=1000000 to match the paper's
-// object count.
+// object count. fill100K runs num/1000 ops, as db_bench does, but at least 400.
 
 #include <sched.h>
 
@@ -36,12 +36,26 @@ namespace {
 
 constexpr NvmCostModel kCostModel{100, 5};
 constexpr uint64_t kTrapCostNs = 300;
-constexpr size_t kPoolPages = 1 << 16;  // 256 MiB pool for compaction headroom.
 constexpr uint64_t kReps = 5;
+constexpr uint64_t kPoolHeadroomBytes = 64 << 20;
 
 uint64_t EnvOr(const char* name, uint64_t fallback) {
   const char* env = std::getenv(name);
   return env != nullptr ? std::strtoull(env, nullptr, 10) : fallback;
+}
+
+// Sizes a cell's pool from the bytes its workload stores: every entry it puts (the
+// prefill too), twice over because a compaction writes its whole output before it unlinks
+// its inputs, plus kPoolHeadroomBytes for the WAL, the L0 tables and file-system metadata.
+// A quick cell then zeroes tens of MiB, not a fixed 256 MiB, and a paper-count cell fits.
+size_t PoolPages(DbBenchWorkload workload, uint64_t ops) {
+  constexpr uint64_t kKeyAndHeaderBytes = 16 + 8;
+  const uint64_t value_bytes = workload == DbBenchWorkload::kFill100K ? 100 * 1024 : 100;
+  const bool prefilled = workload == DbBenchWorkload::kReadRandom ||
+                         workload == DbBenchWorkload::kDeleteRandom;
+  const uint64_t stored = ops * (kKeyAndHeaderBytes + value_bytes) +
+                          (prefilled ? ops * (kKeyAndHeaderBytes + 100) : 0);
+  return (2 * stored + kPoolHeadroomBytes + kPageSize - 1) / kPageSize;
 }
 
 // Pins the calling thread to the CPU it is on until destroyed. A cell runs about 20 ms,
@@ -95,8 +109,7 @@ int main(int argc, char** argv) {
   using namespace trio::bench;
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_table5.json";
   const uint64_t ops = EnvOr("TRIO_DBBENCH_OPS", 8000);
-  // fill100K moves 100 KiB per op; scale its op count down to keep the quick run quick.
-  const uint64_t fill100k_ops = std::max<uint64_t>(ops / 20, 50);
+  const uint64_t fill100k_ops = std::max<uint64_t>(ops / 1000, 400);
   std::printf("Table 5 reproduction: minildb db_bench, 1 thread, 100B values, %llu ops, "
               "median of %llu runs (§6.6) [measured; NVM cost model %u ns/fence, "
               "%u ns/line]\n",
@@ -116,7 +129,7 @@ int main(int argc, char** argv) {
       const uint64_t n = workload == DbBenchWorkload::kFill100K ? fill100k_ops : ops;
       for (const std::string& fs_name : systems) {
         FsFactoryOptions options;
-        options.pool_pages = kPoolPages;
+        options.pool_pages = PoolPages(workload, n);
         options.vfs_trap_cost_ns = kTrapCostNs;
         FsInstance instance = MakeFs(fs_name, options);
         instance.pool->set_cost_model(kCostModel);
@@ -150,7 +163,8 @@ int main(int argc, char** argv) {
   std::ofstream out(out_path);
   out << "{\n  \"conditions\": {\"ops\": " << ops << ", \"fill100K_ops\": " << fill100k_ops
       << ", \"reps\": " << kReps << ", \"value_bytes\": 100, \"threads\": 1"
-      << ", \"pool_pages\": " << kPoolPages << ", \"nvm_cost_model\": {\"fence_ns\": "
+      << ", \"pool_bytes\": \"2 x stored + " << (kPoolHeadroomBytes >> 20)
+      << " MiB per cell\", \"nvm_cost_model\": {\"fence_ns\": "
       << kCostModel.fence_ns << ", \"flush_ns_per_line\": " << kCostModel.flush_ns_per_line
       << "}, \"vfs_trap_cost_ns\": " << kTrapCostNs << ", \"measuring_thread\": \"pinned\""
       << ", \"nproc\": " << std::thread::hardware_concurrency() << "},\n  \"results\": {";

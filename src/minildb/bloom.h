@@ -18,14 +18,15 @@ class BloomFilter {
   static constexpr int kBitsPerKey = 10;
   static constexpr int kProbes = 6;
 
-  // Builds the filter bits for a key set.
-  static std::string Build(const std::vector<std::string>& keys) {
-    size_t bits = keys.size() * kBitsPerKey;
+  static uint64_t Hash(std::string_view key) { return HashString(key); }
+
+  // Builds the filter bits for a key set, given the Hash() of each key.
+  static std::string Build(const std::vector<uint64_t>& key_hashes) {
+    size_t bits = key_hashes.size() * kBitsPerKey;
     bits = bits < 64 ? 64 : bits;
     std::string filter((bits + 7) / 8, '\0');
     const size_t total_bits = filter.size() * 8;
-    for (const std::string& key : keys) {
-      uint64_t h = HashString(key);
+    for (uint64_t h : key_hashes) {
       const uint64_t delta = (h >> 33) | (h << 31);
       for (int probe = 0; probe < kProbes; ++probe) {
         const size_t bit = h % total_bits;
@@ -41,7 +42,7 @@ class BloomFilter {
       return true;
     }
     const size_t total_bits = filter.size() * 8;
-    uint64_t h = HashBytes(key.data(), key.size());
+    uint64_t h = Hash(key);
     const uint64_t delta = (h >> 33) | (h << 31);
     for (int probe = 0; probe < kProbes; ++probe) {
       const size_t bit = h % total_bits;

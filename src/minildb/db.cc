@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
+#include <optional>
 
 namespace trio {
 
 namespace {
 constexpr uint8_t kWalPut = 1;
 constexpr uint8_t kWalDelete = 2;
+constexpr size_t kOutputTableBytes = 2 << 20;  // Compaction splits its run at ~2 MiB.
 }  // namespace
 
 Result<std::unique_ptr<MiniDb>> MiniDb::Open(FsInterface& fs, MiniDbOptions options) {
@@ -82,14 +83,14 @@ Status MiniDb::ReplayWal(const std::string& path) {
     if (cursor + key_len + value_len > log.size()) {
       break;  // Torn tail record: ignore (it never committed).
     }
-    const std::string key(log.data() + cursor, key_len);
+    const std::string_view key(log.data() + cursor, key_len);
     cursor += key_len;
-    const std::string value(log.data() + cursor, value_len);
+    const std::string_view value(log.data() + cursor, value_len);
     cursor += value_len;
     if (type == kWalPut) {
-      memtable_bytes_ += memtable_->Insert(key, std::string(1, kLivePrefix) + value);
+      memtable_bytes_ += InsertLocked(key, value, false);
     } else if (type == kWalDelete) {
-      memtable_bytes_ += memtable_->Insert(key, std::string(1, kTombstonePrefix));
+      memtable_bytes_ += InsertLocked(key, "", true);
     }
   }
   return OkStatus();
@@ -107,9 +108,9 @@ Status MiniDb::RotateWal() {
   return OkStatus();
 }
 
-Status MiniDb::WalAppend(uint8_t type, const std::string& key, const std::string& value) {
-  std::string record;
-  record.reserve(9 + key.size() + value.size());
+Status MiniDb::WalAppend(uint8_t type, std::string_view key, std::string_view value) {
+  std::string& record = wal_record_;
+  record.clear();
   record.push_back(static_cast<char>(type));
   const uint32_t key_len = key.size();
   const uint32_t value_len = value.size();
@@ -127,14 +128,18 @@ Status MiniDb::WalAppend(uint8_t type, const std::string& key, const std::string
   return OkStatus();
 }
 
-Status MiniDb::WriteInternal(const std::string& key, const std::string& value,
-                             bool deleted) {
+size_t MiniDb::InsertLocked(std::string_view key, std::string_view value, bool deleted) {
+  stored_.assign(1, deleted ? kTombstonePrefix : kLivePrefix);
+  if (!deleted) {
+    stored_.append(value);
+  }
+  return memtable_->Insert(key, stored_);
+}
+
+Status MiniDb::WriteInternal(std::string_view key, std::string_view value, bool deleted) {
   std::lock_guard<std::mutex> guard(mutex_);
-  TRIO_RETURN_IF_ERROR(
-      WalAppend(deleted ? kWalDelete : kWalPut, key, deleted ? "" : value));
-  const std::string stored =
-      deleted ? std::string(1, kTombstonePrefix) : std::string(1, kLivePrefix) + value;
-  memtable_bytes_ += memtable_->Insert(key, stored);
+  TRIO_RETURN_IF_ERROR(WalAppend(deleted ? kWalDelete : kWalPut, key, deleted ? "" : value));
+  memtable_bytes_ += InsertLocked(key, value, deleted);
   return MaybeFlushLocked();
 }
 
@@ -151,12 +156,11 @@ Status MiniDb::Delete(const std::string& key) {
 Result<std::string> MiniDb::Get(const std::string& key) {
   std::lock_guard<std::mutex> guard(mutex_);
   stats_.gets++;
-  std::string stored;
-  if (memtable_->Lookup(key, &stored)) {
-    if (stored[0] == kTombstonePrefix) {
+  if (std::optional<std::string_view> stored = memtable_->Lookup(key)) {
+    if ((*stored)[0] == kTombstonePrefix) {
       return NotFound(key);
     }
-    return stored.substr(1);
+    return std::string(stored->substr(1));
   }
   for (auto& table : level0_) {
     Result<TableEntry> entry = table->Get(key);
@@ -164,7 +168,7 @@ Result<std::string> MiniDb::Get(const std::string& key) {
       if (entry->deleted) {
         return NotFound(key);
       }
-      return entry->value;
+      return std::move(entry->value);
     }
     if (!entry.status().Is(ErrorCode::kNotFound)) {
       return entry.status();
@@ -179,7 +183,7 @@ Result<std::string> MiniDb::Get(const std::string& key) {
       if (entry->deleted) {
         return NotFound(key);
       }
-      return entry->value;
+      return std::move(entry->value);
     }
     if (!entry.status().Is(ErrorCode::kNotFound)) {
       return entry.status();
@@ -201,21 +205,16 @@ Status MiniDb::MaybeFlushLocked() {
   if (memtable_bytes_ < options_.memtable_bytes || memtable_->Size() == 0) {
     return OkStatus();
   }
-  std::vector<TableEntry> entries;
-  entries.reserve(memtable_->Size());
-  memtable_->ForEach([&](const std::string& key, const std::string& stored) {
-    TableEntry entry;
-    entry.key = key;
-    entry.deleted = stored[0] == kTombstonePrefix;
-    if (!entry.deleted) {
-      entry.value = stored.substr(1);
-    }
-    entries.push_back(std::move(entry));
-  });
-  const uint64_t number = next_file_number_++;
-  TRIO_RETURN_IF_ERROR(SsTableWriter::WriteTable(fs_, TablePath(number), entries));
-  TRIO_ASSIGN_OR_RETURN(std::unique_ptr<SsTableReader> reader,
-                        SsTableReader::Open(fs_, TablePath(number)));
+  const std::string path = TablePath(next_file_number_++);
+  TRIO_ASSIGN_OR_RETURN(std::unique_ptr<SsTableBuilder> builder,
+                        SsTableBuilder::Create(fs_, path));
+  for (SkipList::Iterator it(*memtable_); it.Valid(); it.Next()) {
+    const std::string_view stored = it.value();
+    TRIO_RETURN_IF_ERROR(
+        builder->Add(it.key(), stored.substr(1), stored[0] == kTombstonePrefix));
+  }
+  TRIO_RETURN_IF_ERROR(builder->Finish());
+  TRIO_ASSIGN_OR_RETURN(std::unique_ptr<SsTableReader> reader, SsTableReader::Open(fs_, path));
   level0_.push_front(std::move(reader));
   memtable_ = std::make_unique<SkipList>();
   memtable_bytes_ = 0;
@@ -229,59 +228,84 @@ Status MiniDb::MaybeFlushLocked() {
 
 Status MiniDb::CompactLocked() {
   stats_.compactions++;
-  // Merge every L0 table (newest wins) with the whole of L1 into a fresh sorted run.
-  std::map<std::string, TableEntry> merged;
-  for (auto& table : level1_) {
-    TRIO_RETURN_IF_ERROR(table->ForEach([&](const TableEntry& entry) -> Status {
-      merged[entry.key] = entry;
-      return OkStatus();
-    }));
+  // Merge every L0 table with the whole of L1 into a fresh sorted run. One cursor per
+  // input, newest first (each L0 table, then L1 as one stream), so among cursors at the
+  // same key the first holds the newest entry.
+  std::vector<TableCursor> inputs;
+  inputs.reserve(level0_.size() + 1);  // A started cursor views its own buffer: no moves.
+  for (auto& table : level0_) {
+    inputs.emplace_back(std::vector<SsTableReader*>{table.get()});
   }
-  for (auto it = level0_.rbegin(); it != level0_.rend(); ++it) {  // Oldest to newest.
-    TRIO_RETURN_IF_ERROR((*it)->ForEach([&](const TableEntry& entry) -> Status {
-      merged[entry.key] = entry;
-      return OkStatus();
-    }));
+  std::vector<SsTableReader*> l1_run;
+  for (auto& table : level1_) {
+    l1_run.push_back(table.get());
+  }
+  inputs.emplace_back(std::move(l1_run));
+  for (TableCursor& input : inputs) {
+    TRIO_RETURN_IF_ERROR(input.Next());
   }
 
   // Drop tombstones (nothing older than L1 exists) and split into ~2 MiB tables.
-  std::vector<std::string> old_paths;
-  for (auto& table : level0_) {
-    old_paths.push_back(table->path());
+  std::vector<std::unique_ptr<SsTableReader>> outputs;
+  std::unique_ptr<SsTableBuilder> builder;
+  std::string builder_path;
+  size_t builder_bytes = 0;
+  auto finish_output = [&]() -> Status {
+    if (builder == nullptr) {
+      return OkStatus();
+    }
+    TRIO_RETURN_IF_ERROR(builder->Finish());
+    builder.reset();
+    builder_bytes = 0;
+    TRIO_ASSIGN_OR_RETURN(std::unique_ptr<SsTableReader> reader,
+                          SsTableReader::Open(fs_, builder_path));
+    outputs.push_back(std::move(reader));
+    return OkStatus();
+  };
+  std::string key;  // A copy: advancing a cursor replaces the block its key views.
+  while (true) {
+    TableCursor* newest = nullptr;
+    for (TableCursor& input : inputs) {
+      if (input.Valid() && (newest == nullptr || input.key() < newest->key())) {
+        newest = &input;
+      }
+    }
+    if (newest == nullptr) {
+      break;
+    }
+    key.assign(newest->key());
+    if (!newest->deleted()) {
+      if (builder == nullptr) {
+        builder_path = TablePath(next_file_number_++);
+        TRIO_ASSIGN_OR_RETURN(builder, SsTableBuilder::Create(fs_, builder_path));
+      }
+      TRIO_RETURN_IF_ERROR(builder->Add(key, newest->value(), false));
+      builder_bytes += key.size() + newest->value().size();
+      if (builder_bytes >= kOutputTableBytes) {
+        TRIO_RETURN_IF_ERROR(finish_output());
+      }
+    }
+    for (TableCursor& input : inputs) {
+      if (input.Valid() && input.key() == key) {
+        TRIO_RETURN_IF_ERROR(input.Next());
+      }
+    }
   }
+  TRIO_RETURN_IF_ERROR(finish_output());
+
+  // Unlink the inputs oldest first (L1, then L0 from oldest to newest): a crash part way
+  // through then leaves only tables newer than every one removed, so no surviving table
+  // holds a value whose tombstone is gone.
+  std::vector<std::string> old_paths;
   for (auto& table : level1_) {
     old_paths.push_back(table->path());
   }
-  level0_.clear();
-  level1_.clear();
-
-  std::vector<TableEntry> run;
-  size_t run_bytes = 0;
-  auto emit_run = [&]() -> Status {
-    if (run.empty()) {
-      return OkStatus();
-    }
-    const uint64_t number = next_file_number_++;
-    TRIO_RETURN_IF_ERROR(SsTableWriter::WriteTable(fs_, TablePath(number), run));
-    TRIO_ASSIGN_OR_RETURN(std::unique_ptr<SsTableReader> reader,
-                          SsTableReader::Open(fs_, TablePath(number)));
-    level1_.push_back(std::move(reader));
-    run.clear();
-    run_bytes = 0;
-    return OkStatus();
-  };
-  for (auto& [key, entry] : merged) {
-    if (entry.deleted) {
-      continue;
-    }
-    run_bytes += entry.key.size() + entry.value.size();
-    run.push_back(std::move(entry));
-    if (run_bytes >= (2 << 20)) {
-      TRIO_RETURN_IF_ERROR(emit_run());
-    }
+  for (auto it = level0_.rbegin(); it != level0_.rend(); ++it) {
+    old_paths.push_back((*it)->path());
   }
-  TRIO_RETURN_IF_ERROR(emit_run());
-
+  inputs.clear();  // The cursors point at the readers dropped next.
+  level0_.clear();
+  level1_ = std::move(outputs);
   for (const std::string& path : old_paths) {
     TRIO_RETURN_IF_ERROR(fs_.Unlink(path));
   }

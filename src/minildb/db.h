@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/minildb/skiplist.h"
@@ -55,9 +56,11 @@ class MiniDb {
 
   Status Recover();
   Status ReplayWal(const std::string& path);
-  Status WalAppend(uint8_t type, const std::string& key, const std::string& value);
+  Status WalAppend(uint8_t type, std::string_view key, std::string_view value);
   Status RotateWal();
-  Status WriteInternal(const std::string& key, const std::string& value, bool deleted);
+  Status WriteInternal(std::string_view key, std::string_view value, bool deleted);
+  // Stores the value behind its live/tombstone prefix; returns the bytes charged.
+  size_t InsertLocked(std::string_view key, std::string_view value, bool deleted);
   Status MaybeFlushLocked();
   Status CompactLocked();
   std::string TablePath(uint64_t number) const;
@@ -68,7 +71,9 @@ class MiniDb {
   std::mutex mutex_;
   std::unique_ptr<SkipList> memtable_;
   size_t memtable_bytes_ = 0;
+  std::string stored_;  // Reused prefix+value buffer for memtable inserts.
   Fd wal_fd_ = -1;
+  std::string wal_record_;  // Reused WAL record buffer.
   uint64_t wal_offset_ = 0;
   uint64_t next_file_number_ = 1;
   uint64_t current_wal_ = 0;

@@ -39,68 +39,114 @@ struct Footer {
   uint64_t magic;
 };
 
+// One data-block entry, viewed in place.
+struct BlockEntry {
+  std::string_view key;
+  std::string_view value;
+  bool deleted = false;
+};
+
+enum class Parse { kEntry, kEnd, kOverrun };
+
+// Parses the entry at `*cursor` and advances past it. kEnd once fewer than 8 bytes
+// remain; kOverrun when the entry's lengths run past the block.
+Parse NextEntry(std::string_view block, size_t* cursor, BlockEntry* entry) {
+  if (*cursor + 8 > block.size()) {
+    return Parse::kEnd;
+  }
+  const uint32_t key_len = Read32(block.data() + *cursor);
+  const uint32_t raw_value_len = Read32(block.data() + *cursor + 4);
+  const uint32_t value_len = raw_value_len & ~kDeletedBit;
+  const size_t start = *cursor + 8;
+  if (start + key_len + value_len > block.size()) {
+    return Parse::kOverrun;
+  }
+  entry->key = std::string_view(block.data() + start, key_len);
+  entry->value = std::string_view(block.data() + start + key_len, value_len);
+  entry->deleted = (raw_value_len & kDeletedBit) != 0;
+  *cursor = start + key_len + value_len;
+  return Parse::kEntry;
+}
+
+// Hands every entry of a block to `fn` in order, checking the bounds of each.
+template <typename Fn>
+Status ForEachInBlock(std::string_view block, Fn&& fn) {
+  size_t cursor = 0;
+  BlockEntry entry;
+  Parse parsed = Parse::kEnd;
+  while ((parsed = NextEntry(block, &cursor, &entry)) == Parse::kEntry) {
+    fn(entry);
+  }
+  return parsed == Parse::kOverrun ? Corrupted("block entry overruns") : OkStatus();
+}
+
 }  // namespace
 
-Status SsTableWriter::WriteTable(FsInterface& fs, const std::string& path,
-                                 const std::vector<TableEntry>& entries) {
+Result<std::unique_ptr<SsTableBuilder>> SsTableBuilder::Create(FsInterface& fs,
+                                                               const std::string& path) {
   TRIO_ASSIGN_OR_RETURN(Fd fd, fs.Open(path, OpenFlags::CreateTrunc()));
+  return std::unique_ptr<SsTableBuilder>(new SsTableBuilder(fs, fd));
+}
 
-  std::string block;
-  std::string index;
-  std::vector<std::string> keys;
-  keys.reserve(entries.size());
-  uint64_t offset = 0;
-  std::string last_key_in_block;
-
-  auto flush_block = [&]() -> Status {
-    if (block.empty()) {
-      return OkStatus();
-    }
-    TRIO_ASSIGN_OR_RETURN(size_t n, fs.Pwrite(fd, block.data(), block.size(), offset));
-    (void)n;
-    Append32(&index, static_cast<uint32_t>(last_key_in_block.size()));
-    index.append(last_key_in_block);
-    Append64(&index, offset);
-    Append32(&index, static_cast<uint32_t>(block.size()));
-    offset += block.size();
-    block.clear();
-    return OkStatus();
-  };
-
-  for (const TableEntry& entry : entries) {
-    keys.push_back(entry.key);
-    Append32(&block, static_cast<uint32_t>(entry.key.size()));
-    Append32(&block,
-             static_cast<uint32_t>(entry.value.size()) | (entry.deleted ? kDeletedBit : 0));
-    block.append(entry.key);
-    block.append(entry.value);
-    last_key_in_block = entry.key;
-    if (block.size() >= kTargetBlockSize) {
-      TRIO_RETURN_IF_ERROR(flush_block());
-    }
+SsTableBuilder::~SsTableBuilder() {
+  if (fd_ >= 0) {
+    (void)fs_.Close(fd_);
   }
-  TRIO_RETURN_IF_ERROR(flush_block());
+}
+
+Status SsTableBuilder::Add(std::string_view key, std::string_view value, bool deleted) {
+  key_hashes_.push_back(BloomFilter::Hash(key));
+  Append32(&block_, static_cast<uint32_t>(key.size()));
+  Append32(&block_, static_cast<uint32_t>(value.size()) | (deleted ? kDeletedBit : 0));
+  block_.append(key);
+  block_.append(value);
+  last_key_.assign(key);
+  if (block_.size() >= kTargetBlockSize) {
+    return FlushBlock();
+  }
+  return OkStatus();
+}
+
+Status SsTableBuilder::FlushBlock() {
+  if (block_.empty()) {
+    return OkStatus();
+  }
+  TRIO_ASSIGN_OR_RETURN(size_t n, fs_.Pwrite(fd_, block_.data(), block_.size(), offset_));
+  (void)n;
+  Append32(&index_, static_cast<uint32_t>(last_key_.size()));
+  index_.append(last_key_);
+  Append64(&index_, offset_);
+  Append32(&index_, static_cast<uint32_t>(block_.size()));
+  offset_ += block_.size();
+  block_.clear();
+  return OkStatus();
+}
+
+Status SsTableBuilder::Finish() {
+  TRIO_RETURN_IF_ERROR(FlushBlock());
 
   Footer footer{};
-  footer.index_offset = offset;
-  footer.index_size = index.size();
-  TRIO_ASSIGN_OR_RETURN(size_t iw, fs.Pwrite(fd, index.data(), index.size(), offset));
+  footer.index_offset = offset_;
+  footer.index_size = index_.size();
+  TRIO_ASSIGN_OR_RETURN(size_t iw, fs_.Pwrite(fd_, index_.data(), index_.size(), offset_));
   (void)iw;
-  offset += index.size();
+  offset_ += index_.size();
 
-  const std::string bloom = BloomFilter::Build(keys);
-  footer.bloom_offset = offset;
+  const std::string bloom = BloomFilter::Build(key_hashes_);
+  footer.bloom_offset = offset_;
   footer.bloom_size = bloom.size();
-  TRIO_ASSIGN_OR_RETURN(size_t bw, fs.Pwrite(fd, bloom.data(), bloom.size(), offset));
+  TRIO_ASSIGN_OR_RETURN(size_t bw, fs_.Pwrite(fd_, bloom.data(), bloom.size(), offset_));
   (void)bw;
-  offset += bloom.size();
+  offset_ += bloom.size();
 
-  footer.entry_count = entries.size();
+  footer.entry_count = key_hashes_.size();
   footer.magic = kTableMagic;
-  TRIO_ASSIGN_OR_RETURN(size_t fw, fs.Pwrite(fd, &footer, sizeof(footer), offset));
+  TRIO_ASSIGN_OR_RETURN(size_t fw, fs_.Pwrite(fd_, &footer, sizeof(footer), offset_));
   (void)fw;
-  TRIO_RETURN_IF_ERROR(fs.Fsync(fd));
-  return fs.Close(fd);
+  TRIO_RETURN_IF_ERROR(fs_.Fsync(fd_));
+  const Fd fd = fd_;
+  fd_ = -1;
+  return fs_.Close(fd);
 }
 
 Result<std::unique_ptr<SsTableReader>> SsTableReader::Open(FsInterface& fs,
@@ -164,73 +210,92 @@ Status SsTableReader::Load() {
   if (!index_.empty()) {
     largest_ = index_.back().last_key;
     // Smallest: first key of the first block.
-    TRIO_ASSIGN_OR_RETURN(std::vector<TableEntry> first, ReadBlock(index_.front()));
-    if (!first.empty()) {
-      smallest_ = first.front().key;
-    }
+    TRIO_RETURN_IF_ERROR(ReadBlock(index_.front(), &block_));
+    bool first = true;
+    TRIO_RETURN_IF_ERROR(ForEachInBlock(block_, [&](const BlockEntry& entry) {
+      if (first) {
+        smallest_.assign(entry.key);
+        first = false;
+      }
+    }));
   }
   return OkStatus();
 }
 
-Result<std::vector<TableEntry>> SsTableReader::ReadBlock(const IndexEntry& index) {
-  std::vector<TableEntry> entries;
-  std::string block(index.size, '\0');
-  TRIO_ASSIGN_OR_RETURN(size_t n, fs_.Pread(fd_, block.data(), block.size(), index.offset));
-  if (n != block.size()) {
+Status SsTableReader::ReadBlock(const IndexEntry& index, std::string* buffer) {
+  buffer->resize(index.size);
+  TRIO_ASSIGN_OR_RETURN(size_t n, fs_.Pread(fd_, buffer->data(), buffer->size(), index.offset));
+  if (n != buffer->size()) {
     return Corrupted("short block read");
   }
-  size_t cursor = 0;
-  while (cursor + 8 <= block.size()) {
-    const uint32_t key_len = Read32(block.data() + cursor);
-    const uint32_t raw_value_len = Read32(block.data() + cursor + 4);
-    const bool deleted = (raw_value_len & kDeletedBit) != 0;
-    const uint32_t value_len = raw_value_len & ~kDeletedBit;
-    cursor += 8;
-    if (cursor + key_len + value_len > block.size()) {
-      return Corrupted("block entry overruns");
-    }
-    TableEntry entry;
-    entry.key.assign(block.data() + cursor, key_len);
-    cursor += key_len;
-    entry.value.assign(block.data() + cursor, value_len);
-    cursor += value_len;
-    entry.deleted = deleted;
-    entries.push_back(std::move(entry));
-  }
-  return entries;
+  return OkStatus();
 }
 
-Result<TableEntry> SsTableReader::Get(const std::string& key) {
+Result<TableEntry> SsTableReader::Get(std::string_view key) {
   if (!BloomFilter::MayContain(bloom_, key)) {
     return NotFound("bloom miss");
   }
   // Binary search for the first block whose last_key >= key.
   auto it = std::lower_bound(index_.begin(), index_.end(), key,
-                             [](const IndexEntry& e, const std::string& k) {
+                             [](const IndexEntry& e, std::string_view k) {
                                return e.last_key < k;
                              });
   if (it == index_.end()) {
     return NotFound("beyond table");
   }
-  TRIO_ASSIGN_OR_RETURN(std::vector<TableEntry> entries, ReadBlock(*it));
-  auto entry = std::lower_bound(entries.begin(), entries.end(), key,
-                                [](const TableEntry& e, const std::string& k) {
-                                  return e.key < k;
-                                });
-  if (entry == entries.end() || entry->key != key) {
+  TRIO_RETURN_IF_ERROR(ReadBlock(*it, &block_));
+  // The first entry at or past `key` decides; the walk goes on to the block's end so every
+  // entry's bounds are still checked.
+  bool searching = true;
+  bool found = false;
+  TableEntry result;
+  TRIO_RETURN_IF_ERROR(ForEachInBlock(block_, [&](const BlockEntry& entry) {
+    if (searching && entry.key >= key) {
+      searching = false;
+      if (entry.key == key) {
+        found = true;
+        result.value.assign(entry.value);
+        result.deleted = entry.deleted;
+      }
+    }
+  }));
+  if (!found) {
     return NotFound(key);
   }
-  return *entry;
+  return result;
 }
 
-Status SsTableReader::ForEach(const std::function<Status(const TableEntry&)>& fn) {
-  for (const IndexEntry& block_index : index_) {
-    TRIO_ASSIGN_OR_RETURN(std::vector<TableEntry> entries, ReadBlock(block_index));
-    for (const TableEntry& entry : entries) {
-      TRIO_RETURN_IF_ERROR(fn(entry));
+Status TableCursor::Next() {
+  while (true) {
+    BlockEntry entry;
+    switch (NextEntry(block_, &cursor_, &entry)) {
+      case Parse::kEntry:
+        key_ = entry.key;
+        value_ = entry.value;
+        deleted_ = entry.deleted;
+        valid_ = true;
+        return OkStatus();
+      case Parse::kOverrun:
+        valid_ = false;
+        return Corrupted("block entry overruns");
+      case Parse::kEnd:
+        break;
     }
+    while (table_ < tables_.size() && next_block_ == tables_[table_]->index_.size()) {
+      ++table_;
+      next_block_ = 0;
+    }
+    if (table_ == tables_.size()) {
+      valid_ = false;
+      return OkStatus();
+    }
+    SsTableReader& table = *tables_[table_];
+    if (Status read = table.ReadBlock(table.index_[next_block_++], &block_); !read.ok()) {
+      valid_ = false;
+      return read;
+    }
+    cursor_ = 0;
   }
-  return OkStatus();
 }
 
 }  // namespace trio
