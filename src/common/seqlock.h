@@ -1,6 +1,7 @@
 // Sequence lock: lock-free readers of a multi-word value, and writers that exclude one
 // another through the sequence itself. The LibFS promote-cache shards and the trace-ring
-// slots both use this one protocol.
+// slots both use this one protocol; the kernel's per-file map epochs use its one-word
+// form (below).
 //
 // The protected fields must be std::atomic, loaded and stored relaxed: a read that races
 // a write is then a discarded read, never a data race.
@@ -16,6 +17,22 @@
 // validate a mix of two values (Boehm, "Can Seqlocks Get Along with Programming Language
 // Memory Models?", MSPC 2012; Linux's write_seqcount_begin has an smp_wmb for the same
 // reason). On x86 both fences compile to nothing.
+//
+// Epochs are the one-word form, for bytes that may change only after the word has moved:
+// the kernel's per-file map epoch, bumped when a write grant drops the file's readers
+// (DESIGN.md §4.2). BumpEpoch is WriteLock without the wait: the bump stands for the odd
+// value and is followed by the same release fence, and no even value ever follows,
+// because a reader whose epoch moved never waits for one; it discards what it read and
+// maps the file again. A reader takes the epoch with LoadEpoch when its grant is issued,
+// before it loads any of the file's bytes, and ends each op with EpochUnchanged (an
+// acquire fence, then a second load). Every store a later grant makes to those bytes is
+// ordered after a bump and its fence, so if any of the reader's loads saw one, the fences
+// pair as above and the second load sees the bump: an unchanged epoch means no other
+// LibFS held a write grant while the reader loaded. The bytes themselves are plain NVM
+// loads and stores, the emulation's stand-in for loads that would fault on hardware, so
+// there the guarantee is the hardware's: the fences keep the compiler and the CPU from
+// moving the reader's loads below its second epoch load, or a bump below the stores that
+// follow it.
 
 #ifndef SRC_COMMON_SEQLOCK_H_
 #define SRC_COMMON_SEQLOCK_H_
@@ -60,6 +77,24 @@ class Seqlock {
  private:
   std::atomic<uint64_t> seq_{0};
 };
+
+// Moves `epoch` before the stores it guards.
+inline void BumpEpoch(std::atomic<uint64_t>& epoch) {
+  epoch.fetch_add(1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+}
+
+// The epoch a reader's later loads are validated against.
+inline uint64_t LoadEpoch(const std::atomic<uint64_t>& epoch) {
+  return epoch.load(std::memory_order_acquire);
+}
+
+// True iff `epoch` has not moved since `begin` was loaded, so no guarded store reached the
+// loads made in between.
+inline bool EpochUnchanged(const std::atomic<uint64_t>& epoch, uint64_t begin) {
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return epoch.load(std::memory_order_relaxed) == begin;
+}
 
 }  // namespace trio
 

@@ -126,6 +126,7 @@ Status KernelController::Mount() {
   page_table_.Clear();
   if (ino_table_.size() == 0) {
     ino_table_.Resize(sb->max_inodes);
+    map_epochs_.Resize(sb->max_inodes);
   }
   ino_table_.Clear();
   {
@@ -840,30 +841,21 @@ void KernelController::WmapLogRemove(Ino ino) {
   }
 }
 
-size_t KernelController::RunGuarded(std::vector<CallbackGuard::Task> tasks) {
+bool KernelController::RunGuarded(uint64_t timeout_ms, std::function<void()> fn) {
   if (!config_.guard_callbacks) {
-    for (CallbackGuard::Task& task : tasks) {
-      task.fn();
-    }
-    return tasks.size();
+    fn();
+    return true;
   }
-  // Wall time, like the guard's deadlines (clock_ may be a test's FakeClock).
+  // Wall time, like the guard's deadline (clock_ may be a test's FakeClock).
   SystemClock* wall = SystemClock::Instance();
   const uint64_t t0 = wall->NowNs();
-  const size_t count = tasks.size();
-  const size_t completed = callback_guard_.RunBatch(std::move(tasks));
+  const bool completed = callback_guard_.Run(timeout_ms, std::move(fn));
   stats_.callback_wait_ns.fetch_add(wall->NowNs() - t0, std::memory_order_relaxed);
   stats_.callback_runs.fetch_add(1, std::memory_order_relaxed);
-  if (completed < count) {
+  if (!completed) {
     stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
   }
   return completed;
-}
-
-bool KernelController::RunGuarded(uint64_t timeout_ms, std::function<void()> fn) {
-  std::vector<CallbackGuard::Task> tasks;
-  tasks.push_back(CallbackGuard::Task{timeout_ms, std::move(fn)});
-  return RunGuarded(std::move(tasks)) == 1;
 }
 
 // ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -48,6 +49,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/result.h"
+#include "src/common/seqlock.h"
 #include "src/core/core_state.h"
 #include "src/core/format.h"
 #include "src/core/ownership.h"
@@ -110,8 +112,9 @@ struct KernelConfig {
 
 // Callbacks a LibFS registers with the kernel controller.
 struct LibFsCallbacks {
-  // The kernel asks the LibFS to release a file (lease revocation). Must synchronously
-  // flush and call UnmapFile before returning. May be invoked from another app's thread.
+  // The kernel asks the LibFS to release a file it holds a write grant on (lease
+  // revocation). Must synchronously flush and call UnmapFile before returning. May be
+  // invoked from another app's thread. Read grants are dropped without it (MapFile).
   std::function<void(Ino)> revoke;
   // Corruption detected in a file this LibFS wrote; it may repair the core state in place.
   // Return true to request re-verification. Called with the failure diagnostic.
@@ -137,6 +140,10 @@ struct MapInfo {
   bool writable = false;
   uint64_t lease_deadline_ns = 0;
   PageNumber first_index_page = 0;  // As of grant time (convenience for rebuild).
+  // The file's map epoch (MapEpochHolds) as the grant was decided, before a write grant
+  // moved it to drop other readers. A read grant stands while the epoch stays here; a
+  // LibFS whose read grant carries this epoch still held it when it asked for more.
+  uint64_t map_epoch = 0;
 };
 
 // Registered into obs::StatRegistry under layer "kernel" (summed across controllers).
@@ -148,11 +155,13 @@ struct KernelStats : obs::StatGroup {
   obs::Counter verify_failures{this, "verify_failures"};
   obs::Counter corruptions_fixed_by_libfs{this, "corruptions_fixed_by_libfs"};
   obs::Counter corruptions_rolled_back{this, "corruptions_rolled_back"};
-  // Holders asked to release a file (one per revoke callback).
+  // Writers asked to release a file (one per revoke callback).
   obs::Counter revocations{this, "revocations"};
-  // Guarded upcalls (one per batch of callbacks: a MapFile revokes all of a file's
-  // conflicting holders in one), the callers' wall time spent waiting for them (revoke
-  // handoffs included), and upcalls abandoned on a hung fix/recovery/revoke callback.
+  // Read grants the kernel dropped itself, with no upcall: by a write grant to another
+  // LibFS, or when the file was reclaimed.
+  obs::Counter readers_dropped{this, "readers_dropped"};
+  // Guarded upcalls, the callers' wall time spent waiting for them (revoke handoffs
+  // included), and upcalls abandoned on a hung fix/recovery/revoke callback.
   obs::Counter callback_runs{this, "callback_runs"};
   obs::Counter callback_wait_ns{this, "callback_wait_ns"};
   obs::Counter callback_timeouts{this, "callback_timeouts"};
@@ -312,12 +321,22 @@ class KernelController : public OwnershipView, public VerifyEnv {
 
   // ---- Mapping / sharing ----
   Result<MapInfo> MapRoot(LibFsId libfs, bool write);
-  // Grants `libfs` read or write access to `ino` after the shadow-inode permission check,
-  // revoking conflicting holders. A grant the LibFS already holds at a sufficient strength
-  // is answered as it stands, a write lease renewed: re-mapping is how a LibFS revalidates
-  // a grant.
+  // Grants `libfs` read or write access to `ino` after the shadow-inode permission check.
+  // Another LibFS's write grant is revoked through its revoke callback; a write grant drops
+  // every other reader here, with no upcall, and moves the file's map epoch. A grant the
+  // LibFS already holds at a sufficient strength is answered as it stands, a write lease
+  // renewed: re-mapping is how a LibFS revalidates a grant.
   Result<MapInfo> MapFile(LibFsId libfs, Ino ino, bool write);
   Status UnmapFile(LibFsId libfs, Ino ino);
+  // True iff `ino`'s map epoch is still `epoch` (from MapInfo::map_epoch), so no read grant
+  // issued at it has been dropped: bytes loaded since through that grant are committed.
+  // Call it after the loads it covers. Not a kernel crossing: the epochs stand for a page
+  // the kernel maps read-only into every LibFS, and this is one load from it. A grant
+  // added the word before it was issued, so a LibFS checking a grant's epoch finds it.
+  bool MapEpochHolds(Ino ino, uint64_t epoch) const {
+    const std::atomic<uint64_t>* word = map_epochs_.Find(ino);
+    return word != nullptr && EpochUnchanged(*word, epoch);
+  }
   // Verify now and replace the checkpoint with the current (valid) state, keeping the
   // write grant (§4.3 "commit call").
   Status CommitFile(LibFsId libfs, Ino ino);
@@ -408,6 +427,11 @@ class KernelController : public OwnershipView, public VerifyEnv {
     // it) while its writer's work is verified OUTSIDE the shard lock. Waiters sleep on
     // the shard cv. This replaces the recursive-mutex reentry the verifier used to need.
     bool busy = false;
+    // The MapFile call that found another LibFS's write grant in its way, by LibFS and
+    // calling thread: the next grant is that LibFS's, and other LibFSes' MapFile calls
+    // wait on the shard cv until the call has come back for it.
+    LibFsId turn_libfs = kNoLibFs;
+    std::thread::id turn_thread;
   };
 
   struct LibFsRecord {
@@ -416,19 +440,15 @@ class KernelController : public OwnershipView, public VerifyEnv {
     uint32_t uid = 0;             // Immutable after registration.
     uint32_t gid = 0;             // Immutable after registration.
     LibFsCallbacks callbacks;     // Immutable after registration.
-    // `mu` guards the three sets below and `grants` (the ownership tables record this
-    // LibFS's leases). Rank: after shard mutexes; at most one LibFS record mutex held at a
-    // time; nothing else is acquired under it.
+    // `mu` guards the three sets below (the ownership tables record this LibFS's
+    // leases). Rank: after shard mutexes; at most one LibFS record mutex held at a time;
+    // nothing else is acquired under it.
     std::mutex mu;
     std::unordered_set<Ino> write_mapped;
     std::unordered_set<Ino> read_mapped;
     // Children that disappeared from a verified directory and are not yet known to be
     // renamed elsewhere. Resolved (reclaimed or adopted) when the session quiesces.
     std::unordered_set<Ino> pending_orphans;
-    // Mappings MapFile has granted this LibFS. A holder whose count moved since its
-    // revoke may have released and re-mapped, so MapFile revokes it again rather than
-    // forcing it (readers share one lease deadline, which cannot tell them apart).
-    uint64_t grants = 0;
     // This LibFS's page table. Lock-free; it dies with the record, so a holder of the
     // record's shared_ptr may program it after the LibFS has unregistered.
     MmuSim mmu;
@@ -468,13 +488,20 @@ class KernelController : public OwnershipView, public VerifyEnv {
   // Releases the MMU references this LibFS's mapping of `record` holds. `write` names the
   // mapping strength being torn down (the MMU refcounts per strength; see MmuSim).
   void RevokeFilePagesLocked(LibFsRecord& libfs, const FileRecord& record, bool write);
+  // `ino`'s map epoch word, added on first use (every ino with a record is in range).
+  std::atomic<uint64_t>& MapEpochOf(Ino ino);
+  // Drops every read grant on `record` with no upcall: each reader leaves `readers` and
+  // its `read_mapped` and loses its RO MMU references, then the map epoch moves once, so
+  // each reader's next op finds its grant gone.
+  void DropReadersLocked(FileRecord& record);
   // Tear down `libfs`'s write session on `ino`: clear writer/checkpoint, release MMU
   // refs, drop the wmap log slot, clear busy, resolve orphans if the session quiesced.
   // PRE: this thread set `busy` on the record; no locks held.
   void FinishWriteRelease(LibFsId libfs, Ino ino,
                           const std::shared_ptr<LibFsRecord>& me);
-  // Reclaims `holder`'s mapping of `ino` after its revoke callback overran the lease
-  // deadline: verify-and-reconcile (writers), revoke MMU grants, drop the lease.
+  // Reclaims writer `holder`'s grant on `ino` after its revoke callback overran the lease
+  // deadline, or returned without releasing: verify-and-reconcile, then the writer
+  // teardown.
   void ForceRelease(Ino ino, LibFsId holder);
 
   // ---- verification / safety (controller_verify.cc) ----
@@ -508,13 +535,11 @@ class KernelController : public OwnershipView, public VerifyEnv {
                         const DirentBlock& dirent);
   void WmapLogAdd(Ino ino);
   void WmapLogRemove(Ino ino);
-  // Runs untrusted LibFS callbacks in order as one guarded upcall on callback_guard_.
-  // Returns how many completed in time (CallbackGuard::RunBatch). Counts the upcall, the
-  // caller's wall time inside the guard and a timeout here, on the caller's side: an
-  // abandoned callback may outlive this controller. With guard_callbacks off it runs them
-  // inline, returns them all as completed and counts nothing.
-  size_t RunGuarded(std::vector<CallbackGuard::Task> tasks);
-  // The one-callback upcall. True iff it completed within `timeout_ms`.
+  // Runs an untrusted LibFS callback as one guarded upcall on callback_guard_. True iff it
+  // completed within `timeout_ms`. Counts the upcall, the caller's wall time inside the
+  // guard and a timeout here, on the caller's side: an abandoned callback may outlive
+  // this controller. With guard_callbacks off it runs `fn` inline, returns true and counts
+  // nothing.
   bool RunGuarded(uint64_t timeout_ms, std::function<void()> fn);
   uint64_t NowNs() { return clock_->NowNs(); }
 
@@ -540,6 +565,9 @@ class KernelController : public OwnershipView, public VerifyEnv {
   // Mount. Mount zeroes them in place: a LibFS may read them during RunRecovery's Mount.
   OwnershipTable page_table_;
   OwnershipTable ino_table_;
+  // One map epoch per ino, sized with ino_table_ and never cleared: an epoch only grows,
+  // so a remount cannot bring a dropped reader's epoch back.
+  ChunkedWords map_epochs_;
 
   // LibFS registry. registry_mu_ is never held across any other lock acquisition;
   // lookups copy the shared_ptr out.

@@ -1,17 +1,17 @@
 // KernelController mapping and sharing: file record lookup, page-permission grants and
 // revocation (reference counted in each LibFS's MmuSim page table, which the caller reaches
 // through the LibFS record it already holds — no global MMU lock, no registry lookup per
-// page), MapFile/UnmapFile with lease-based revocation of conflicting holders, and forced
-// release of unresponsive LibFSes. Part of the KernelController split; see controller.cc
-// for the TU map.
+// page), MapFile/UnmapFile with lease-based revocation of a conflicting writer, readers
+// dropped in the kernel behind a per-file map epoch, and forced release of unresponsive
+// writers. Part of the KernelController split; see controller.cc for the TU map.
 //
 // Grant/revoke pairing (the refcount contract with MmuSim; a file's pages go in one
 // GrantPages/RevokePages call):
 //   AllocPages          +RW per leased page      FreePages(leased)      -RW
 //   MapFile(write)      +RW per owned page       FinishWriteRelease     -RW per owned page
 //                       +RW dirent page                                 -RW dirent page
-//   MapFile(read)       +RO per owned page       UnmapFile(read)        -RO per owned page
-//                       +RO dirent page                                 -RO dirent page
+//   MapFile(read)       +RO per owned page       UnmapFile(read),       -RO per owned page
+//                       +RO dirent page          DropReadersLocked      -RO dirent page
 //   reconcile: leased page becomes owned — its lease ref is CONSUMED by the write
 //   teardown's per-page release (the page is in record.pages by then); new children's
 //   implicit write grants add +RW on their dirent page (their pages carry lease refs).
@@ -19,12 +19,11 @@
 
 #include "src/kernel/controller.h"
 
-#include <algorithm>
-#include <functional>
 #include <memory>
 #include <ranges>
-#include <vector>
+#include <thread>
 
+#include "src/common/seqlock.h"
 #include "src/kernel/controller_internal.h"
 #include "src/kernel/syscall_boundary.h"
 
@@ -73,6 +72,31 @@ void KernelController::RevokeFilePagesLocked(LibFsRecord& libfs, const FileRecor
   }
 }
 
+std::atomic<uint64_t>& KernelController::MapEpochOf(Ino ino) {
+  std::atomic<uint64_t>* epoch = map_epochs_.FindOrAdd(ino);
+  TRIO_CHECK(epoch != nullptr) << "ino " << ino << " past the map epoch table";
+  return *epoch;
+}
+
+void KernelController::DropReadersLocked(FileRecord& record) {
+  if (record.readers.empty()) {
+    return;
+  }
+  for (LibFsId reader : record.readers) {
+    // An unregistered reader's page table went with its record.
+    if (const std::shared_ptr<LibFsRecord> holder = FindLibFs(reader)) {
+      {
+        std::lock_guard<std::mutex> guard(holder->mu);
+        holder->read_mapped.erase(record.ino);
+      }
+      RevokeFilePagesLocked(*holder, record, /*write=*/false);
+    }
+  }
+  stats_.readers_dropped.fetch_add(record.readers.size(), std::memory_order_relaxed);
+  record.readers.clear();
+  BumpEpoch(MapEpochOf(record.ino));
+}
+
 Result<MapInfo> KernelController::MapRoot(LibFsId libfs, bool write) {
   return MapFile(libfs, kRootIno, write);
 }
@@ -86,48 +110,44 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino ino, bool write) {
   }
 
   const size_t si = ShardIndexOf(ino);
-  // Escalation, per holder. Each holder whose revoke callback COMPLETED is remembered
-  // with the lease deadline its grant carried and its grant count when we revoked. If
-  // the next round finds that very holder still in conflict with the SAME deadline and
-  // no grant since, its grant survived a revoke it answered: the holder no longer
-  // believes it holds the file (e.g. its node state is long torn down while we carry an
-  // implicit grant from a parent commit) — another callback cannot help, so reclaim by
-  // force. A CHANGED deadline or a new grant means the holder cooperatively unmapped and
-  // re-mapped (or renewed) after its callback: it is live and mid-operation, and forcing
-  // now would verify-and-roll-back a half-committed op that the holder then finishes
-  // against the rolled-back image (observed as lost renames under the fleet shuttle).
-  // Revoke it again instead, bounded by kMaxRevokeRounds so a holder that re-maps
-  // forever still cannot stall a mapper indefinitely.
-  constexpr int kMaxRevokeRounds = 8;
-  struct Revoked {
-    LibFsId holder;
-    uint64_t lease_end;
-    uint64_t grants;
-    int rounds;
-  };
-  std::vector<Revoked> revoked;
-  // One round's conflict handling, staged out of the locked section because it must run
-  // unlocked (revoke callbacks, forced releases, dead-writer verification); every round
-  // re-evaluates the record from scratch.
-  struct Revoke {
-    LibFsId holder;
-    std::function<void(Ino)> fn;
-    uint64_t lease_end;
-    uint64_t grants;
-  };
-  std::vector<Revoke> revokes;
-  std::vector<LibFsId> forced;
+  Shard& shard = *shards_[si];
+  // The writer whose revoke callback completed last round. If the next round finds it
+  // still holding the grant while our turn stood, it answered without releasing: it no
+  // longer believes it holds the file (e.g. its node state is long torn down while we
+  // carry an implicit grant from a parent commit), and another callback cannot help, so
+  // reclaim by force. It cannot have released and re-mapped in between, because the turn
+  // held every other LibFS's MapFile off. A live writer is therefore never forced:
+  // forcing one mid-op would hand on a file it is still storing into.
+  const std::thread::id self = std::this_thread::get_id();
+  LibFsId revoked = kNoLibFs;
   while (true) {
-    revokes.clear();
-    forced.clear();
-    LibFsId dead_writer = kNoLibFs;
-    std::shared_ptr<LibFsRecord> dead_writer_record;
+    // The conflicting writer, staged out of the locked section because its revoke
+    // callback, forced release or dead-writer verification must run unlocked; every round
+    // re-evaluates the record from scratch.
+    LibFsId writer = kNoLibFs;
+    std::shared_ptr<LibFsRecord> holder;
+    uint64_t lease_end = 0;
+    bool dead = false;
+    bool force = false;
 
     {
-      ShardLock sl(shards_[si]->mu, si);
-      FileRecord* record = WaitNotBusyLocked(*shards_[si], sl.lock(), ino);
+      ShardLock sl(shard.mu, si);
+      FileRecord* record = WaitNotBusyLocked(shard, sl.lock(), ino);
+      while (record != nullptr && record->turn_libfs != kNoLibFs &&
+             record->turn_libfs != libfs) {
+        shard.cv.wait(sl.lock());
+        record = WaitNotBusyLocked(shard, sl.lock(), ino);
+      }
       if (record == nullptr) {
         return NotFound("no such file");
+      }
+      // Our turn, unless a sibling thread of our LibFS took it over, ends with this round
+      // unless the round finds a writer again.
+      const bool our_turn = record->turn_libfs != kNoLibFs && record->turn_thread == self;
+      if (our_turn) {
+        record->turn_libfs = kNoLibFs;
+        record->turn_thread = {};
+        shard.cv.notify_all();
       }
 
       // Permission check against the shadow inode (ground truth).
@@ -139,79 +159,27 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino ino, bool write) {
         return PermissionDenied("access denied by shadow inode");
       }
 
+      std::atomic<uint64_t>& epoch = MapEpochOf(ino);
+      MapInfo info{record->dirent_page, record->dirent_slot, write, 0,
+                   DirentOfLocked(*record)->first_index_page, LoadEpoch(epoch)};
       // Already mapped suitably?
       if (record->writer == libfs) {
         record->lease_deadline_ns = NowNs() + config_.lease_ms * 1000000ull;
         record->last_use_ns = NowNs();
-        MapInfo info{record->dirent_page, record->dirent_slot, true,
-                     record->lease_deadline_ns, DirentOfLocked(*record)->first_index_page};
+        info.writable = true;
+        info.lease_deadline_ns = record->lease_deadline_ns;
         stats_.map_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
         return info;
       }
       if (!write && record->readers.count(libfs) != 0 && record->writer == kNoLibFs) {
-        MapInfo info{record->dirent_page, record->dirent_slot, false, 0,
-                     DirentOfLocked(*record)->first_index_page};
         stats_.map_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
         return info;
       }
 
-      // Conflicts: a writer blocks everyone; readers block a writer (§3.2: concurrent
-      // read XOR exclusive write). Leases bound how long a holder can stall us; every
-      // conflicting holder is asked to release via its revoke callback, all of them in
-      // one guarded upcall.
-      auto stage_revoke = [&](LibFsId id, LibFsRecord& holder) {
-        uint64_t grants;
-        {
-          std::lock_guard<std::mutex> guard(holder.mu);
-          grants = holder.grants;
-        }
-        auto seen = std::find_if(revoked.begin(), revoked.end(),
-                                 [id](const Revoked& r) { return r.holder == id; });
-        if (seen != revoked.end() &&
-            ((record->lease_deadline_ns == seen->lease_end && grants == seen->grants) ||
-             ++seen->rounds > kMaxRevokeRounds)) {
-          forced.push_back(id);
-        } else {
-          // NOTE: busy is NOT set here. The holder's revoke callback calls UnmapFile,
-          // which must be able to claim the record itself.
-          revokes.push_back(
-              Revoke{id, holder.callbacks.revoke, record->lease_deadline_ns, grants});
-        }
-      };
-      if (record->writer != kNoLibFs && record->writer != libfs) {
-        std::shared_ptr<LibFsRecord> holder = FindLibFs(record->writer);
-        if (holder == nullptr || !holder->callbacks.revoke) {
-          // Dead or unresponsive writer: force the release ourselves.
-          record->busy = true;  // Pin for the verification staged below.
-          dead_writer = record->writer;
-          dead_writer_record = std::move(holder);
-        } else {
-          stage_revoke(record->writer, *holder);
-        }
-      } else if (write) {
-        for (auto it = record->readers.begin(); it != record->readers.end();) {
-          const LibFsId reader = *it;
-          if (reader == libfs) {
-            ++it;
-            continue;
-          }
-          std::shared_ptr<LibFsRecord> holder = FindLibFs(reader);
-          if (holder == nullptr || !holder->callbacks.revoke) {
-            // Dead or unresponsive reader: drop its mapping ourselves.
-            it = record->readers.erase(it);
-            if (holder != nullptr) {
-              std::lock_guard<std::mutex> guard(holder->mu);
-              holder->read_mapped.erase(ino);
-            }
-            continue;
-          }
-          stage_revoke(reader, *holder);
-          ++it;
-        }
-      }
-
-      if (dead_writer == kNoLibFs && revokes.empty() && forced.empty()) {
-        // No conflict: grant, entirely under this one shard lock.
+      if (record->writer == kNoLibFs) {
+        // No conflict (§3.2: concurrent read XOR exclusive write): grant, entirely under
+        // this one shard lock. A writer drops every other reader here: a reader holds
+        // nothing uncommitted, so on hardware it would simply fault on its next load.
         if (write) {
           if (record->readers.erase(libfs) > 0) {
             // Upgrading our own read mapping: release the RO references before granting
@@ -222,6 +190,7 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino ino, bool write) {
             }
             RevokeFilePagesLocked(*me, *record, /*write=*/false);
           }
+          DropReadersLocked(*record);
           const uint64_t c0 = NowNs();
           Status checkpoint_status = TakeCheckpointLocked(record);
           stats_.checkpoint_ns.fetch_add(NowNs() - c0, std::memory_order_relaxed);
@@ -230,88 +199,80 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino ino, bool write) {
           }
           record->writer = libfs;
           record->lease_deadline_ns = NowNs() + config_.lease_ms * 1000000ull;
+          info.lease_deadline_ns = record->lease_deadline_ns;
           {
             std::lock_guard<std::mutex> guard(me->mu);
             me->write_mapped.insert(ino);
-            ++me->grants;
           }
           WmapLogAdd(ino);
         } else {
           record->readers.insert(libfs);
           std::lock_guard<std::mutex> guard(me->mu);
           me->read_mapped.insert(ino);
-          ++me->grants;
         }
         GrantFilePagesLocked(*me, *record, write);
         record->last_use_ns = NowNs();  // Digestion's cold scan orders by last grant.
         stats_.maps.fetch_add(1, std::memory_order_relaxed);
-        MapInfo info{record->dirent_page, record->dirent_slot, write,
-                     write ? record->lease_deadline_ns : 0,
-                     DirentOfLocked(*record)->first_index_page};
         stats_.map_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
         return info;
       }
+
+      // Another LibFS holds the write grant. Its lease bounds how long it can stall us,
+      // and the next grant is ours: without the turn, a writer that re-maps as soon as it
+      // is revoked wins every race against our return from the upcall.
+      record->turn_libfs = libfs;
+      record->turn_thread = self;
+      writer = record->writer;
+      holder = FindLibFs(writer);
+      if (holder == nullptr || !holder->callbacks.revoke) {
+        // Dead or unresponsive writer: force the release ourselves.
+        record->busy = true;  // Pin for the verification below.
+        dead = true;
+      } else {
+        // NOTE: busy is NOT set for a revoke. The writer's revoke callback calls
+        // UnmapFile, which must be able to claim the record itself.
+        lease_end = record->lease_deadline_ns;
+        force = our_turn && writer == revoked;
+      }
     }  // shard lock released
 
-    if (dead_writer != kNoLibFs) {
+    if (dead) {
       (void)VerifyAndReconcile(ino);
-      FinishWriteRelease(dead_writer, ino, dead_writer_record);
+      FinishWriteRelease(writer, ino, holder);
       continue;
     }
     ShardRank::AssertNoneHeld();
-    for (LibFsId holder : forced) {
-      ForceRelease(ino, holder);
-    }
-    if (revokes.empty()) {
+    if (force) {
+      ForceRelease(ino, writer);
       continue;
     }
 
-    // Ask every staged holder to release, in order, in one upcall. With a FaultSim
-    // injector attached, transfers these revocations trigger count as contended while we
-    // wait (kFaultKernelLeakOnContendedTransfer keys off revokes_in_flight_).
-    const int in_flight = static_cast<int>(revokes.size());
-    stats_.revocations.fetch_add(revokes.size(), std::memory_order_relaxed);
+    // Ask the writer to release. With a FaultSim injector attached, transfers this
+    // revocation triggers count as contended while we wait
+    // (kFaultKernelLeakOnContendedTransfer keys off revokes_in_flight_).
+    stats_.revocations.fetch_add(1, std::memory_order_relaxed);
     FaultInjector* const injector = fault_injector_;
     if (injector != nullptr) {
-      revokes_in_flight_.fetch_add(in_flight, std::memory_order_relaxed);
+      revokes_in_flight_.fetch_add(1, std::memory_order_relaxed);
     }
-    // Lease enforcement: a holder is trusted to cooperate only until its lease expires.
-    // Each callback may run until its lease remainder (plus grace) has passed since it
-    // started; then that holder's mapping is reclaimed by force — an unresponsive holder
-    // cannot stall a conflicting mapper beyond its lease, and a slow one cannot spend the
-    // next holder's budget.
+    // Lease enforcement: the writer is trusted to cooperate only until its lease expires.
+    // Its callback may run for its lease remainder plus grace; then its grant is reclaimed
+    // by force, so an unresponsive writer cannot stall a conflicting mapper beyond its
+    // lease.
     const uint64_t now = NowNs();
-    std::vector<CallbackGuard::Task> tasks;
-    tasks.reserve(revokes.size());
-    for (Revoke& revoke : revokes) {
-      const uint64_t remaining_ms =
-          revoke.lease_end > now ? (revoke.lease_end - now + 999999ull) / 1000000ull : 0;
-      tasks.push_back(CallbackGuard::Task{remaining_ms + config_.revoke_grace_ms,
-                                          [fn = std::move(revoke.fn), ino] { fn(ino); }});
-    }
-    const size_t completed = RunGuarded(std::move(tasks));
+    const uint64_t remaining_ms =
+        lease_end > now ? (lease_end - now + 999999ull) / 1000000ull : 0;
+    const bool completed = RunGuarded(remaining_ms + config_.revoke_grace_ms,
+                                      [fn = holder->callbacks.revoke, ino] { fn(ino); });
     if (injector != nullptr) {
-      revokes_in_flight_.fetch_sub(in_flight, std::memory_order_relaxed);
+      revokes_in_flight_.fetch_sub(1, std::memory_order_relaxed);
     }
-    for (size_t i = 0; i < completed; ++i) {
-      auto seen = std::find_if(revoked.begin(), revoked.end(), [&](const Revoked& r) {
-        return r.holder == revokes[i].holder;
-      });
-      if (seen == revoked.end()) {
-        revoked.push_back(
-            Revoked{revokes[i].holder, revokes[i].lease_end, revokes[i].grants, 0});
-      } else {
-        seen->lease_end = revokes[i].lease_end;
-        seen->grants = revokes[i].grants;
-      }
-    }
-    if (completed < revokes.size()) {
-      // The holders after the one that overran never ran; the next round re-evaluates
-      // them.
-      TRIO_LOG(kWarn) << "revoke of ino " << ino << " from LibFS " << revokes[completed].holder
+    if (!completed) {
+      TRIO_LOG(kWarn) << "revoke of ino " << ino << " from LibFS " << writer
                       << " overran the lease deadline; forcing release";
-      ForceRelease(ino, revokes[completed].holder);
+      ForceRelease(ino, writer);
     }
+    revoked = completed ? writer : kNoLibFs;
     // Re-evaluate from scratch; records may have been reclaimed.
   }
 }
@@ -350,34 +311,18 @@ void KernelController::FinishWriteRelease(LibFsId libfs, Ino ino,
 void KernelController::ForceRelease(Ino ino, LibFsId holder) {
   std::shared_ptr<LibFsRecord> holder_record = FindLibFs(holder);
   const size_t si = ShardIndexOf(ino);
-  bool writer_path = false;
   {
     ShardLock sl(shards_[si]->mu, si);
     FileRecord* record = WaitNotBusyLocked(*shards_[si], sl.lock(), ino);
-    if (record == nullptr) {
+    if (record == nullptr || record->writer != holder) {
       return;
     }
-    if (record->writer == holder) {
-      // Same teardown as a cooperative unmap: the holder's work is verified (and rolled
-      // back if corrupt) before the lease is handed on. The holder itself gets no say.
-      record->busy = true;
-      writer_path = true;
-    } else if (record->readers.erase(holder) > 0) {
-      if (holder_record != nullptr) {
-        {
-          std::lock_guard<std::mutex> guard(holder_record->mu);
-          holder_record->read_mapped.erase(ino);
-        }
-        RevokeFilePagesLocked(*holder_record, *record, /*write=*/false);
-      }
-    } else {
-      return;
-    }
+    // Same teardown as a cooperative unmap: the writer's work is verified (and rolled
+    // back if corrupt) before the lease is handed on. The writer itself gets no say.
+    record->busy = true;
   }
-  if (writer_path) {
-    (void)VerifyAndReconcile(ino);
-    FinishWriteRelease(holder, ino, holder_record);
-  }
+  (void)VerifyAndReconcile(ino);
+  FinishWriteRelease(holder, ino, holder_record);
   stats_.forced_releases.fetch_add(1, std::memory_order_relaxed);
 }
 

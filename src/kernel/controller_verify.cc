@@ -308,7 +308,6 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
         if (writer != nullptr) {
           std::lock_guard<std::mutex> guard(writer->mu);
           writer->write_mapped.insert(child.ino);
-          ++writer->grants;
         }
         WmapLogAdd(child.ino);
         // The implicit write grant's dirent-page reference: the child's co-located inode
@@ -441,26 +440,21 @@ void KernelController::ReclaimOne(Ino ino) {
       return;
     }
     // Holders still mapping the deleted file lose its pages before they are freed: a
-    // page re-leased to another LibFS must not stay reachable through this file.
-    auto release = [&](LibFsId id, bool write) {
-      const std::shared_ptr<LibFsRecord> holder = FindLibFs(id);
-      if (holder != nullptr) {
-        {
-          std::lock_guard<std::mutex> guard(holder->mu);
-          (write ? holder->write_mapped : holder->read_mapped).erase(ino);
-        }
-        RevokeFilePagesLocked(*holder, *record, write);
+    // page re-leased to another LibFS must not stay reachable through this file. Readers
+    // are dropped as a write grant drops them, so their next op finds the file gone.
+    DropReadersLocked(*record);
+    if (const std::shared_ptr<LibFsRecord> writer =
+            record->writer != kNoLibFs ? FindLibFs(record->writer) : nullptr) {
+      {
+        std::lock_guard<std::mutex> guard(writer->mu);
+        writer->write_mapped.erase(ino);
       }
-    };
-    for (LibFsId reader : record->readers) {
-      release(reader, /*write=*/false);
-    }
-    if (record->writer != kNoLibFs) {
-      release(record->writer, /*write=*/true);
+      RevokeFilePagesLocked(*writer, *record, /*write=*/true);
     }
     pages.assign(record->pages.begin(), record->pages.end());
     backend_slots.assign(record->backend_slots.begin(), record->backend_slots.end());
     shards_[si]->records.erase(ino);
+    shards_[si]->cv.notify_all();  // MapFile calls waiting for a turn on it find it gone.
     ino_table_.Set(ino, ResourceState::kFree, 0);
   }
   for (PageNumber page : pages) {

@@ -2,18 +2,13 @@
 // to every callback the kernel runs: fix_corruption, recovery programs, revoke).
 //
 // A LibFS callback is arbitrary user code: it may hang forever, and the kernel must not
-// hang with it. RunBatch() executes a list of callbacks in order on one pooled helper
-// thread. Each callback has its own wall-clock budget, counted from when that callback
-// starts, so a slow early callback never eats into a later one's budget. The caller
-// sleeps until the batch ends or the running callback's deadline passes; the helper
-// wakes it early only to re-arm, when a callback's deadline is earlier than the one
-// before (equal budgets never need that). If every callback returns in time, the helper
-// parks back into the pool (so steady-state cost is one condition-variable round trip
-// per batch, not a thread spawn) and RunBatch() returns the batch size. On an overrun it
-// returns the index of the callback that overran and abandons the helper: the helper
-// stays detached inside the hung callback until that eventually returns, then exits
-// without running the rest of the batch and without ever touching the pool again.
-// Run() is the one-callback batch.
+// hang with it. Run() executes a callback on a pooled helper thread under a wall-clock
+// budget counted from the call. The caller sleeps until the callback returns or the
+// deadline passes. If it returns in time, the helper parks back into the pool (so
+// steady-state cost is one condition-variable round trip per call, not a thread spawn)
+// and Run() returns true. On an overrun it returns false and abandons the helper: the
+// helper stays detached inside the hung callback until that eventually returns, then
+// exits without ever touching the pool again.
 //
 // Contract for callers: a task handed to the guard may outlive the call, so it must own
 // its state — capture by value / shared_ptr, and report results through memory the task
@@ -71,54 +66,31 @@ class CallbackGuard {
     idle_.clear();  // Abandoned workers were never returned here; they exit on their own.
   }
 
-  // One callback of a batch and its budget, counted from when it starts.
-  struct Task {
-    uint64_t timeout_ms = 0;
-    std::function<void()> fn;
-  };
-
-  // Runs `tasks` in order on one helper. Returns how many completed in time: tasks.size(),
-  // or the index of the one that overran its budget (the ones after it never run).
-  size_t RunBatch(std::vector<Task> tasks) {
-    const size_t count = tasks.size();
-    if (count == 0) {
-      return 0;
-    }
+  // Runs `fn` under a wall-clock deadline. True iff it completed within `timeout_ms`.
+  bool Run(uint64_t timeout_ms, std::function<void()> fn) {
     std::shared_ptr<Worker> worker = Acquire();
     std::unique_lock<std::mutex> wl(worker->mutex);
-    // The first callback's budget runs from now: the helper may be slow to wake, and the
-    // deadline must not depend on it.
-    worker->deadline = SteadyClock::now() + std::chrono::milliseconds(tasks[0].timeout_ms);
-    worker->tasks = std::move(tasks);
+    // The budget runs from now: the helper may be slow to wake, and the deadline must not
+    // depend on it.
+    const SteadyClock::time_point deadline =
+        SteadyClock::now() + std::chrono::milliseconds(timeout_ms);
+    worker->task = std::move(fn);
     worker->has_task = true;
-    worker->completed = 0;
+    worker->done = false;
     wl.unlock();
     worker->cv.notify_one();
     wl.lock();
-    while (worker->completed < count) {
-      const size_t running = worker->completed;
-      const SteadyClock::time_point deadline = worker->deadline;
-      if (worker->done_cv.wait_until(wl, deadline) == std::cv_status::timeout &&
-          worker->completed == running) {
-        // Still holding worker->mutex: the helper is stuck inside callback `running` (it
-        // re-takes the mutex only after the callback returns), so this flag is
-        // race-free. It tells the helper to exit, running nothing more, when the
-        // callback finally finishes.
-        worker->abandoned = true;
-        timeouts_.fetch_add(1, std::memory_order_relaxed);
-        return running;
-      }
+    if (!worker->done_cv.wait_until(wl, deadline, [&] { return worker->done; })) {
+      // Still holding worker->mutex: the helper is stuck inside the callback (it re-takes
+      // the mutex only after the callback returns), so this flag is race-free. It tells
+      // the helper to exit, running nothing more, when the callback finally finishes.
+      worker->abandoned = true;
+      timeouts_.fetch_add(1, std::memory_order_relaxed);
+      return false;
     }
     wl.unlock();
     Release(std::move(worker));
-    return count;
-  }
-
-  // Runs `fn` under a wall-clock deadline. True iff it completed within `timeout_ms`.
-  bool Run(uint64_t timeout_ms, std::function<void()> fn) {
-    std::vector<Task> tasks;
-    tasks.push_back(Task{timeout_ms, std::move(fn)});
-    return RunBatch(std::move(tasks)) == 1;
+    return true;
   }
 
   uint64_t timeouts() const { return timeouts_.load(std::memory_order_relaxed); }
@@ -145,14 +117,11 @@ class CallbackGuard {
 
   struct Worker {
     std::mutex mutex;
-    std::condition_variable cv;       // Helper waits here for a batch (or exit).
-    std::condition_variable done_cv;  // Caller waits here for the end of the batch.
-    std::vector<Task> tasks;
+    std::condition_variable cv;       // Helper waits here for a callback (or exit).
+    std::condition_variable done_cv;  // Caller waits here for the callback to return.
+    std::function<void()> task;
     bool has_task = false;
-    size_t completed = 0;  // Callbacks of the current batch that have returned.
-    // Deadline of callback `completed`: its budget from when it started (the first
-    // one's from when the batch was handed over).
-    SteadyClock::time_point deadline;
+    bool done = false;  // The current callback has returned.
     bool exit = false;
     bool abandoned = false;
     Affinity affinity{};  // The spawning caller's mask; the helper runs under it.
@@ -182,29 +151,16 @@ class CallbackGuard {
         if (worker->exit) {
           return;
         }
-        std::vector<Task> tasks = std::move(worker->tasks);
-        worker->tasks.clear();
+        std::function<void()> task = std::move(worker->task);
+        worker->task = nullptr;
         worker->has_task = false;
-        bool earlier_deadline = false;
-        for (size_t i = 0; i < tasks.size(); ++i) {
-          wl.unlock();
-          if (earlier_deadline) {
-            // The caller may be asleep until a later deadline than callback i's.
-            worker->done_cv.notify_one();
-          }
-          tasks[i].fn();
-          wl.lock();
-          if (worker->abandoned) {
-            return;  // The caller gave up on callback i; the rest never run.
-          }
-          worker->completed = i + 1;
-          if (i + 1 < tasks.size()) {
-            const SteadyClock::time_point deadline =
-                SteadyClock::now() + std::chrono::milliseconds(tasks[i + 1].timeout_ms);
-            earlier_deadline = deadline < worker->deadline;
-            worker->deadline = deadline;
-          }
+        wl.unlock();
+        task();
+        wl.lock();
+        if (worker->abandoned) {
+          return;  // The caller gave up on this callback.
         }
+        worker->done = true;
         // Unlocked first, so the woken caller does not block on the mutex we hold.
         wl.unlock();
         worker->done_cv.notify_one();

@@ -172,25 +172,23 @@ Result<uint64_t> KvFs::SizeOf(const std::string& key) {
 }
 
 Result<std::vector<std::string>> KvFs::Keys() {
-  TRIO_RETURN_IF_ERROR(LockForOp(dir_node_.get(), 1));
-  std::vector<std::string> keys;
-  dir_node_->dir_index->ForEach([&](const std::string& name, const DirSlot& slot) {
-    if (!slot.is_dir) {
-      keys.push_back(name);
-    }
+  return ReadOp(dir_node_.get(), [&]() -> Result<std::vector<std::string>> {
+    std::vector<std::string> keys;
+    dir_node_->dir_index->ForEach([&](const std::string& name, const DirSlot& slot) {
+      if (!slot.is_dir) {
+        keys.push_back(name);
+      }
+    });
+    return keys;
   });
-  UnlockOp(dir_node_.get());
-  return keys;
 }
 
 bool KvFs::Contains(const std::string& key) {
-  if (LockForOp(dir_node_.get(), 1).ok()) {
+  Result<bool> found = ReadOp(dir_node_.get(), [&]() -> Result<bool> {
     DirSlot slot;
-    const bool found = dir_node_->dir_index->Lookup(key, &slot);
-    UnlockOp(dir_node_.get());
-    return found;
-  }
-  return false;
+    return dir_node_->dir_index->Lookup(key, &slot);
+  });
+  return found.ok() && *found;
 }
 
 }  // namespace trio

@@ -84,7 +84,12 @@ struct LibFsStats : obs::StatGroup {
   obs::Counter creates{this, "creates"};
   obs::Counter unlinks{this, "unlinks"};
   obs::Counter lookups{this, "lookups"};
+  // Mappings handed back through RevokeNode (a writer's revoke upcall, or a release).
   obs::Counter revocations{this, "revocations"};
+  // Read mappings torn down here because the kernel dropped their grant (the file's map
+  // epoch moved), and read-level ops that ran again because it moved while they ran.
+  obs::Counter reader_teardowns{this, "reader_teardowns"};
+  obs::Counter read_retries{this, "read_retries"};
   // Cumulative ns ops spent waiting in LockForOp, attributed per-op when tracing is on.
   obs::Counter lock_wait_ns{this, "lock_wait_ns"};
 
@@ -155,16 +160,21 @@ class ArckFs : public FsInterface, private RingPassHooks {
     BravoRwLock op_lock;
     std::atomic<int> map_state{0};  // 0 = unmapped, 1 = read, 2 = write.
     std::atomic<bool> stale{false};
-    // Bumped by RevokeNode under map_mutex. EnsureMapped releases map_mutex across the
-    // kernel MapFile crossing (the kernel may synchronously revoke another tenant, whose
-    // RevokeNode takes ITS node's map_mutex — holding ours would be an ABBA inversion
-    // between two LibFS instances revoking each other); the revision tells it whether a
-    // revoke slipped into that window and the fresh grant must be re-requested.
-    uint64_t map_revision = 0;
-    // Set by RevokeNode, cleared by the next map (both under map_mutex). While set the
+    // Set by UnmapLocally, cleared by the next map (both under map_mutex). While set the
     // auxiliary state is the revoked file's, so CreateNode under a recycled ino rebuilds
     // it.
     bool revoked = false;
+    // Bumped under map_mutex whenever the node is mapped or unmapped. EnsureMapped
+    // releases map_mutex across the kernel MapFile crossing (the kernel may synchronously
+    // revoke another tenant, whose RevokeNode takes ITS node's map_mutex — holding ours
+    // would be an ABBA inversion between two LibFS instances revoking each other); the
+    // revision tells it whether the node changed in that window and must be looked at
+    // again.
+    uint64_t map_revision = 0;
+    // The file's map epoch when the kernel issued the grant (MapInfo::map_epoch), set
+    // under map_mutex. While map_state is 1 the read grant stands only as long as the
+    // kernel's epoch stays here; ops read it under op_lock.
+    std::atomic<uint64_t> map_epoch{0};
     DirentBlock* dirent = nullptr;
 
     // Regular-file auxiliary state (§4.2).
@@ -207,13 +217,49 @@ class ArckFs : public FsInterface, private RingPassHooks {
   NodePtr FindNode(Ino ino);
   void DropNode(Ino ino);
   // Maps the node (read or write) through the kernel and rebuilds auxiliary state if the
-  // mapping was (re)established. Never call while holding op_lock.
+  // mapping was (re)established. A read mapping whose grant the kernel dropped is torn
+  // down first, an upgrade to write included. Never call while holding op_lock.
   Status EnsureMapped(FileNode* node, bool write);
   // Acquire op_lock shared and confirm the mapping is still live at `level` (1=read,
-  // 2=write); retries via EnsureMapped on staleness. Returns with op_lock held shared.
-  // When an OpContext is active, the wait is charged to its lock_wait_ns counter.
+  // 2=write); retries via EnsureMapped on staleness or a dropped read grant. Returns with
+  // op_lock held shared. When an OpContext is active, the wait is charged to its
+  // lock_wait_ns counter.
   Status LockForOp(FileNode* node, int level);
   void UnlockOp(FileNode* node) { node->op_lock.unlock_shared(); }
+  // Runs `fn`, a read-level op on `node`, under LockForOp(node, 1), and returns what it
+  // returned, an error as much as bytes, only if the node's read grant still stood when
+  // it finished. The kernel drops a reader's grant without asking (a write grant to
+  // another LibFS), so the op may have loaded bytes that writer was changing; this check
+  // stands in for the fault such a load takes on hardware, and the op runs again from
+  // LockForOp, which maps the file anew. `fn` returns Status or Result<T>.
+  template <typename Fn>
+  auto ReadOp(FileNode* node, Fn&& fn) -> decltype(fn()) {
+    for (;;) {
+      TRIO_RETURN_IF_ERROR(LockForOp(node, 1));
+      const uint64_t epoch = ReadEpoch(node);
+      auto result = fn();
+      const bool held = ReadEpochHolds(node, epoch);
+      UnlockOp(node);
+      if (held) {
+        return result;
+      }
+      stats_.read_retries.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  // The grant epoch an op holding LockForOp(node, 1) must still find when it ends, or
+  // kWriteMapped: a write grant is taken back only through RevokeNode, which waits the op
+  // out.
+  static constexpr uint64_t kWriteMapped = ~uint64_t{0};
+  uint64_t ReadEpoch(FileNode* node) const {
+    return node->map_state.load(std::memory_order_acquire) == 1
+               ? node->map_epoch.load(std::memory_order_relaxed)
+               : kWriteMapped;
+  }
+  // True iff no other LibFS can have held a write grant on the node's file since the grant
+  // behind `epoch` was issued, so every load made since saw committed bytes.
+  bool ReadEpochHolds(FileNode* node, uint64_t epoch) const {
+    return epoch == kWriteMapped || kernel_.MapEpochHolds(node->ino, epoch);
+  }
   // Revoker-side: quiesce, unmap, drop auxiliary state.
   void RevokeNode(Ino ino);
   // Kernel-side quarantine notification (may arrive on a watchdog thread, possibly while
@@ -223,6 +269,16 @@ class ArckFs : public FsInterface, private RingPassHooks {
   void OnQuarantine(Ino ino, const Status& reason);
   // The LockForOp acquisition loop (no instrumentation; LockForOp wraps it).
   Status AcquireOpLock(FileNode* node, int level);
+  // The node is read-mapped and the kernel has dropped that grant.
+  bool ReadGrantDropped(FileNode* node) const {
+    return node->map_state.load(std::memory_order_acquire) == 1 &&
+           !kernel_.MapEpochHolds(node->ino, node->map_epoch.load(std::memory_order_relaxed));
+  }
+  // RevokeNode's local half, under map_mutex: waits out the node's in-flight ops, runs
+  // `release` while none can start, and leaves the node unmapped, its auxiliary state kept
+  // for the next map's RebuildAux.
+  template <typename Fn>
+  void UnmapLocally(FileNode* node, Fn&& release);
 
   // ---- Path resolution ----
   // Virtual so customized LibFSes can replace the strategy: FPFS swaps the per-component

@@ -564,10 +564,7 @@ Result<size_t> ArckFs::Pread(Fd fd, void* buf, size_t count, uint64_t offset) {
   if (node->is_dir) {
     return IsDir();
   }
-  TRIO_RETURN_IF_ERROR(LockForOp(node, 1));
-  Result<size_t> result = ReadLocked(node, buf, count, offset);
-  UnlockOp(node);
-  return result;
+  return ReadOp(node, [&] { return ReadLocked(node, buf, count, offset); });
 }
 
 Result<size_t> ArckFs::Pwrite(Fd fd, const void* buf, size_t count, uint64_t offset) {

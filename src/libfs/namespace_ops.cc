@@ -21,14 +21,14 @@ using arckfs_internal::FakeTimeNs;
 Result<ArckFs::NodePtr> ArckFs::ResolveDir(const std::vector<std::string>& components) {
   NodePtr node = FindNode(kRootIno);
   for (const std::string& component : components) {
-    TRIO_RETURN_IF_ERROR(LockForOp(node.get(), 1));
-    DirSlot slot;
-    const bool found =
-        node->dir_index != nullptr && node->dir_index->Lookup(component, &slot);
-    UnlockOp(node.get());
-    if (!found) {
-      return NotFound(component);
-    }
+    auto lookup = [&]() -> Result<DirSlot> {
+      DirSlot found;
+      if (node->dir_index == nullptr || !node->dir_index->Lookup(component, &found)) {
+        return NotFound(component);
+      }
+      return found;
+    };
+    TRIO_ASSIGN_OR_RETURN(DirSlot slot, ReadOp(node.get(), lookup));
     if (!slot.is_dir) {
       return NotDir(component);
     }
@@ -198,9 +198,10 @@ Status ArckFs::RemoveEntry(FileNode* dir, std::string_view name, bool must_be_di
     // rmdir requires an empty directory. Count live entries through our own mapping of the
     // child (a well-behaved LibFS never dereferences unmapped pages).
     NodePtr child = GetOrCreateNode(slot.ino, dir->ino, /*is_dir=*/true, d);
-    TRIO_RETURN_IF_ERROR(LockForOp(child.get(), 1));
-    const size_t live = child->dir_index != nullptr ? child->dir_index->Size() : 0;
-    UnlockOp(child.get());
+    auto count = [&]() -> Result<size_t> {
+      return child->dir_index != nullptr ? child->dir_index->Size() : 0;
+    };
+    TRIO_ASSIGN_OR_RETURN(const size_t live, ReadOp(child.get(), count));
     if (live != 0) {
       return NotEmpty(std::string(name));
     }
@@ -255,14 +256,9 @@ Status ArckFs::RemoveEntry(FileNode* dir, std::string_view name, bool must_be_di
 Result<ArckFs::NodePtr> ArckFs::OpenNodeByPath(const std::string& path, bool write) {
   TRIO_ASSIGN_OR_RETURN(SplitParent parts, SplitParentPath(path));
   TRIO_ASSIGN_OR_RETURN(NodePtr parent, ResolveDir(parts.parent));
-  TRIO_RETURN_IF_ERROR(LockForOp(parent.get(), 1));
-  Result<DirSlot> slot = FindEntry(parent.get(), parts.leaf);
-  UnlockOp(parent.get());
-  if (!slot.ok()) {
-    return slot.status();
-  }
-  NodePtr node =
-      GetOrCreateNode(slot->ino, parent->ino, slot->is_dir, SlotPointer(*slot));
+  auto lookup = [&] { return FindEntry(parent.get(), parts.leaf); };
+  TRIO_ASSIGN_OR_RETURN(DirSlot slot, ReadOp(parent.get(), lookup));
+  NodePtr node = GetOrCreateNode(slot.ino, parent->ino, slot.is_dir, SlotPointer(slot));
   TRIO_RETURN_IF_ERROR(EnsureMapped(node.get(), write));
   return node;
 }
@@ -272,14 +268,33 @@ Result<Fd> ArckFs::Open(const std::string& path, OpenFlags flags, uint32_t mode)
   TRIO_ASSIGN_OR_RETURN(SplitParent parts, SplitParentPath(path));
   TRIO_ASSIGN_OR_RETURN(NodePtr parent, ResolveDir(parts.parent));
 
-  const int parent_level = flags.create ? 2 : 1;
-  TRIO_RETURN_IF_ERROR(LockForOp(parent.get(), parent_level));
-  Result<DirSlot> found = FindEntry(parent.get(), parts.leaf);
+  // A create looks the name up and inserts it under one write-level hold of the parent;
+  // a plain open only reads the parent.
+  bool created = false;
+  Result<DirSlot> found = [&]() -> Result<DirSlot> {
+    if (!flags.create) {
+      return ReadOp(parent.get(), [&] { return FindEntry(parent.get(), parts.leaf); });
+    }
+    TRIO_RETURN_IF_ERROR(LockForOp(parent.get(), 2));
+    Result<DirSlot> slot = FindEntry(parent.get(), parts.leaf);
+    if (!slot.ok() && slot.status().Is(ErrorCode::kNotFound)) {
+      slot = CreateEntry(parent.get(), parts.leaf, kModeRegular | (mode & kModePermMask),
+                         flags.exclusive);
+      created = slot.ok();
+    }
+    UnlockOp(parent.get());
+    return slot;
+  }();
+  if (!found.ok()) {
+    return found.status();
+  }
 
   NodePtr node;
-  bool created = false;
-  if (found.ok()) {
-    UnlockOp(parent.get());
+  if (created) {
+    // A freshly created file is implicitly write-held by its creator: its pages are our
+    // leases and the kernel learns of it when the parent directory is next verified.
+    node = CreateNode(found->ino, parent->ino, /*is_dir=*/false, SlotPointer(*found));
+  } else {
     if (flags.create && flags.exclusive) {
       return AlreadyExists(parts.leaf);
     }
@@ -288,21 +303,6 @@ Result<Fd> ArckFs::Open(const std::string& path, OpenFlags flags, uint32_t mode)
     }
     node = GetOrCreateNode(found->ino, parent->ino, found->is_dir, SlotPointer(*found));
     TRIO_RETURN_IF_ERROR(EnsureMapped(node.get(), flags.write));
-  } else if (found.status().Is(ErrorCode::kNotFound) && flags.create) {
-    Result<DirSlot> slot =
-        CreateEntry(parent.get(), parts.leaf, kModeRegular | (mode & kModePermMask),
-                    flags.exclusive);
-    UnlockOp(parent.get());
-    if (!slot.ok()) {
-      return slot.status();
-    }
-    // A freshly created file is implicitly write-held by its creator: its pages are our
-    // leases and the kernel learns of it when the parent directory is next verified.
-    node = CreateNode(slot->ino, parent->ino, /*is_dir=*/false, SlotPointer(*slot));
-    created = true;
-  } else {
-    UnlockOp(parent.get());
-    return found.status();
   }
 
   if (flags.truncate && !created) {
@@ -582,48 +582,36 @@ Result<StatInfo> ArckFs::Stat(const std::string& path) {
   parts.parent = std::move(components);
 
   TRIO_ASSIGN_OR_RETURN(NodePtr parent, ResolveDir(parts.parent));
-  TRIO_RETURN_IF_ERROR(LockForOp(parent.get(), 1));
-  Result<DirSlot> slot = FindEntry(parent.get(), parts.leaf);
-  Status failed = slot.ok() ? OkStatus() : slot.status();
-  StatInfo info;
-  if (slot.ok()) {
-    const DirentBlock* d = SlotPointer(*slot);
-    info = StatInfo{d->ino, d->mode, d->uid, d->gid, d->size, d->mtime_ns, d->ctime_ns};
-  }
-  UnlockOp(parent.get());
-  if (!failed.ok()) {
-    return failed;
-  }
-  return info;
+  return ReadOp(parent.get(), [&]() -> Result<StatInfo> {
+    TRIO_ASSIGN_OR_RETURN(DirSlot slot, FindEntry(parent.get(), parts.leaf));
+    const DirentBlock* d = SlotPointer(slot);
+    return StatInfo{d->ino, d->mode, d->uid, d->gid, d->size, d->mtime_ns, d->ctime_ns};
+  });
 }
 
 Result<std::vector<DirEntryInfo>> ArckFs::ReadDir(const std::string& path) {
   obs::OpScope op("ReadDir");
   TRIO_ASSIGN_OR_RETURN(std::vector<std::string> components, SplitPath(path));
   TRIO_ASSIGN_OR_RETURN(NodePtr node, ResolveDir(components));
-  TRIO_RETURN_IF_ERROR(LockForOp(node.get(), 1));
-  std::vector<DirEntryInfo> entries;
-  node->dir_index->ForEach([&](const std::string& name, const DirSlot& slot) {
-    entries.push_back(DirEntryInfo{name, slot.ino, slot.is_dir});
+  return ReadOp(node.get(), [&]() -> Result<std::vector<DirEntryInfo>> {
+    std::vector<DirEntryInfo> entries;
+    node->dir_index->ForEach([&](const std::string& name, const DirSlot& slot) {
+      entries.push_back(DirEntryInfo{name, slot.ino, slot.is_dir});
+    });
+    return entries;
   });
-  UnlockOp(node.get());
-  return entries;
 }
 
 Status ArckFs::Chmod(const std::string& path, uint32_t perm) {
   obs::OpScope op("Chmod");
   TRIO_ASSIGN_OR_RETURN(SplitParent parts, SplitParentPath(path));
   TRIO_ASSIGN_OR_RETURN(NodePtr parent, ResolveDir(parts.parent));
-  TRIO_RETURN_IF_ERROR(LockForOp(parent.get(), 1));
-  Result<DirSlot> slot = FindEntry(parent.get(), parts.leaf);
-  UnlockOp(parent.get());
-  if (!slot.ok()) {
-    return slot.status();
-  }
+  auto lookup = [&] { return FindEntry(parent.get(), parts.leaf); };
+  TRIO_ASSIGN_OR_RETURN(DirSlot slot, ReadOp(parent.get(), lookup));
   // Permission changes go through the kernel controller: the shadow inode is the ground
   // truth the verifier trusts (I4, §4.3).
-  TRIO_RETURN_IF_ERROR(EnsureReconciled(slot->ino));
-  return kernel_.Chmod(libfs_, slot->ino, perm);
+  TRIO_RETURN_IF_ERROR(EnsureReconciled(slot.ino));
+  return kernel_.Chmod(libfs_, slot.ino, perm);
 }
 
 Status ArckFs::ReleaseFile(const std::string& path) {
@@ -638,13 +626,9 @@ Status ArckFs::ReleaseFile(const std::string& path) {
   components.pop_back();
   parts.parent = std::move(components);
   TRIO_ASSIGN_OR_RETURN(NodePtr parent, ResolveDir(parts.parent));
-  TRIO_RETURN_IF_ERROR(LockForOp(parent.get(), 1));
-  Result<DirSlot> slot = FindEntry(parent.get(), parts.leaf);
-  UnlockOp(parent.get());
-  if (!slot.ok()) {
-    return slot.status();
-  }
-  RevokeNode(slot->ino);
+  auto lookup = [&] { return FindEntry(parent.get(), parts.leaf); };
+  TRIO_ASSIGN_OR_RETURN(DirSlot slot, ReadOp(parent.get(), lookup));
+  RevokeNode(slot.ino);
   return OkStatus();
 }
 
@@ -658,13 +642,9 @@ Status ArckFs::Commit(const std::string& path) {
     components.pop_back();
     parts.parent = std::move(components);
     TRIO_ASSIGN_OR_RETURN(NodePtr parent, ResolveDir(parts.parent));
-    TRIO_RETURN_IF_ERROR(LockForOp(parent.get(), 1));
-    Result<DirSlot> slot = FindEntry(parent.get(), parts.leaf);
-    UnlockOp(parent.get());
-    if (!slot.ok()) {
-      return slot.status();
-    }
-    ino = slot->ino;
+    auto lookup = [&] { return FindEntry(parent.get(), parts.leaf); };
+    TRIO_ASSIGN_OR_RETURN(DirSlot slot, ReadOp(parent.get(), lookup));
+    ino = slot.ino;
   }
   TRIO_RETURN_IF_ERROR(EnsureReconciled(ino));
   return kernel_.CommitFile(libfs_, ino);

@@ -41,6 +41,7 @@ ArckFs::NodePtr ArckFs::CreateNode(Ino ino, Ino parent, bool is_dir, DirentBlock
     node->dir_index = std::make_unique<DirIndex>();  // Empty directory aux.
   }
   node->locally_created = true;
+  ++node->map_revision;
   node->map_state.store(2, std::memory_order_release);
   return node;
 }
@@ -56,24 +57,56 @@ void ArckFs::DropNode(Ino ino) {
   nodes_.erase(ino);
 }
 
+template <typename Fn>
+void ArckFs::UnmapLocally(FileNode* node, Fn&& release) {
+  ++node->map_revision;  // Invalidate any MapFile grant in flight in EnsureMapped.
+  node->op_lock.lock();  // Drain in-flight operations.
+  release();
+  // Auxiliary state stays allocated: map_state 0 keeps every op out of it, and the next
+  // map's RebuildAux resets and refills it in place from the (possibly
+  // verified-and-rolled-back) core state.
+  {
+    // Promoted tier copies go — after the handoff the kernel may digest a newer version
+    // of these pages, and a stale cached copy would serve old bytes.
+    std::vector<PageNumber> recycled;
+    promote_cache_.EraseFile(node->ino, &recycled);
+    leases_.RecyclePages(recycled);
+  }
+  node->locally_created = false;
+  node->revoked = true;
+  node->map_state.store(0, std::memory_order_release);
+  node->op_lock.unlock();
+}
+
 Status ArckFs::EnsureMapped(FileNode* node, bool write) {
   obs::TraceSpan span("EnsureMapped");
   std::unique_lock<std::mutex> guard(node->map_mutex);
   const int need = write ? 2 : 1;
+  auto tear_down = [&] {
+    UnmapLocally(node, [] {});
+    stats_.reader_teardowns.fetch_add(1, std::memory_order_relaxed);
+  };
   for (;;) {
+    // A dropped read grant goes before anything maps over it. An upgrade to write would
+    // otherwise keep auxiliary state built from bytes another writer has since changed.
+    if (ReadGrantDropped(node)) {
+      tear_down();
+    }
     if (!node->stale.load(std::memory_order_acquire) &&
         node->map_state.load(std::memory_order_acquire) >= need) {
       return OkStatus();
     }
-    const bool was_unmapped =
+    bool unmapped =
         node->map_state.load(std::memory_order_relaxed) == 0 || node->stale.load();
     const uint64_t revision = node->map_revision;
     // The kernel crossing runs WITHOUT our node lock: MapFile may synchronously revoke
-    // the conflicting holder, and that holder's RevokeNode takes its own node's
+    // the conflicting writer, and that writer's RevokeNode takes its own node's
     // map_mutex — holding ours across the call is an ABBA inversion when two tenants
-    // revoke each other. If a revoke of THIS node lands in the unlocked window the
-    // revision moves and the (now possibly stale) grant is simply requested again.
-    // A grant the kernel still holds for us is revalidated by the same call.
+    // revoke each other. If THIS node is unmapped or mapped by another thread in the
+    // unlocked window, the revision moves and the state is evaluated again: the grant
+    // may be stale, and a second RebuildAux would reset the auxiliary state under the
+    // ops the first mapping let in. A grant the kernel still holds for us is
+    // revalidated by the same call.
     guard.unlock();
     Result<MapInfo> mapped = kernel_.MapFile(libfs_, node->ino, write);
     guard.lock();
@@ -82,15 +115,28 @@ Status ArckFs::EnsureMapped(FileNode* node, bool write) {
       continue;
     }
     const MapInfo& info = *mapped;
+    if (!unmapped && info.map_epoch != node->map_epoch.load(std::memory_order_relaxed)) {
+      // Our read grant was dropped in the unlocked window, before this upgrade.
+      tear_down();
+      unmapped = true;
+    }
     if (info.dirent_page == 0) {
       node->dirent = &SuperblockOf(pool_)->root;
     } else {
       auto* page = reinterpret_cast<DirDataPage*>(pool_.PageAddress(info.dirent_page));
       node->dirent = &page->slots[info.dirent_slot];
     }
-    if (was_unmapped) {
-      TRIO_RETURN_IF_ERROR(RebuildAux(node));
+    if (unmapped) {
+      Status rebuilt = RebuildAux(node);
+      if (!rebuilt.ok()) {
+        if (!info.writable && !kernel_.MapEpochHolds(node->ino, info.map_epoch)) {
+          continue;  // Rebuilt from bytes a writer was changing: map again.
+        }
+        return rebuilt;
+      }
     }
+    ++node->map_revision;
+    node->map_epoch.store(info.map_epoch, std::memory_order_relaxed);
     node->revoked = false;
     node->stale.store(false, std::memory_order_release);
     node->map_state.store(info.writable ? 2 : 1, std::memory_order_release);
@@ -101,7 +147,7 @@ Status ArckFs::EnsureMapped(FileNode* node, bool write) {
 Status ArckFs::AcquireOpLock(FileNode* node, int level) {
   for (int attempt = 0;; ++attempt) {
     if (node->stale.load(std::memory_order_acquire) ||
-        node->map_state.load(std::memory_order_acquire) < level) {
+        node->map_state.load(std::memory_order_acquire) < level || ReadGrantDropped(node)) {
       TRIO_RETURN_IF_ERROR(EnsureMapped(node, level == 2));
     }
     node->op_lock.lock_shared();
@@ -137,39 +183,25 @@ void ArckFs::RevokeNode(Ino ino) {
     return;
   }
   std::lock_guard<std::mutex> guard(node->map_mutex);
-  ++node->map_revision;  // Invalidate any MapFile grant in flight in EnsureMapped.
   node->stale.store(true, std::memory_order_release);
-  node->op_lock.lock();  // Drain in-flight operations.
-  if (!config_.sync_data && !node->is_dir) {
-    FlushDirtyData(node.get());  // Shared data must be durable before the handoff.
-  }
-  if (node->locally_created) {
-    // The kernel only learns about files we created when the parent directory is
-    // verified; reconcile it now so the unmap below targets a known record. Harmless if
-    // the parent was already released (the kernel reconciled it then).
-    (void)kernel_.CommitFile(libfs_, node->parent);
-  }
-  // Always answer the kernel, even when we believe we hold nothing: the kernel may
-  // carry an implicit write grant for this ino (created when a parent-directory commit
-  // reconciled our locally-created children AFTER we had already torn down the node).
-  // Skipping the unmap here left that grant in place and the revoking mapper looping on
-  // completed-but-ineffective revoke callbacks. UnmapFile is idempotent — it returns
-  // kNotFound/kInvalidArgument when there is truly nothing to release.
-  (void)kernel_.UnmapFile(libfs_, ino);
-  // Auxiliary state stays allocated: map_state 0 keeps every op out of it, and the next
-  // map's RebuildAux resets and refills it in place from the (possibly
-  // verified-and-rolled-back) core state.
-  {
-    // Promoted tier copies go — after the handoff the kernel may digest a newer version
-    // of these pages, and a stale cached copy would serve old bytes.
-    std::vector<PageNumber> recycled;
-    promote_cache_.EraseFile(ino, &recycled);
-    leases_.RecyclePages(recycled);
-  }
-  node->locally_created = false;
-  node->revoked = true;
-  node->map_state.store(0, std::memory_order_release);
-  node->op_lock.unlock();
+  UnmapLocally(node.get(), [&] {
+    if (!config_.sync_data && !node->is_dir) {
+      FlushDirtyData(node.get());  // Shared data must be durable before the handoff.
+    }
+    if (node->locally_created) {
+      // The kernel only learns about files we created when the parent directory is
+      // verified; reconcile it now so the unmap below targets a known record. Harmless
+      // if the parent was already released (the kernel reconciled it then).
+      (void)kernel_.CommitFile(libfs_, node->parent);
+    }
+    // Always answer the kernel, even when we believe we hold nothing: the kernel may
+    // carry an implicit write grant for this ino (created when a parent-directory commit
+    // reconciled our locally-created children AFTER we had already torn down the node).
+    // Skipping the unmap here left that grant in place and the revoking mapper looping on
+    // completed-but-ineffective revoke callbacks. UnmapFile is idempotent — it returns
+    // kNotFound/kInvalidArgument when there is truly nothing to release.
+    (void)kernel_.UnmapFile(libfs_, ino);
+  });
   node->stale.store(false, std::memory_order_release);
   stats_.revocations.fetch_add(1, std::memory_order_relaxed);
 }

@@ -31,9 +31,8 @@ void NvmPool::Init() {
 
 NvmPool::NvmPool(size_t pages, NvmMode mode, NumaTopology topology)
     : num_pages_(pages), mode_(mode), topology_(topology) {
-  heap_ = std::make_unique<char[]>(num_pages_ * kPageSize);
+  heap_ = std::make_unique<char[]>(num_pages_ * kPageSize);  // Value-initialized: zeros.
   main_ = heap_.get();
-  std::memset(main_, 0, num_pages_ * kPageSize);
   Init();
 }
 

@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -571,9 +574,12 @@ TEST_F(ArckFsTest, RebuildAfterRevokeShowsOnlyTheNewCoreState) {
   ASSERT_TRUE(other.Stat("/d/gone").ok());
   ASSERT_TRUE(other.ReadDir("/d").ok());
   const uint64_t revocations = other.libfs_stats().revocations.load();
+  const uint64_t dropped = kernel_->stats().readers_dropped.load();
+  const uint64_t teardowns = other.libfs_stats().reader_teardowns.load();
 
-  // A takes both write grants, revoking B: the file loses its last two pages and gets
-  // new bytes in the third, and the directory loses one name and renames another.
+  // A takes both write grants, dropping B's read grants in the kernel without asking B:
+  // the file loses its last two pages and gets new bytes in the third, and the directory
+  // loses one name and renames another.
   {
     Result<Fd> afd = fs_->Open("/d/file", OpenFlags::ReadWrite());
     ASSERT_TRUE(afd.ok());
@@ -583,9 +589,11 @@ TEST_F(ArckFsTest, RebuildAfterRevokeShowsOnlyTheNewCoreState) {
   }
   ASSERT_TRUE(fs_->Unlink("/d/gone").ok());
   ASSERT_TRUE(fs_->Rename("/d/moved", "/d/renamed").ok());
-  EXPECT_GE(other.libfs_stats().revocations.load(), revocations + 2);
+  EXPECT_EQ(kernel_->stats().readers_dropped.load(), dropped + 2);
+  EXPECT_EQ(other.libfs_stats().revocations.load(), revocations);
 
-  // B's next reads rebuild in place and see only what A left.
+  // B's next reads find both grants gone, tear the mappings down, map again and rebuild
+  // in place, and see only what A left.
   std::string now(2 * kPageSize + 3, '?');
   Result<size_t> n = other.Pread(*fd, now.data(), now.size(), 0);
   ASSERT_TRUE(n.ok()) << n.status().ToString();
@@ -604,7 +612,252 @@ TEST_F(ArckFsTest, RebuildAfterRevokeShowsOnlyTheNewCoreState) {
   }
   std::sort(names.begin(), names.end());
   EXPECT_EQ(names, (std::vector<std::string>{"file", "renamed"}));
+  EXPECT_EQ(other.libfs_stats().reader_teardowns.load(), teardowns + 2);
+  EXPECT_EQ(other.libfs_stats().revocations.load(), revocations);
   EXPECT_EQ(ReadAll("/d/renamed"), "m");
+}
+
+// B reads a 3-page file; A truncates it to one page and writes page 2, dropping B's read
+// grant. B then opens the file read-write: the upgrade must rebuild B's auxiliary state
+// from A's verified file before B writes. Through the old state, B's page-1 write would
+// land in a page A's truncate took out of the file, and read back as zeros.
+TEST_F(ArckFsTest, UpgradeAfterADroppedReadRebuildsBeforeWriting) {
+  ArckFs other(*kernel_);
+  WriteFile("/f", std::string(3 * kPageSize, 'x'));
+  ASSERT_TRUE(fs_->ReleaseFile("/f").ok());
+  {
+    Result<Fd> fd = other.Open("/f", OpenFlags::ReadOnly());
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    std::string seen(3 * kPageSize, '\0');
+    ASSERT_TRUE(other.Pread(*fd, seen.data(), seen.size(), 0).ok());
+    ASSERT_TRUE(other.Close(*fd).ok());
+  }
+  {
+    Result<Fd> fd = fs_->Open("/f", OpenFlags::ReadWrite());
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(fs_->Ftruncate(*fd, kPageSize).ok());
+    const std::string page2(kPageSize, 'z');
+    ASSERT_TRUE(fs_->Pwrite(*fd, page2.data(), page2.size(), 2 * kPageSize).ok());
+    ASSERT_TRUE(fs_->Close(*fd).ok());
+  }
+  {
+    Result<Fd> fd = other.Open("/f", OpenFlags::ReadWrite());
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    const std::string page1(kPageSize, 'y');
+    Result<size_t> n = other.Pwrite(*fd, page1.data(), page1.size(), kPageSize);
+    ASSERT_TRUE(n.ok()) << n.status().ToString();
+    ASSERT_EQ(*n, kPageSize);
+    ASSERT_TRUE(other.Close(*fd).ok());
+  }
+  ASSERT_TRUE(other.ReleaseFile("/f").ok());
+  EXPECT_EQ(ReadAll("/f"), std::string(kPageSize, 'x') + std::string(kPageSize, 'y') +
+                               std::string(kPageSize, 'z'));
+  EXPECT_EQ(kernel_->stats().verify_failures.load(), 0u);
+}
+
+// Reaches the read-level machinery a test drives by hand.
+class ProbeFs : public ArckFs {
+ public:
+  using ArckFs::ArckFs;
+  using ArckFs::FileNode;
+  using ArckFs::kWriteMapped;
+  using ArckFs::LockForOp;
+  using ArckFs::NodePtr;
+  using ArckFs::ReadEpoch;
+  using ArckFs::ReadEpochHolds;
+  using ArckFs::ReadLocked;
+  using ArckFs::ReadOp;
+  using ArckFs::UnlockOp;
+  Result<NodePtr> MapForRead(const std::string& path) {
+    return OpenNodeByPath(path, /*write=*/false);
+  }
+};
+
+// A write grant lands in the middle of a read-level op, single-threaded: the kernel drops
+// the reader without waiting for the op, the op's end-of-op check reports the move, and
+// the rerun returns the writer's bytes only after mapping the file again has revoked the
+// writer and verified its work.
+TEST_F(ArckFsTest, ReadDroppedMidOpRunsAgainAfterTheWriterIsVerified) {
+  WriteFile("/f", std::string(kPageSize, 'a'));
+  ASSERT_TRUE(fs_->ReleaseFile("/f").ok());
+  ProbeFs reader(*kernel_);
+  ArckFs writer(*kernel_);
+  auto write_page = [&](char c) {
+    Result<Fd> fd = writer.Open("/f", OpenFlags::ReadWrite());
+    TRIO_CHECK(fd.ok()) << fd.status().ToString();
+    const std::string page(kPageSize, c);
+    TRIO_CHECK(writer.Pwrite(*fd, page.data(), page.size(), 0).ok());
+    TRIO_CHECK_OK(writer.Close(*fd));  // The writer keeps its grant.
+  };
+  Result<ProbeFs::NodePtr> mapped = reader.MapForRead("/f");
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ProbeFs::FileNode* node = mapped->get();
+
+  // An open read-level window, and a write grant inside it.
+  ASSERT_TRUE(reader.LockForOp(node, 1).ok());
+  const uint64_t epoch = reader.ReadEpoch(node);
+  ASSERT_NE(epoch, ProbeFs::kWriteMapped);
+  EXPECT_TRUE(reader.ReadEpochHolds(node, epoch));
+  const uint64_t revocations = kernel_->stats().revocations.load();
+  const uint64_t verifications = kernel_->stats().verifications.load();
+  write_page('b');
+  EXPECT_FALSE(reader.ReadEpochHolds(node, epoch));
+  EXPECT_EQ(kernel_->stats().revocations.load(), revocations);
+  EXPECT_EQ(kernel_->stats().verifications.load(), verifications);
+  reader.UnlockOp(node);
+
+  // A read whose first run overlaps another write grant runs again. Each run starts only
+  // after its map revoked the writer and verified the writer's bytes.
+  const uint64_t retries = reader.libfs_stats().read_retries.load();
+  std::string got(kPageSize, '\0');
+  int runs = 0;
+  Result<size_t> read = reader.ReadOp(node, [&]() -> Result<size_t> {
+    ++runs;
+    EXPECT_EQ(kernel_->stats().revocations.load(), revocations + runs);
+    EXPECT_EQ(kernel_->stats().verifications.load(), verifications + runs);
+    Result<size_t> n = reader.ReadLocked(node, got.data(), got.size(), 0);
+    if (runs == 1) {
+      EXPECT_EQ(got, std::string(kPageSize, 'b'));
+      write_page('c');
+    }
+    return n;
+  });
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, kPageSize);
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(got, std::string(kPageSize, 'c'));
+  EXPECT_EQ(reader.libfs_stats().read_retries.load(), retries + 1);
+  EXPECT_EQ(kernel_->stats().forced_releases.load(), 0u);
+  EXPECT_EQ(kernel_->stats().verify_failures.load(), 0u);
+}
+
+// ROADMAP item 4's attack test. Reader threads in two LibFSes pread 4 KiB blocks that name
+// their file, offset and version while a third LibFS rewrites them. A reader's copy
+// overlaps the writer's by design: on hardware those loads fault, and here the end-of-op
+// epoch check discards them. So every block returned must be one whole version, no newer
+// than any the writer began and no older than one its thread already saw. Racy by design,
+// so it is not run under ThreadSanitizer.
+TEST_F(ArckFsTest, OverlappingReadersReturnOnlyWholeCommittedBlocks) {
+  constexpr uint64_t kBlocks = 4;
+  constexpr uint64_t kFileId = 7;
+  constexpr int kThreadsPerReader = 2;
+  constexpr uint64_t kMinWrites = 400;
+  auto fill = [](char* dst, uint64_t block, uint64_t version) {
+    const uint64_t header[3] = {kFileId, block * kPageSize, version};
+    std::memcpy(dst, header, sizeof(header));
+    for (size_t i = sizeof(header); i < kPageSize; ++i) {
+      dst[i] = static_cast<char>((version * 131 + block * 17 + i) & 0xff);
+    }
+  };
+  // Its own kernel, with a revoke grace no scheduler stall on a loaded machine reaches:
+  // a revoke that timed out would force the writer mid-write.
+  NvmPool pool(2048);
+  FormatOptions options;
+  options.max_inodes = 256;
+  TRIO_CHECK_OK(Format(pool, options));
+  KernelConfig config;
+  config.revoke_grace_ms = 10000;
+  KernelController kernel(pool, config);
+  TRIO_CHECK_OK(kernel.Mount());
+  std::vector<std::atomic<uint64_t>> started(kBlocks);
+  ArckFs writer(kernel);
+  {
+    std::string block(kPageSize, '\0');
+    Result<Fd> fd = writer.Open("/blocks", OpenFlags::CreateTrunc());
+    ASSERT_TRUE(fd.ok());
+    for (uint64_t b = 0; b < kBlocks; ++b) {
+      fill(block.data(), b, 1);
+      started[b].store(1);
+      ASSERT_TRUE(writer.Pwrite(*fd, block.data(), kPageSize, b * kPageSize).ok());
+    }
+    ASSERT_TRUE(writer.Close(*fd).ok());
+  }
+  ArckFs reader_a(kernel);
+  ArckFs reader_b(kernel);
+  auto retries = [&] {
+    return reader_a.libfs_stats().read_retries.load() +
+           reader_b.libfs_stats().read_retries.load();
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> bad{0};
+  std::mutex bad_mu;
+  std::string first_bad;
+  auto report = [&](const std::string& what) {
+    if (bad.fetch_add(1) == 0) {
+      std::lock_guard<std::mutex> guard(bad_mu);
+      first_bad = what;
+    }
+  };
+  auto read_loop = [&](ArckFs& fs, uint64_t seed) {
+    Rng rng(seed);
+    std::vector<uint64_t> seen(kBlocks, 1);
+    std::string got(kPageSize, '\0');
+    std::string want(kPageSize, '\0');
+    Result<Fd> fd = fs.Open("/blocks", OpenFlags::ReadOnly());
+    if (!fd.ok()) {
+      report("open: " + fd.status().ToString());
+      return;
+    }
+    while (!stop.load()) {
+      const uint64_t b = rng.Below(kBlocks);
+      Result<size_t> n = fs.Pread(*fd, got.data(), kPageSize, b * kPageSize);
+      if (!n.ok() || *n != kPageSize) {
+        report("pread: " + n.status().ToString());
+        continue;
+      }
+      uint64_t header[3];
+      std::memcpy(header, got.data(), sizeof(header));
+      fill(want.data(), b, header[2]);
+      if (header[0] != kFileId || header[1] != b * kPageSize || got != want ||
+          header[2] < seen[b] || header[2] > started[b].load()) {
+        report("block " + std::to_string(b) + " read as file " + std::to_string(header[0]) +
+               " offset " + std::to_string(header[1]) + " version " +
+               std::to_string(header[2]) + (got != want ? " (torn)" : "") +
+               ", after version " + std::to_string(seen[b]));
+        continue;
+      }
+      seen[b] = header[2];
+      reads.fetch_add(1);
+    }
+    (void)fs.Close(*fd);
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreadsPerReader; ++t) {
+    threads.emplace_back(read_loop, std::ref(reader_a), TestSeed() + 2 * t);
+    threads.emplace_back(read_loop, std::ref(reader_b), TestSeed() + 2 * t + 1);
+  }
+
+  // The writer runs until it has rewritten enough blocks and some read has overlapped a
+  // write grant, within a bound for a loaded machine.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::string block(kPageSize, '\0');
+  uint64_t writes = 0;
+  while ((writes < kMinWrites || retries() == 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    const uint64_t b = writes % kBlocks;
+    const uint64_t version = started[b].load() + 1;
+    fill(block.data(), b, version);
+    started[b].store(version);
+    Result<Fd> fd = writer.Open("/blocks", OpenFlags::ReadWrite());
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    Result<size_t> n = writer.Pwrite(*fd, block.data(), kPageSize, b * kPageSize);
+    ASSERT_TRUE(n.ok()) << n.status().ToString();
+    ASSERT_TRUE(writer.Close(*fd).ok());
+    ++writes;
+  }
+  stop.store(true);
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(bad.load(), 0u) << first_bad;
+  EXPECT_GE(writes, kMinWrites);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_GT(retries(), 0u);
+  // The writer re-maps as soon as it is revoked; it is never forced for it.
+  EXPECT_EQ(kernel.stats().forced_releases.load(), 0u);
+  EXPECT_EQ(kernel.stats().verify_failures.load(), 0u);
 }
 
 // B maps a file, at either strength; A deletes it and releases the directory, so the kernel

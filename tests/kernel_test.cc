@@ -11,7 +11,6 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -497,12 +496,14 @@ TEST_F(KernelTest, MapRootGrantsPagesAndEnforcesPolicy) {
   // Concurrent readers are fine.
   ASSERT_TRUE(kernel_->MapRoot(b, false).ok());
 
-  // A writer revokes both readers (no revoke callbacks registered: forced release).
+  // B's write grant drops A's read grant in the kernel (A has no revoke callback, and
+  // needs none), and A loses its read access with it.
   Result<MapInfo> write_b = kernel_->MapFile(b, kRootIno, true);
   ASSERT_TRUE(write_b.ok());
   EXPECT_TRUE(write_b->writable);
   EXPECT_TRUE(kernel_->IsWriteMapped(kRootIno));
   EXPECT_TRUE(kernel_->MmuCheck(b, root_index, true));
+  EXPECT_FALSE(kernel_->MmuCheck(a, root_index, false));
 
   kernel_->UnregisterLibFs(a);
   kernel_->UnregisterLibFs(b);
@@ -534,27 +535,24 @@ TEST_F(KernelTest, WriteConflictInvokesRevokeCallback) {
   kernel_->UnregisterLibFs(requester);
 }
 
-// LibFSes that map the root for reading and answer revokes by unmapping, except that the
-// revoke callback that runs `hang_at`-th (from 0, across all of them) first blocks until
-// `release` is set. State the callbacks touch lives here, owned by every callback.
+// LibFSes that map the root for reading, with revoke callbacks that count their runs and
+// unmap; with `hang`, a callback first blocks until `release` is set. State the callbacks
+// touch lives here, owned by every callback.
 struct ReadHolders {
   struct Holder {
     LibFsId id = kNoLibFs;
     std::atomic<int> revokes{0};
-    std::atomic<bool> unmapped{false};
-    std::thread::id ran_on;
   };
-  int hang_at = -1;
-  std::atomic<int> callbacks{0};
+  bool hang = false;
   std::atomic<bool> release{false};
-  std::atomic<bool> hung_returned{false};
   std::vector<std::unique_ptr<Holder>> holders;
+  uint64_t map_epoch = 0;  // The epoch their read grants carry.
 };
 
 std::shared_ptr<ReadHolders> MapReadHolders(KernelController& kernel, int count,
-                                            int hang_at = -1) {
+                                            bool hang = false) {
   auto state = std::make_shared<ReadHolders>();
-  state->hang_at = hang_at;
+  state->hang = hang;
   for (int i = 0; i < count; ++i) {
     state->holders.push_back(std::make_unique<ReadHolders::Holder>());
   }
@@ -562,42 +560,47 @@ std::shared_ptr<ReadHolders> MapReadHolders(KernelController& kernel, int count,
     ReadHolders::Holder* holder = state->holders[i].get();
     LibFsOptions options;
     options.callbacks.revoke = [&kernel, state, holder](Ino ino) {
-      holder->ran_on = std::this_thread::get_id();
       holder->revokes.fetch_add(1);
-      const bool hang = state->callbacks.fetch_add(1) == state->hang_at;
-      while (hang && !state->release.load()) {
+      while (state->hang && !state->release.load()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
-      holder->unmapped.store(kernel.UnmapFile(holder->id, ino).ok());
-      if (hang) {
-        state->hung_returned.store(true);
-      }
+      (void)kernel.UnmapFile(holder->id, ino);
     };
     holder->id = kernel.RegisterLibFs(options);
-    TRIO_CHECK(kernel.MapRoot(holder->id, /*write=*/false).ok());
+    Result<MapInfo> granted = kernel.MapRoot(holder->id, /*write=*/false);
+    TRIO_CHECK(granted.ok());
+    state->map_epoch = granted->map_epoch;
   }
   return state;
 }
 
-TEST_F(KernelTest, WriteOverReadersRevokesThemAllInOneGuardedRun) {
+// A reader holds nothing uncommitted, so a write grant drops every reader in the kernel:
+// no upcall runs, each reader loses its MMU access, and the map epoch moves so their next
+// ops find their grants gone.
+TEST_F(KernelTest, WriteOverReadersDropsThemWithoutAnUpcall) {
   std::shared_ptr<ReadHolders> readers = MapReadHolders(*kernel_, 3);
   const LibFsId writer = Register();
   const uint64_t runs = kernel_->stats().callback_runs.load();
   const uint64_t revocations = kernel_->stats().revocations.load();
+  const uint64_t dropped = kernel_->stats().readers_dropped.load();
+  EXPECT_TRUE(kernel_->MapEpochHolds(kRootIno, readers->map_epoch));
 
   Result<MapInfo> granted = kernel_->MapRoot(writer, /*write=*/true);
   ASSERT_TRUE(granted.ok()) << granted.status().ToString();
   EXPECT_TRUE(granted->writable);
-  EXPECT_EQ(kernel_->stats().callback_runs.load(), runs + 1);
-  EXPECT_EQ(kernel_->stats().revocations.load(), revocations + 3);
-  EXPECT_EQ(kernel_->stats().callback_timeouts.load(), 0u);
+  EXPECT_EQ(kernel_->stats().callback_runs.load(), runs);
+  EXPECT_EQ(kernel_->stats().revocations.load(), revocations);
+  EXPECT_EQ(kernel_->stats().readers_dropped.load(), dropped + 3);
   EXPECT_EQ(kernel_->stats().forced_releases.load(), 0u);
+  // The grant reports the epoch it was decided at; the drop then moved it.
+  EXPECT_EQ(granted->map_epoch, readers->map_epoch);
+  EXPECT_FALSE(kernel_->MapEpochHolds(kRootIno, readers->map_epoch));
   const PageNumber root_index = SuperblockOf(pool_)->root.first_index_page;
   for (const auto& reader : readers->holders) {
-    EXPECT_EQ(reader->revokes.load(), 1);
-    EXPECT_TRUE(reader->unmapped.load());
-    EXPECT_EQ(reader->ran_on, readers->holders[0]->ran_on);  // One helper ran them all.
+    EXPECT_EQ(reader->revokes.load(), 0);
     EXPECT_FALSE(kernel_->MmuCheck(reader->id, root_index, false));
+    // Nothing is left to hand back.
+    EXPECT_TRUE(kernel_->UnmapFile(reader->id, kRootIno).Is(ErrorCode::kInvalidArgument));
   }
   EXPECT_TRUE(kernel_->MmuCheck(writer, root_index, true));
 
@@ -607,50 +610,94 @@ TEST_F(KernelTest, WriteOverReadersRevokesThemAllInOneGuardedRun) {
   }
 }
 
-TEST(KernelRevokeTest, HungHolderMidBatchIsTheOnlyOneForced) {
+KernelConfig RevokeConfig(uint64_t lease_ms, uint64_t grace_ms) {
+  KernelConfig config;
+  config.lease_ms = lease_ms;
+  config.revoke_grace_ms = grace_ms;
+  return config;
+}
+
+// A writer whose revoke callback hangs past its lease plus grace is abandoned, its grant
+// reclaimed by force after its work is verified, and the mapper gets the file.
+TEST(KernelRevokeTest, HungWriterIsForceReleasedAndVerified) {
   NvmPool pool(2048);
   FormatOptions options;
   options.max_inodes = 1024;
   TRIO_CHECK_OK(Format(pool, options));
-  KernelConfig config;
-  // A reader's whole budget (its lease remainder is 0): the hang overruns it, while the
-  // cooperative callbacks finish within it even on a loaded machine.
-  config.revoke_grace_ms = 200;
-  KernelController kernel(pool, config);
+  constexpr uint64_t kLeaseMs = 50;
+  constexpr uint64_t kGraceMs = 50;
+  KernelController kernel(pool, RevokeConfig(kLeaseMs, kGraceMs));
   TRIO_CHECK_OK(kernel.Mount());
-  // The second callback of the batch hangs.
-  std::shared_ptr<ReadHolders> readers = MapReadHolders(kernel, 3, /*hang_at=*/1);
-  const LibFsId writer = kernel.RegisterLibFs(LibFsOptions{});
+  struct Hang {
+    std::atomic<bool> release{false};
+    std::atomic<bool> returned{false};
+    std::atomic<bool> unmapped{false};
+  };
+  auto hang = std::make_shared<Hang>();
+  LibFsOptions hung_options;
+  LibFsId hung = kNoLibFs;
+  hung_options.callbacks.revoke = [&kernel, hang, &hung](Ino ino) {
+    while (!hang->release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    hang->unmapped.store(kernel.UnmapFile(hung, ino).ok());
+    hang->returned.store(true);
+  };
+  hung = kernel.RegisterLibFs(hung_options);
+  ASSERT_TRUE(kernel.MapRoot(hung, /*write=*/true).ok());
+  const LibFsId mapper = kernel.RegisterLibFs(LibFsOptions{});
+  const uint64_t verifications = kernel.stats().verifications.load();
 
-  Result<MapInfo> granted = kernel.MapRoot(writer, /*write=*/true);
+  const auto start = std::chrono::steady_clock::now();
+  Result<MapInfo> granted = kernel.MapRoot(mapper, /*write=*/true);
   ASSERT_TRUE(granted.ok()) << granted.status().ToString();
   EXPECT_TRUE(granted->writable);
-  EXPECT_FALSE(readers->hung_returned.load());
-  EXPECT_EQ(kernel.stats().forced_releases.load(), 1u);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(kGraceMs));
+  EXPECT_FALSE(hang->returned.load());
+  EXPECT_EQ(kernel.stats().revocations.load(), 1u);
   EXPECT_EQ(kernel.stats().callback_timeouts.load(), 1u);
-  // The batch stopped at the hung holder; the third ran in a second upcall.
-  EXPECT_EQ(kernel.stats().callback_runs.load(), 2u);
-  EXPECT_EQ(kernel.stats().revocations.load(), 4u);
+  EXPECT_EQ(kernel.stats().forced_releases.load(), 1u);
+  EXPECT_EQ(kernel.stats().verifications.load(), verifications + 1);
   const PageNumber root_index = SuperblockOf(pool)->root.first_index_page;
-  int cooperative = 0;
-  for (const auto& reader : readers->holders) {
-    EXPECT_EQ(reader->revokes.load(), 1);
-    EXPECT_FALSE(kernel.MmuCheck(reader->id, root_index, false));
-    cooperative += reader->unmapped.load() ? 1 : 0;
-  }
-  EXPECT_EQ(cooperative, 2);
-  EXPECT_TRUE(kernel.MmuCheck(writer, root_index, true));
+  EXPECT_FALSE(kernel.MmuCheck(hung, root_index, /*write=*/false));
+  EXPECT_TRUE(kernel.MmuCheck(mapper, root_index, /*write=*/true));
 
-  readers->release.store(true);
-  while (!readers->hung_returned.load()) {
+  // Its grant was reclaimed by force, so its late unmap finds nothing to release.
+  hang->release.store(true);
+  while (!hang->returned.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // Its mapping was reclaimed by force, so its late unmap finds nothing to release.
-  cooperative = 0;
+  EXPECT_FALSE(hang->unmapped.load());
+  kernel.UnregisterLibFs(mapper);
+  kernel.UnregisterLibFs(hung);
+  TRIO_CHECK_OK(kernel.Unmount());
+}
+
+// Readers are dropped without an upcall, so a reader whose revoke callback would hang
+// costs a writer nothing: the grant comes at once, with no callback run and none forced.
+TEST(KernelRevokeTest, HungReaderCallbackDoesNotDelayAWriter) {
+  NvmPool pool(2048);
+  FormatOptions options;
+  options.max_inodes = 1024;
+  TRIO_CHECK_OK(Format(pool, options));
+  constexpr uint64_t kGraceMs = 10000;  // A callback run would show as a 10 s stall.
+  KernelController kernel(pool, RevokeConfig(100, kGraceMs));
+  TRIO_CHECK_OK(kernel.Mount());
+  std::shared_ptr<ReadHolders> readers = MapReadHolders(kernel, 3, /*hang=*/true);
+  const LibFsId writer = kernel.RegisterLibFs(LibFsOptions{});
+
+  const auto start = std::chrono::steady_clock::now();
+  Result<MapInfo> granted = kernel.MapRoot(writer, /*write=*/true);
+  ASSERT_TRUE(granted.ok()) << granted.status().ToString();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(kGraceMs));
+  EXPECT_EQ(kernel.stats().callback_runs.load(), 0u);
+  EXPECT_EQ(kernel.stats().callback_timeouts.load(), 0u);
+  EXPECT_EQ(kernel.stats().forced_releases.load(), 0u);
+  EXPECT_EQ(kernel.stats().readers_dropped.load(), 3u);
   for (const auto& reader : readers->holders) {
-    cooperative += reader->unmapped.load() ? 1 : 0;
+    EXPECT_EQ(reader->revokes.load(), 0);
   }
-  EXPECT_EQ(cooperative, 2);
+  readers->release.store(true);
   kernel.UnregisterLibFs(writer);
   for (const auto& reader : readers->holders) {
     kernel.UnregisterLibFs(reader->id);
@@ -898,103 +945,6 @@ TEST(CallbackGuardTest, HungCallbackIsAbandonedAtItsDeadline) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_FALSE(on_hung_helper());
   }
-  EXPECT_EQ(guard.timeouts(), 1u);
-}
-
-TEST(CallbackGuardTest, BatchRunsCallbacksInOrderOnOneHelper) {
-  CallbackGuard guard;
-  struct Seen {
-    std::mutex mu;
-    std::vector<int> order;
-    std::vector<std::thread::id> threads;
-  };
-  auto seen = std::make_shared<Seen>();
-  std::vector<CallbackGuard::Task> tasks;
-  for (int i = 0; i < 4; ++i) {
-    tasks.push_back(CallbackGuard::Task{kNoHangMs, [seen, i] {
-                                          std::lock_guard<std::mutex> guard(seen->mu);
-                                          seen->order.push_back(i);
-                                          seen->threads.push_back(std::this_thread::get_id());
-                                        }});
-  }
-  EXPECT_EQ(guard.RunBatch(std::move(tasks)), 4u);
-  std::lock_guard<std::mutex> lock(seen->mu);
-  EXPECT_EQ(seen->order, (std::vector<int>{0, 1, 2, 3}));
-  ASSERT_EQ(seen->threads.size(), 4u);
-  for (const std::thread::id& thread : seen->threads) {
-    EXPECT_EQ(thread, seen->threads[0]);
-  }
-  EXPECT_NE(seen->threads[0], std::this_thread::get_id());
-  EXPECT_EQ(guard.timeouts(), 0u);
-}
-
-TEST(CallbackGuardTest, SlowCallbackDoesNotSpendTheNextOnesBudget) {
-  // Each callback takes 60% of its own budget: together they outlast either budget, so
-  // the batch completes only if every deadline counts from its own callback's start.
-  constexpr uint64_t kBudgetMs = 1000;
-  constexpr auto kSleep = std::chrono::milliseconds(600);
-  CallbackGuard guard;
-  auto done = std::make_shared<std::atomic<int>>(0);
-  std::vector<CallbackGuard::Task> tasks;
-  for (int i = 0; i < 2; ++i) {
-    tasks.push_back(CallbackGuard::Task{kBudgetMs, [done, kSleep] {
-                                          std::this_thread::sleep_for(kSleep);
-                                          done->fetch_add(1);
-                                        }});
-  }
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_EQ(guard.RunBatch(std::move(tasks)), 2u);
-  EXPECT_GE(std::chrono::steady_clock::now() - start, 2 * kSleep);
-  EXPECT_EQ(done->load(), 2);
-  EXPECT_EQ(guard.timeouts(), 0u);
-}
-
-TEST(CallbackGuardTest, HungCallbackEndsItsBatchAtItsOwnDeadline) {
-  constexpr uint64_t kDeadlineMs = 50;
-  constexpr auto kFirst = std::chrono::milliseconds(40);
-  CallbackGuard guard;
-  auto release = std::make_shared<std::atomic<bool>>(false);
-  auto returned = std::make_shared<std::atomic<bool>>(false);
-  auto later_ran = std::make_shared<std::atomic<bool>>(false);
-  std::vector<CallbackGuard::Task> tasks;
-  tasks.push_back(CallbackGuard::Task{kNoHangMs, [kFirst] {
-                                        t_ran_hung_callback = true;
-                                        std::this_thread::sleep_for(kFirst);
-                                      }});
-  tasks.push_back(CallbackGuard::Task{kDeadlineMs, [release, returned] {
-                                        while (!release->load()) {
-                                          std::this_thread::sleep_for(
-                                              std::chrono::milliseconds(1));
-                                        }
-                                        returned->store(true);
-                                      }});
-  tasks.push_back(CallbackGuard::Task{kNoHangMs, [later_ran] { later_ran->store(true); }});
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_EQ(guard.RunBatch(std::move(tasks)), 1u);
-  const auto waited = std::chrono::steady_clock::now() - start;
-  // The hung callback's deadline counts from its own start, after the first one's 40 ms.
-  EXPECT_GE(waited, kFirst + std::chrono::milliseconds(kDeadlineMs));
-  EXPECT_LT(waited, kFirst + std::chrono::milliseconds(kDeadlineMs) + std::chrono::seconds(5));
-  EXPECT_EQ(guard.timeouts(), 1u);
-
-  // The abandoned helper runs nothing more: not the rest of its batch, and no later
-  // callback, while it hangs or after.
-  auto on_hung_helper = [&guard] {
-    auto seen = std::make_shared<std::atomic<bool>>(true);
-    EXPECT_TRUE(guard.Run(kNoHangMs, [seen] { seen->store(t_ran_hung_callback); }));
-    return seen->load();
-  };
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_FALSE(on_hung_helper());
-  }
-  release->store(true);
-  while (!returned->load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_FALSE(on_hung_helper());
-  }
-  EXPECT_FALSE(later_ran->load());
   EXPECT_EQ(guard.timeouts(), 1u);
 }
 

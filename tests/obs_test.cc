@@ -149,14 +149,16 @@ TEST(StatRegistryTest, KeysUnchanged) {
       "kernel.deferred_fences", "kernel.epoch_fences", "kernel.fences",
       "kernel.files_quarantined", "kernel.forced_releases", "kernel.map_ns", "kernel.maps",
       "kernel.pages_allocated", "kernel.pages_freed", "kernel.persists",
-      "kernel.quarantine_evictions", "kernel.revocations", "kernel.shard_lock_contended",
+      "kernel.quarantine_evictions", "kernel.readers_dropped", "kernel.revocations",
+      "kernel.shard_lock_contended",
       "kernel.syscall_latency", "kernel.syscalls", "kernel.unmap_ns", "kernel.unmaps",
       "kernel.verifications", "kernel.verify_failures", "kernel.verify_ns",
       "kernel.verify_timeouts",
       "libfs.bytes_persisted", "libfs.coalesced_fences", "libfs.commit_stores",
       "libfs.creates", "libfs.deferred_fences", "libfs.epoch_fences", "libfs.fences",
-      "libfs.lock_wait_ns", "libfs.lookups", "libfs.persists", "libfs.reads",
-      "libfs.rebuild_ns", "libfs.rebuilds", "libfs.revocations", "libfs.unlinks",
+      "libfs.lock_wait_ns", "libfs.lookups", "libfs.persists", "libfs.read_retries",
+      "libfs.reader_teardowns", "libfs.reads", "libfs.rebuild_ns", "libfs.rebuilds",
+      "libfs.revocations", "libfs.unlinks",
       "libfs.writes",
       "nvm.bytes_read", "nvm.bytes_written", "nvm.fences", "nvm.lines_flushed",
       "ring.barriers", "ring.completed", "ring.cq_stalls", "ring.drain_passes",
