@@ -8,7 +8,8 @@ configuration (shards:1) on lookups per second, and must find a shard lock held 
 often per lookup (contended_per_lookup). Both compare two runs on the same machine in the
 same process, so they are robust to absolute machine speed; the contention check also
 fails a sharded run that passes the rate check on noise alone. With repetitions, each side
-is the median of its runs.
+is the median of its runs. Any benchmark in the file that reported an error (a GrantLookup
+whose MapFile failed, a FleetChurn op that returned an error) fails the gate.
 
 Usage: check_fleet_bench.py <bench_fleet.json>
 """
@@ -27,6 +28,12 @@ def main() -> int:
         return 2
     with open(sys.argv[1]) as f:
         data = json.load(f)
+
+    errors = [bench for bench in data.get("benchmarks", []) if bench.get("error_occurred")]
+    for bench in errors:
+        print(f"FAIL: {bench.get('name')} reported an error: {bench.get('error_message', '')}")
+    if errors:
+        return 1
 
     rates = {}      # (shards, threads) -> items_per_second of each run
     contended = {}  # (shards, threads) -> contended_per_lookup of each run

@@ -37,7 +37,9 @@ explorer_filter='FaultSimKernelTest.*:CrashExplorerTest.AppendHeavyWorkloadClean
 # close before CQE post) — exactly what TSan needs to see; SpscRingTest adds the raw
 # two-thread ring in isolation, ParkerTest the park/wake primitive the delegation pool
 # and the drainer share, SeqlockTest the seqlock behind the promote cache and the trace
-# ring, and BravoRwLockTest the LibFS inode lock's reader fast path.
+# ring, and BravoRwLockTest the LibFS inode lock's reader fast path and the readers that
+# turn its bias back on (a writer-only lock scans once; readers between writers scan as
+# before).
 ring_filter='OpRingTest.*'
 common_filter='SpscRingTest.*:ParkerTest.*:SeqlockTest.*:BravoRwLockTest.*'
 # Schedule explorer smoke: determinism + a full clean sweep (both tenants, crash points);
@@ -77,8 +79,9 @@ arckfs_filter='ArckFsTest.DirentScansLoadTheWordsTheCommitterPublishes:ArckFsTes
 # writer's by design (on hardware those loads fault; the end-of-op epoch check discards
 # them), so this runs in the address sweep only.
 overlap_filter='ArckFsTest.OverlappingReadersReturnOnlyWholeCommittedBlocks'
-# Trace ring seqlock: snapshots taken while other threads push.
-obs_filter='OpContextTest.SnapshotWhileThreadsPush*'
+# Trace ring seqlock: snapshots taken while other threads push. Stat slabs: threads bump
+# their own cells while others sum, reset, exit, or replace the group they cache.
+obs_filter='OpContextTest.SnapshotWhileThreadsPush*:StatSlabTest.*'
 # minildb: arena lifetimes (memtable views, overwritten values, blocks freed at flush) and
 # the string_views into the block buffers a table reader and compaction cursors reuse.
 # The whole suite: about 10 s under ASan and 2 min under TSan, mostly spent zeroing each
@@ -144,7 +147,7 @@ for san in "${sanitizers[@]}"; do
   fi
   "$build/tests/arckfs_test" --gtest_filter="$arckfs_run" --gtest_brief=1
 
-  echo "== TRIO_SANITIZE=$san: obs_test (trace ring) =="
+  echo "== TRIO_SANITIZE=$san: obs_test (trace ring, stat slabs) =="
   "$build/tests/obs_test" --gtest_filter="$obs_filter" --gtest_brief=1
 
   echo "== TRIO_SANITIZE=$san: minildb_test (arena, block buffers) =="

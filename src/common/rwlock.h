@@ -4,7 +4,8 @@
 // BravoRwLock: BRAVO-style biased locking [Dice & Kogan, ATC'19], the technique ArckFS cites
 // for its inode/range locks (§4.5). Readers publish themselves in a global visible-readers
 // table and skip the underlying lock entirely on the fast path; writers flip the bias off,
-// wait for the table to drain, and then take the underlying lock.
+// wait for the table to drain, and then take the underlying lock. A reader that finds the
+// bias off turns it back on, so a lock only writers use pays the table scan once.
 
 #ifndef SRC_COMMON_RWLOCK_H_
 #define SRC_COMMON_RWLOCK_H_
@@ -118,6 +119,13 @@ class BravoRwLock {
       }
     }
     underlying_.lock_shared();
+    // Holding the lock shared, no writer is inside: a reader that needed the bias turns
+    // it back on, with the writers' hysteresis (after the first two writers and every
+    // 8th). A lock no reader uses keeps it off, so its writers scan the table once.
+    if ((writer_count_ % 8 == 0 || revocations_ < 2) &&
+        !bias_enabled_.load(std::memory_order_relaxed)) {
+      bias_enabled_.store(true, std::memory_order_release);
+    }
   }
 
   void unlock_shared() {
@@ -146,12 +154,13 @@ class BravoRwLock {
   }
 
   void unlock() {
-    // Re-enable bias after a writer with simple hysteresis: frequent writers keep bias off.
-    if (++writer_count_ % 8 == 0 || revocations_ < 2) {
-      bias_enabled_.store(true, std::memory_order_release);
-    }
+    ++writer_count_;
     underlying_.unlock();
   }
+
+  // Times a writer revoked the bias and scanned the visible-readers table. Read it while
+  // no writer is inside.
+  uint64_t revocations() const { return revocations_; }
 
  private:
   static uint64_t ThreadToken() {
@@ -162,8 +171,9 @@ class BravoRwLock {
 
   RwLock underlying_;
   std::atomic<bool> bias_enabled_{true};
-  uint64_t writer_count_ = 0;   // Guarded by underlying_ writer side.
-  uint64_t revocations_ = 0;    // Guarded by underlying_ writer side.
+  // Written holding underlying_ exclusively, read holding it either way.
+  uint64_t writer_count_ = 0;
+  uint64_t revocations_ = 0;
 };
 
 // RAII guards.

@@ -340,9 +340,9 @@ Status KernelController::RunRecovery() {
       }
     }
     Result<VerifyReport> report = verifier_->Verify(request);
-    stats_.verifications.fetch_add(1, std::memory_order_relaxed);
+    stats_.verifications.fetch_add(1);
     if (!report.ok() && report.status().Is(ErrorCode::kTimeout)) {
-      stats_.verify_timeouts.fetch_add(1, std::memory_order_relaxed);
+      stats_.verify_timeouts.fetch_add(1);
     }
     {
       ShardLock sl(shards_[si]->mu, si);
@@ -411,7 +411,7 @@ Status KernelController::RunRecovery() {
 // ---------------------------------------------------------------------------
 
 LibFsId KernelController::RegisterLibFs(const LibFsOptions& options) {
-  SyscallScope syscall(stats_, "RegisterLibFs");
+  SyscallScope syscall(stats_, *clock_, "RegisterLibFs");
   auto record = std::make_shared<LibFsRecord>(pool_.num_pages());
   record->uid = options.uid;
   record->gid = options.gid;
@@ -429,7 +429,7 @@ LibFsId KernelController::RegisterLibFs(const LibFsOptions& options) {
 }
 
 void KernelController::UnregisterLibFs(LibFsId libfs) {
-  SyscallScope syscall(stats_, "UnregisterLibFs");
+  SyscallScope syscall(stats_, *clock_, "UnregisterLibFs");
   std::shared_ptr<LibFsRecord> me = FindLibFs(libfs);
   if (me == nullptr) {
     return;
@@ -512,7 +512,7 @@ void KernelController::UnregisterLibFs(LibFsId libfs) {
 
 Status KernelController::AllocPages(LibFsId libfs, size_t count, int node_hint,
                                     std::vector<PageNumber>* out) {
-  SyscallScope syscall(stats_, "AllocPages");
+  SyscallScope syscall(stats_, *clock_, "AllocPages");
   std::shared_ptr<LibFsRecord> me = FindLibFs(libfs);
   if (me == nullptr) {
     return InvalidArgument("unknown LibFS");
@@ -538,7 +538,7 @@ Status KernelController::AllocPages(LibFsId libfs, size_t count, int node_hint,
     if (page == kInvalidPage && config_.tier.backend != nullptr) {
       // NVM exhausted: the absorb tier digests synchronously (a watermark stall — the
       // background thread fell behind) and the allocation retries once.
-      tier_stats_.watermark_stalls.fetch_add(1, std::memory_order_relaxed);
+      tier_stats_.watermark_stalls.fetch_add(1);
       if (DigestNow(std::max(count, config_.tier.batch_pages)) > 0) {
         page = pop_page();
       }
@@ -560,13 +560,13 @@ Status KernelController::AllocPages(LibFsId libfs, size_t count, int node_hint,
   for (PageNumber page : granted) {
     page_table_.Set(page, ResourceState::kLeased, libfs);
   }
-  stats_.pages_allocated.fetch_add(granted.size(), std::memory_order_relaxed);
+  stats_.pages_allocated.fetch_add(granted.size());
   out->insert(out->end(), granted.begin(), granted.end());
   return OkStatus();
 }
 
 Status KernelController::FreePages(LibFsId libfs, const std::vector<PageNumber>& pages) {
-  SyscallScope syscall(stats_, "FreePages");
+  SyscallScope syscall(stats_, *clock_, "FreePages");
   std::shared_ptr<LibFsRecord> me = FindLibFs(libfs);
   if (me == nullptr) {
     return InvalidArgument("unknown LibFS");
@@ -578,7 +578,7 @@ Status KernelController::FreePages(LibFsId libfs, const std::vector<PageNumber>&
         std::lock_guard<std::mutex> guard(alloc_mu_);
         free_pages_by_node_[pool_.NodeOfPage(page)].push_back(page);
       }
-      stats_.pages_freed.fetch_add(1, std::memory_order_relaxed);
+      stats_.pages_freed.fetch_add(1);
       continue;
     }
     const OwnershipTable::Entry entry = page_table_.Get(page);
@@ -598,7 +598,7 @@ Status KernelController::FreePages(LibFsId libfs, const std::vector<PageNumber>&
       file->pages.erase(page);
       me->mmu.Revoke(page, PagePerm::kReadWrite);
       ReleasePageToFree(page);
-      stats_.pages_freed.fetch_add(1, std::memory_order_relaxed);
+      stats_.pages_freed.fetch_add(1);
     } else if (entry.state == ResourceState::kFree) {
       return InvalidArgument("freeing a page that is not allocated");
     } else {
@@ -615,7 +615,7 @@ Result<Ino> KernelController::AllocIno(LibFsId libfs) {
 }
 
 Status KernelController::AllocInos(LibFsId libfs, size_t count, std::vector<Ino>* out) {
-  SyscallScope syscall(stats_, "AllocInos");
+  SyscallScope syscall(stats_, *clock_, "AllocInos");
   if (FindLibFs(libfs) == nullptr) {
     return InvalidArgument("unknown LibFS");
   }
@@ -649,7 +649,7 @@ Status KernelController::AllocInos(LibFsId libfs, size_t count, std::vector<Ino>
 }
 
 Status KernelController::FreeIno(LibFsId libfs, Ino ino) {
-  SyscallScope syscall(stats_, "FreeIno");
+  SyscallScope syscall(stats_, *clock_, "FreeIno");
   if (!ino_table_.EndLease(ino, libfs)) {
     return InvalidArgument("ino not leased to caller");
   }
@@ -663,7 +663,7 @@ Status KernelController::FreeIno(LibFsId libfs, Ino ino) {
 // ---------------------------------------------------------------------------
 
 Status KernelController::Chmod(LibFsId libfs, Ino ino, uint32_t perm_bits) {
-  SyscallScope syscall(stats_, "Chmod");
+  SyscallScope syscall(stats_, *clock_, "Chmod");
   std::shared_ptr<LibFsRecord> me = FindLibFs(libfs);
   if (me == nullptr) {
     return InvalidArgument("unknown LibFS");
@@ -691,7 +691,7 @@ Status KernelController::Chmod(LibFsId libfs, Ino ino, uint32_t perm_bits) {
 }
 
 Status KernelController::Chown(LibFsId libfs, Ino ino, uint32_t uid, uint32_t gid) {
-  SyscallScope syscall(stats_, "Chown");
+  SyscallScope syscall(stats_, *clock_, "Chown");
   std::shared_ptr<LibFsRecord> me = FindLibFs(libfs);
   if (me == nullptr) {
     return InvalidArgument("unknown LibFS");
@@ -788,7 +788,7 @@ bool KernelController::IsMovePermitted(Ino child, Ino new_parent, LibFsId writer
     const std::vector<size_t> set =
         SortedShardSet({ShardIndexOf(child), ShardIndexOf(parent)});
     if (set.size() > 1) {
-      stats_.cross_shard_acquires.fetch_add(1, std::memory_order_relaxed);
+      stats_.cross_shard_acquires.fetch_add(1);
     }
     OrderedShardSpan span(ShardMutexesFor(set), set);
     const FileRecord* record = FindRecordLocked(ShardOf(child), child);
@@ -850,10 +850,10 @@ bool KernelController::RunGuarded(uint64_t timeout_ms, std::function<void()> fn)
   SystemClock* wall = SystemClock::Instance();
   const uint64_t t0 = wall->NowNs();
   const bool completed = callback_guard_.Run(timeout_ms, std::move(fn));
-  stats_.callback_wait_ns.fetch_add(wall->NowNs() - t0, std::memory_order_relaxed);
-  stats_.callback_runs.fetch_add(1, std::memory_order_relaxed);
+  stats_.callback_wait_ns.fetch_add(wall->NowNs() - t0);
+  stats_.callback_runs.fetch_add(1);
   if (!completed) {
-    stats_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
+    stats_.callback_timeouts.fetch_add(1);
   }
   return completed;
 }

@@ -92,7 +92,7 @@ void KernelController::DropReadersLocked(FileRecord& record) {
       RevokeFilePagesLocked(*holder, record, /*write=*/false);
     }
   }
-  stats_.readers_dropped.fetch_add(record.readers.size(), std::memory_order_relaxed);
+  stats_.readers_dropped.fetch_add(record.readers.size());
   record.readers.clear();
   BumpEpoch(MapEpochOf(record.ino));
 }
@@ -102,8 +102,7 @@ Result<MapInfo> KernelController::MapRoot(LibFsId libfs, bool write) {
 }
 
 Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino ino, bool write) {
-  SyscallScope syscall(stats_, "MapFile");
-  const uint64_t t0 = NowNs();
+  SyscallScope syscall(stats_, *clock_, "MapFile");
   std::shared_ptr<LibFsRecord> me = FindLibFs(libfs);
   if (me == nullptr) {
     return InvalidArgument("unknown LibFS");
@@ -120,7 +119,11 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino ino, bool write) {
   // forcing one mid-op would hand on a file it is still storing into.
   const std::thread::id self = std::this_thread::get_id();
   LibFsId revoked = kNoLibFs;
-  while (true) {
+  uint64_t now = syscall.start_ns();
+  for (int round = 0;; ++round) {
+    if (round > 0) {
+      now = NowNs();  // The previous round ran a revoke or a release unlocked.
+    }
     // The conflicting writer, staged out of the locked section because its revoke
     // callback, forced release or dead-writer verification must run unlocked; every round
     // re-evaluates the record from scratch.
@@ -164,15 +167,15 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino ino, bool write) {
                    DirentOfLocked(*record)->first_index_page, LoadEpoch(epoch)};
       // Already mapped suitably?
       if (record->writer == libfs) {
-        record->lease_deadline_ns = NowNs() + config_.lease_ms * 1000000ull;
-        record->last_use_ns = NowNs();
+        record->lease_deadline_ns = now + config_.lease_ms * 1000000ull;
+        record->last_use_ns = now;
         info.writable = true;
         info.lease_deadline_ns = record->lease_deadline_ns;
-        stats_.map_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
+        syscall.ChargeTo(stats_.map_ns);
         return info;
       }
       if (!write && record->readers.count(libfs) != 0 && record->writer == kNoLibFs) {
-        stats_.map_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
+        syscall.ChargeTo(stats_.map_ns);
         return info;
       }
 
@@ -193,12 +196,12 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino ino, bool write) {
           DropReadersLocked(*record);
           const uint64_t c0 = NowNs();
           Status checkpoint_status = TakeCheckpointLocked(record);
-          stats_.checkpoint_ns.fetch_add(NowNs() - c0, std::memory_order_relaxed);
+          stats_.checkpoint_ns.fetch_add(NowNs() - c0);
           if (!checkpoint_status.ok()) {
             return checkpoint_status;
           }
           record->writer = libfs;
-          record->lease_deadline_ns = NowNs() + config_.lease_ms * 1000000ull;
+          record->lease_deadline_ns = now + config_.lease_ms * 1000000ull;
           info.lease_deadline_ns = record->lease_deadline_ns;
           {
             std::lock_guard<std::mutex> guard(me->mu);
@@ -211,9 +214,9 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino ino, bool write) {
           me->read_mapped.insert(ino);
         }
         GrantFilePagesLocked(*me, *record, write);
-        record->last_use_ns = NowNs();  // Digestion's cold scan orders by last grant.
-        stats_.maps.fetch_add(1, std::memory_order_relaxed);
-        stats_.map_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
+        record->last_use_ns = now;  // Digestion's cold scan orders by last grant.
+        stats_.maps.fetch_add(1);
+        syscall.ChargeTo(stats_.map_ns);
         return info;
       }
 
@@ -250,7 +253,7 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino ino, bool write) {
     // Ask the writer to release. With a FaultSim injector attached, transfers this
     // revocation triggers count as contended while we wait
     // (kFaultKernelLeakOnContendedTransfer keys off revokes_in_flight_).
-    stats_.revocations.fetch_add(1, std::memory_order_relaxed);
+    stats_.revocations.fetch_add(1);
     FaultInjector* const injector = fault_injector_;
     if (injector != nullptr) {
       revokes_in_flight_.fetch_add(1, std::memory_order_relaxed);
@@ -259,9 +262,9 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino ino, bool write) {
     // Its callback may run for its lease remainder plus grace; then its grant is reclaimed
     // by force, so an unresponsive writer cannot stall a conflicting mapper beyond its
     // lease.
-    const uint64_t now = NowNs();
+    const uint64_t revoke_ns = NowNs();
     const uint64_t remaining_ms =
-        lease_end > now ? (lease_end - now + 999999ull) / 1000000ull : 0;
+        lease_end > revoke_ns ? (lease_end - revoke_ns + 999999ull) / 1000000ull : 0;
     const bool completed = RunGuarded(remaining_ms + config_.revoke_grace_ms,
                                       [fn = holder->callbacks.revoke, ino] { fn(ino); });
     if (injector != nullptr) {
@@ -323,12 +326,11 @@ void KernelController::ForceRelease(Ino ino, LibFsId holder) {
   }
   (void)VerifyAndReconcile(ino);
   FinishWriteRelease(holder, ino, holder_record);
-  stats_.forced_releases.fetch_add(1, std::memory_order_relaxed);
+  stats_.forced_releases.fetch_add(1);
 }
 
 Status KernelController::UnmapFile(LibFsId libfs, Ino ino) {
-  SyscallScope syscall(stats_, "UnmapFile");
-  const uint64_t t0 = NowNs();
+  SyscallScope syscall(stats_, *clock_, "UnmapFile");
   std::shared_ptr<LibFsRecord> me = FindLibFs(libfs);
   if (me == nullptr) {
     return InvalidArgument("unknown LibFS");
@@ -362,8 +364,8 @@ Status KernelController::UnmapFile(LibFsId libfs, Ino ino) {
     result = VerifyAndReconcile(ino);
     FinishWriteRelease(libfs, ino, me);
   }
-  stats_.unmaps.fetch_add(1, std::memory_order_relaxed);
-  stats_.unmap_ns.fetch_add(NowNs() - t0, std::memory_order_relaxed);
+  stats_.unmaps.fetch_add(1);
+  syscall.ChargeTo(stats_.unmap_ns);
   return result;
 }
 

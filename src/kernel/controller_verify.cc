@@ -31,7 +31,7 @@ uint64_t VerifyDeadline(const KernelConfig& config, uint64_t now_ns) {
 }  // namespace
 
 Status KernelController::CommitFile(LibFsId libfs, Ino ino) {
-  SyscallScope syscall(stats_, "CommitFile");
+  SyscallScope syscall(stats_, *clock_, "CommitFile");
   std::shared_ptr<LibFsRecord> me = FindLibFs(libfs);
   if (me == nullptr) {
     return InvalidArgument("unknown LibFS");
@@ -63,14 +63,14 @@ Status KernelController::CommitFile(LibFsId libfs, Ino ino) {
   const uint64_t v0 = NowNs();
   request.deadline_ns = VerifyDeadline(config_, v0);
   Result<VerifyReport> report = verifier_->Verify(request);
-  stats_.verifications.fetch_add(1, std::memory_order_relaxed);
-  stats_.verify_ns.fetch_add(NowNs() - v0, std::memory_order_relaxed);
+  stats_.verifications.fetch_add(1);
+  stats_.verify_ns.fetch_add(NowNs() - v0);
 
   Status result = OkStatus();
   if (!report.ok()) {
-    stats_.verify_failures.fetch_add(1, std::memory_order_relaxed);
+    stats_.verify_failures.fetch_add(1);
     if (report.status().Is(ErrorCode::kTimeout)) {
-      stats_.verify_timeouts.fetch_add(1, std::memory_order_relaxed);
+      stats_.verify_timeouts.fetch_add(1);
     }
     result = report.status();
   } else {
@@ -120,13 +120,13 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
   const uint64_t v0 = NowNs();
   request.deadline_ns = VerifyDeadline(config_, v0);
   Result<VerifyReport> report = verifier_->Verify(request);
-  stats_.verifications.fetch_add(1, std::memory_order_relaxed);
-  stats_.verify_ns.fetch_add(NowNs() - v0, std::memory_order_relaxed);
+  stats_.verifications.fetch_add(1);
+  stats_.verify_ns.fetch_add(NowNs() - v0);
   if (report.ok()) {
     return ApplyReport(ino, *report);
   }
 
-  stats_.verify_failures.fetch_add(1, std::memory_order_relaxed);
+  stats_.verify_failures.fetch_add(1);
   Status failure = report.status();
   TRIO_LOG(kInfo) << "verification failed for ino " << ino << ": " << failure.ToString();
 
@@ -159,9 +159,9 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
       }
       request.deadline_ns = VerifyDeadline(config_, NowNs());
       Result<VerifyReport> retry = verifier_->Verify(request);
-      stats_.verifications.fetch_add(1, std::memory_order_relaxed);
+      stats_.verifications.fetch_add(1);
       if (retry.ok()) {
-        stats_.corruptions_fixed_by_libfs.fetch_add(1, std::memory_order_relaxed);
+        stats_.corruptions_fixed_by_libfs.fetch_add(1);
         return ApplyReport(ino, *retry);
       }
       failure = retry.status();
@@ -172,7 +172,7 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
   // A verification that overran its deadline lands here too: the state is UNVERIFIED,
   // which the kernel must treat exactly like corruption rather than accept unchecked.
   if (failure.Is(ErrorCode::kTimeout)) {
-    stats_.verify_timeouts.fetch_add(1, std::memory_order_relaxed);
+    stats_.verify_timeouts.fetch_add(1);
   }
   {
     ShardLock sl(shards_[si]->mu, si);
@@ -182,7 +182,7 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
       RollbackToCheckpointLocked(record);
     }
   }
-  stats_.corruptions_rolled_back.fetch_add(1, std::memory_order_relaxed);
+  stats_.corruptions_rolled_back.fetch_add(1);
 
   // Tell the offender its file was impounded so it drops cached mappings. Untrusted code:
   // bounded by the watchdog, and run outside every lock.
@@ -209,7 +209,7 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
   }
   const std::vector<size_t> set = SortedShardSet(std::move(indices));
   if (set.size() > 1) {
-    stats_.cross_shard_acquires.fetch_add(1, std::memory_order_relaxed);
+    stats_.cross_shard_acquires.fetch_add(1);
   }
   // Reclaims are deferred past the span: ReclaimTree takes shard locks itself.
   std::vector<Ino> reclaim;
@@ -239,7 +239,7 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
         writer->mmu.Revoke(page, PagePerm::kReadWrite);
       }
       ReleasePageToFree(page);
-      stats_.pages_freed.fetch_add(1, std::memory_order_relaxed);
+      stats_.pages_freed.fetch_add(1);
       it = record->pages.erase(it);
     }
     for (PageNumber page : new_pages) {
@@ -264,7 +264,7 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
           continue;
         }
         (void)backend->Free(slot, ino);
-        tier_stats_.backend_slots_freed.fetch_add(1, std::memory_order_relaxed);
+        tier_stats_.backend_slots_freed.fetch_add(1);
       }
       record->backend_slots = std::move(new_slots);
     }
@@ -459,12 +459,12 @@ void KernelController::ReclaimOne(Ino ino) {
   }
   for (PageNumber page : pages) {
     ReleasePageToFree(page);
-    stats_.pages_freed.fetch_add(1, std::memory_order_relaxed);
+    stats_.pages_freed.fetch_add(1);
   }
   if (config_.tier.backend != nullptr) {
     for (uint64_t slot : backend_slots) {
       (void)config_.tier.backend->Free(slot, ino);
-      tier_stats_.backend_slots_freed.fetch_add(1, std::memory_order_relaxed);
+      tier_stats_.backend_slots_freed.fetch_add(1);
     }
   }
   ShadowInode* shadow = ShadowInodeOf(pool_, ino);
@@ -527,7 +527,7 @@ void KernelController::QuarantineLocked(FileRecord* record, const Status& reason
   }
   quarantine_fifo_.emplace_back(entry.sequence, record->ino);
   quarantine_[record->ino] = std::move(entry);
-  stats_.files_quarantined.fetch_add(1, std::memory_order_relaxed);
+  stats_.files_quarantined.fetch_add(1);
 
   // Bound kernel memory: an adversary corrupting file after file must not grow the
   // quarantine without limit. Evict oldest-first off the sequence-ordered FIFO —
@@ -545,12 +545,12 @@ void KernelController::QuarantineLocked(FileRecord* record, const Status& reason
       continue;  // Stale FIFO entry.
     }
     quarantine_.erase(it);
-    stats_.quarantine_evictions.fetch_add(1, std::memory_order_relaxed);
+    stats_.quarantine_evictions.fetch_add(1);
   }
 }
 
 std::vector<std::vector<char>> KernelController::RetrieveQuarantine(LibFsId libfs, Ino ino) {
-  SyscallScope syscall(stats_, "RetrieveQuarantine");
+  SyscallScope syscall(stats_, *clock_, "RetrieveQuarantine");
   std::lock_guard<std::mutex> guard(quarantine_mu_);
   auto it = quarantine_.find(ino);
   if (it == quarantine_.end() || it->second.offender != libfs) {

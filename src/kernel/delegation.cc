@@ -83,7 +83,7 @@ void DelegationPool::SubmitSpan(int node, const DelegationRequest* requests, siz
     TRIO_DCHECK(pool_.NodeOfAddress(requests[i].nvm) == node);
     TRIO_DCHECK(pool_.NodeOfAddress(requests[i].nvm + requests[i].len - 1) == node);
   }
-  state.stats.submitted.fetch_add(count, std::memory_order_relaxed);
+  state.stats.submitted.fetch_add(count);
 
   size_t pushed = 0;
   while (pushed < count) {
@@ -128,7 +128,7 @@ void DelegationPool::Execute(const DelegationRequest& request, int executing_nod
   FaultInjector* injector = pool_.fault_injector();
   if (injector != nullptr && injector->ShouldFire(kFaultDelegationWorker)) {
     DelegationNodeStats& stats = nodes_[executing_node]->stats;
-    stats.faults.fetch_add(1, std::memory_order_relaxed);
+    stats.faults.fetch_add(1);
     if (request.attempts < config_.fault_max_retries &&
         !stopped_.load(std::memory_order_acquire)) {
       DelegationRequest retry = request;
@@ -139,7 +139,7 @@ void DelegationPool::Execute(const DelegationRequest& request, int executing_nod
         CpuRelax();
       }
       if (nodes_[executing_node]->ring.TryPush(retry)) {
-        stats.fault_retries.fetch_add(1, std::memory_order_relaxed);
+        stats.fault_retries.fetch_add(1);
         std::atomic_thread_fence(std::memory_order_seq_cst);
         if (stopped_.load(std::memory_order_seq_cst)) {
           // Stop raced with the re-queue; its final drain may already have run.
@@ -151,7 +151,7 @@ void DelegationPool::Execute(const DelegationRequest& request, int executing_nod
       }
       // Ring full: fall through and complete inline right now.
     }
-    stats.inline_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    stats.inline_fallbacks.fetch_add(1);
     // Fall through: retries exhausted (or no room to retry) — the faulting thread
     // completes the chunk inline below, with no further injection on this execution.
   }
@@ -180,7 +180,7 @@ void DelegationPool::Execute(const DelegationRequest& request, int executing_nod
       obs::PersistSpan(pool_, &persist_stats_).ForceFence();
     }
   }
-  nodes_[executing_node]->stats.completed.fetch_add(1, std::memory_order_relaxed);
+  nodes_[executing_node]->stats.completed.fetch_add(1);
   if (request.pending != nullptr) {
     // The final decrement is the last touch of batch-owned memory (the waiter may free
     // the batch as soon as it observes zero); waking goes through pool-owned state only.
@@ -213,8 +213,8 @@ void DelegationPool::WorkerLoop(int node) {
     // Returns early on a notify without work of our own: a sibling's burst wakes us to
     // steal, so rescan either way.
     if (state.parker.Await(has_work)) {
-      state.stats.parks.fetch_add(1, std::memory_order_relaxed);
-      state.stats.wakeups.fetch_add(1, std::memory_order_relaxed);
+      state.stats.parks.fetch_add(1);
+      state.stats.wakeups.fetch_add(1);
     }
   }
 }
@@ -224,7 +224,7 @@ bool DelegationPool::TrySteal(int home) {
     const int victim = (home + i) % num_nodes_;
     DelegationRequest request;
     if (nodes_[victim]->ring.TryPop(request)) {
-      nodes_[home]->stats.steals.fetch_add(1, std::memory_order_relaxed);
+      nodes_[home]->stats.steals.fetch_add(1);
       Execute(request, home);
       return true;
     }
@@ -333,7 +333,7 @@ void DelegationBatch::Submit() {
     }
     groups_[node]->remaining.store(static_cast<uint32_t>(requests.size()),
                                    std::memory_order_relaxed);
-    pool_.nodes_[node]->stats.batches.fetch_add(1, std::memory_order_relaxed);
+    pool_.nodes_[node]->stats.batches.fetch_add(1);
     pool_.SubmitSpan(static_cast<int>(node), requests.data(), requests.size());
   }
 }

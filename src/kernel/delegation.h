@@ -143,7 +143,7 @@ class DelegationPool {
   uint64_t Sum(obs::Counter DelegationNodeStats::* field) const {
     uint64_t total = 0;
     for (const auto& node : nodes_) {
-      total += (node->stats.*field).load(std::memory_order_relaxed);
+      total += (node->stats.*field).load();
     }
     return total;
   }

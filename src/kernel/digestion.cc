@@ -200,10 +200,9 @@ size_t KernelController::DigestFile(Ino ino, size_t max_pages) {
     ReleasePageToFree(page);
   }
   if (!moved.empty()) {
-    tier_stats_.digest_batches.fetch_add(1, std::memory_order_relaxed);
-    tier_stats_.digest_pages.fetch_add(moved.size(), std::memory_order_relaxed);
-    tier_stats_.digest_bytes.fetch_add(moved.size() * kPageSize,
-                                       std::memory_order_relaxed);
+    tier_stats_.digest_batches.fetch_add(1);
+    tier_stats_.digest_pages.fetch_add(moved.size());
+    tier_stats_.digest_bytes.fetch_add(moved.size() * kPageSize);
   }
   return moved.size();
 }
@@ -227,7 +226,7 @@ size_t KernelController::DigestNow(size_t target_pages) {
 
 Status KernelController::PromoteRead(LibFsId libfs, Ino ino, uint64_t slot,
                                      PageNumber dest) {
-  SyscallScope syscall(stats_, "PromoteRead");
+  SyscallScope syscall(stats_, *clock_, "PromoteRead");
   SlowBackend* backend = config_.tier.backend;
   if (backend == nullptr) {
     return InvalidArgument("no backend tier configured");
@@ -263,7 +262,7 @@ Status KernelController::PromoteRead(LibFsId libfs, Ino ino, uint64_t slot,
   obs::PersistSpan span(pool_, &persist_stats_);
   pool_.Write(pool_.PageAddress(dest), buf, kPageSize);
   span.PersistNow(pool_.PageAddress(dest), kPageSize);
-  tier_stats_.promote_reads.fetch_add(1, std::memory_order_relaxed);
+  tier_stats_.promote_reads.fetch_add(1);
   return OkStatus();
 }
 

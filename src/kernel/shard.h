@@ -68,7 +68,7 @@ class ShardMutex {
 
   void lock() {
     if (!mu_.try_lock()) {
-      contended_->fetch_add(1, std::memory_order_relaxed);
+      contended_->fetch_add(1);
       mu_.lock();
     }
   }

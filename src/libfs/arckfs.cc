@@ -17,8 +17,20 @@ namespace trio {
 namespace arckfs_internal {
 
 int64_t FakeTimeNs() {
-  static std::atomic<int64_t> tick{1};
-  return tick.fetch_add(1, std::memory_order_relaxed);
+  // Stamp k of the thread with index i is k * 2^24 + i: unique while fewer than 2^24
+  // threads have stamped, increasing per thread, and no shared write per call (a thread
+  // claims its index at its first stamp).
+  constexpr int kThreadBits = 24;
+  static std::atomic<int64_t> next_thread{0};
+  thread_local int64_t next_stamp = 0;
+  if (next_stamp == 0) {
+    next_stamp = (next_thread.fetch_add(1, std::memory_order_relaxed) &
+                  ((int64_t{1} << kThreadBits) - 1)) +
+                 (int64_t{1} << kThreadBits);
+  }
+  const int64_t stamp = next_stamp;
+  next_stamp += int64_t{1} << kThreadBits;
+  return stamp;
 }
 
 Result<PageNumber> AllocZeroedPage(LeaseCache& leases, NvmPool& pool,

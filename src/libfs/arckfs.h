@@ -243,7 +243,7 @@ class ArckFs : public FsInterface, private RingPassHooks {
       if (held) {
         return result;
       }
-      stats_.read_retries.fetch_add(1, std::memory_order_relaxed);
+      stats_.read_retries.fetch_add(1);
     }
   }
   // The grant epoch an op holding LockForOp(node, 1) must still find when it ends, or

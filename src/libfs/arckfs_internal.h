@@ -11,8 +11,8 @@
 namespace trio {
 namespace arckfs_internal {
 
-// Timestamps are best-effort (§3.3): a monotonically bumped counter keeps mtime/ctime
-// ordered without a clock dependency in the data path.
+// Timestamps are best-effort (§3.3): a per-thread counter keeps each stamp unique and a
+// thread's stamps ordered, without a clock read or a shared write in the data path.
 int64_t FakeTimeNs();
 
 // Allocates a leased page and hands it back zeroed and durable (persist + fence,

@@ -220,7 +220,7 @@ Result<size_t> ArckFs::WriteLocked(FileNode* node, const void* buf, size_t count
     }
     return static_cast<size_t>(0);
   }
-  stats_.writes.fetch_add(1, std::memory_order_relaxed);
+  stats_.writes.fetch_add(1);
   const char* src = static_cast<const char*>(buf);
 
   bool exclusive;
@@ -379,7 +379,7 @@ Result<size_t> ArckFs::WriteLocked(FileNode* node, const void* buf, size_t count
 }
 
 Result<size_t> ArckFs::ReadLocked(FileNode* node, void* buf, size_t count, uint64_t offset) {
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
+  stats_.reads.fetch_add(1);
   char* dst = static_cast<char*>(buf);
   ReadGuard<BravoRwLock> inode_guard(node->inode_lock);
   const uint64_t size = pool_.Load64(&node->dirent->size);

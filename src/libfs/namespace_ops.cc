@@ -46,7 +46,7 @@ DirentBlock* ArckFs::SlotPointer(const DirSlot& slot) {
 }
 
 Result<DirSlot> ArckFs::FindEntry(FileNode* dir, std::string_view name) {
-  stats_.lookups.fetch_add(1, std::memory_order_relaxed);
+  stats_.lookups.fetch_add(1);
   DirSlot slot;
   if (dir->dir_index == nullptr || !dir->dir_index->Lookup(name, &slot)) {
     return NotFound(std::string(name));
@@ -169,7 +169,7 @@ Result<DirSlot> ArckFs::CreateEntry(FileNode* dir, std::string_view name, uint32
           leases_.RecycleIno(ino);
           return AlreadyExists(std::string(name));
         }
-        stats_.creates.fetch_add(1, std::memory_order_relaxed);
+        stats_.creates.fetch_add(1);
         return slot;
       }
       // Every slot in this page is live: drop it from the active tails until an unlink
@@ -213,7 +213,7 @@ Status ArckFs::RemoveEntry(FileNode* dir, std::string_view name, bool must_be_di
   // Tombstone: one atomic durable store (§4.4).
   obs::PersistSpan(pool_, &persist_stats_).CommitStore64(&d->ino, kInvalidIno);
   dir->dir_index->Erase(name);
-  stats_.unlinks.fetch_add(1, std::memory_order_relaxed);
+  stats_.unlinks.fetch_add(1);
   // The slot's page has space again: reactivate its logging tail (O(1) via the page
   // index) and let creates scan from it.
   {

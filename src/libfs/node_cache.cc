@@ -84,7 +84,7 @@ Status ArckFs::EnsureMapped(FileNode* node, bool write) {
   const int need = write ? 2 : 1;
   auto tear_down = [&] {
     UnmapLocally(node, [] {});
-    stats_.reader_teardowns.fetch_add(1, std::memory_order_relaxed);
+    stats_.reader_teardowns.fetch_add(1);
   };
   for (;;) {
     // A dropped read grant goes before anything maps over it. An upgrade to write would
@@ -203,7 +203,7 @@ void ArckFs::RevokeNode(Ino ino) {
     (void)kernel_.UnmapFile(libfs_, ino);
   });
   node->stale.store(false, std::memory_order_release);
-  stats_.revocations.fetch_add(1, std::memory_order_relaxed);
+  stats_.revocations.fetch_add(1);
 }
 
 void ArckFs::OnQuarantine(Ino ino, const Status& reason) {
@@ -307,8 +307,8 @@ Status ArckFs::RebuildAux(FileNode* node) {
       node->dir_next_entry = used;
     }
   }
-  stats_.rebuilds.fetch_add(1, std::memory_order_relaxed);
-  stats_.rebuild_ns.fetch_add(kernel_.clock()->NowNs() - t0, std::memory_order_relaxed);
+  stats_.rebuilds.fetch_add(1);
+  stats_.rebuild_ns.fetch_add(kernel_.clock()->NowNs() - t0);
   return OkStatus();
 }
 

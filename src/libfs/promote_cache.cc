@@ -30,7 +30,7 @@ bool PromoteCache::ReadHit(Ino ino, uint64_t page_index, uint64_t in_page, void*
                            size_t len) {
   const uint64_t key = PackKey(ino, page_index);
   if (key == 0 || !enabled()) {
-    stats_.promote_misses.fetch_add(1, std::memory_order_relaxed);
+    stats_.promote_misses.fetch_add(1);
     return false;
   }
   Shard& shard = ShardFor(key);
@@ -57,11 +57,11 @@ bool PromoteCache::ReadHit(Ino ino, uint64_t page_index, uint64_t in_page, void*
     // may already be recycled and rewritten, so the copy is discarded and retried.
     pool_.Read(dst, pool_.PageAddress(page) + in_page, len);
     if (shard.seqlock.ReadValidate(begin)) {
-      stats_.promote_hits.fetch_add(1, std::memory_order_relaxed);
+      stats_.promote_hits.fetch_add(1);
       return true;
     }
   }
-  stats_.promote_misses.fetch_add(1, std::memory_order_relaxed);
+  stats_.promote_misses.fetch_add(1);
   return false;
 }
 
@@ -89,7 +89,7 @@ PageNumber PromoteCache::Insert(Ino ino, uint64_t page_index, PageNumber page) {
   slot.referenced.store(1, std::memory_order_relaxed);
   shard.seqlock.WriteUnlock();
   if (evicted != 0) {
-    stats_.promote_evictions.fetch_add(1, std::memory_order_relaxed);
+    stats_.promote_evictions.fetch_add(1);
   }
   return evicted;
 }

@@ -7,15 +7,115 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
+#include <cmath>
+#if defined(__x86_64__) || defined(__i386__)
+#include <x86intrin.h>
+#endif
 
 #include "src/sim/fault_injector.h"
 
 namespace trio {
 
-void NvmPool::SpinDelayNs(uint64_t ns) {
-  const auto until = std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
-  while (std::chrono::steady_clock::now() < until) {
+namespace {
+
+// The clock modeled stalls spin on, in ticks.
+inline int64_t StallClockTicks() {
+#if defined(__x86_64__) || defined(__i386__)
+  return static_cast<int64_t>(__rdtsc());
+#elif defined(__aarch64__)
+  uint64_t ticks;
+  asm volatile("mrs %0, cntvct_el0" : "=r"(ticks));
+  return static_cast<int64_t>(ticks);
+#else
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+#endif
+}
+
+// Stall amounts are kept in 1/256 tick, so a 5 ns line charge keeps its fraction.
+constexpr int kStallShift = 8;
+
+struct StallClock {
+  double units_per_ns = 0;  // 1/256 ticks per nanosecond.
+  int64_t read_units = 0;   // One clock read, as a spin loop pays for it.
+};
+
+const StallClock& CalibratedStallClock() {
+  static const StallClock clock = [] {
+    StallClock c;
+    // One read: the fastest of 16 batches of 256 back-to-back reads (a batch a preemption
+    // hits is slower, never faster), so the credit never exceeds what a read costs.
+    constexpr int kReads = 1 << kStallShift;
+    int64_t best = INT64_MAX;
+    for (int batch = 0; batch < 16; ++batch) {
+      const int64_t start = StallClockTicks();
+      int64_t last = start;
+      for (int i = 0; i < kReads; ++i) {
+        last = StallClockTicks();
+      }
+      best = std::min(best, last - start);
+    }
+    c.read_units = best;  // kReads reads, so already in 1/256 tick.
+    // Rate: ticks over 2 ms of steady_clock, each end read as a pair.
+    const auto t0 = std::chrono::steady_clock::now();
+    const int64_t c0 = StallClockTicks();
+    auto t1 = t0;
+    int64_t c1 = c0;
+    while (t1 - t0 < std::chrono::milliseconds(2)) {
+      t1 = std::chrono::steady_clock::now();
+      c1 = StallClockTicks();
+    }
+    const double ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
+    c.units_per_ns = static_cast<double>(c1 - c0) * (1 << kStallShift) / ns;
+    return c;
+  }();
+  return clock;
+}
+
+// The calling thread's modeled stall not yet waited off, in 1/256 tick. Negative: the
+// overshoot of its last wait, credited to its next charge.
+thread_local int64_t t_stall_debt = 0;
+
+// Waits off the calling thread's debt. The first clock read is itself part of the wait.
+[[gnu::noinline]] void PayStall(int64_t read_units) {
+  const int64_t start = StallClockTicks();
+  const int64_t until = start + ((t_stall_debt - read_units) >> kStallShift);
+  int64_t now = start;
+  while (now < until) {
     // Busy wait: models a core stalled on an sfence / clwb drain, which does not yield.
+    now = StallClockTicks();
+  }
+  // A preempted wait credits at most one read, not the time it lost.
+  t_stall_debt = std::max(t_stall_debt - read_units - ((now - start) << kStallShift),
+                          -read_units);
+}
+
+}  // namespace
+
+void NvmPool::set_cost_model(NvmCostModel model) {
+  cost_model_ = model;
+  if (!model.enabled()) {
+    fence_stall_ = line_stall_ = 0;
+    return;
+  }
+  const StallClock& clock = CalibratedStallClock();
+  fence_stall_ = std::llround(model.fence_ns * clock.units_per_ns);
+  line_stall_ = std::llround(model.flush_ns_per_line * clock.units_per_ns);
+  clock_read_stall_ = clock.read_units;
+}
+
+void NvmPool::ChargeStall(int64_t cost) {
+  t_stall_debt += cost;
+  if (t_stall_debt > clock_read_stall_) {
+    PayStall(clock_read_stall_);
+  }
+}
+
+void NvmPool::DrainStall() {
+  if ((fence_stall_ | line_stall_) != 0 && t_stall_debt > 0) {
+    PayStall(clock_read_stall_);
   }
 }
 
@@ -80,9 +180,9 @@ void NvmPool::Persist(const void* dst, size_t len) {
   }
   const uint64_t first = LineOf(dst);
   const uint64_t last = LineOf(static_cast<const char*>(dst) + len - 1);
-  stats_.lines_flushed.fetch_add(last - first + 1, std::memory_order_relaxed);
-  if (cost_model_.flush_ns_per_line != 0) {
-    SpinDelayNs(static_cast<uint64_t>(cost_model_.flush_ns_per_line) * (last - first + 1));
+  stats_.lines_flushed.fetch_add(last - first + 1);
+  if (line_stall_ != 0) {
+    ChargeStall(line_stall_ * static_cast<int64_t>(last - first + 1));
   }
   if (mode_ != NvmMode::kTracking) {
     return;
@@ -110,9 +210,9 @@ void NvmPool::Persist(const void* dst, size_t len) {
 }
 
 void NvmPool::Fence() {
-  stats_.fences.fetch_add(1, std::memory_order_relaxed);
-  if (cost_model_.fence_ns != 0) {
-    SpinDelayNs(cost_model_.fence_ns);
+  stats_.fences.fetch_add(1);
+  if (fence_stall_ != 0) {
+    ChargeStall(fence_stall_);
   }
   if (mode_ != NvmMode::kTracking) {
     return;

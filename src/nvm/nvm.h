@@ -56,11 +56,22 @@ enum class NvmMode {
 };
 
 // Modeled persistence costs. On DRAM emulation Persist/Fence are nearly free, so a bench
-// cannot observe the ordering-point savings the real hardware would show; with a cost
-// model enabled, each Fence() busy-waits fence_ns (the sfence draining the write-pending
-// queue) and each Persist() busy-waits flush_ns_per_line per covered cacheline (clwb
-// writeback bandwidth). Defaults are zero: no modeling, no overhead, existing behavior.
-// Benches enable Optane-calibrated figures (~100ns fence); correctness tests leave it off.
+// cannot observe the ordering-point savings the real hardware would show. With a cost
+// model armed, the pool charges what Optane would stall a core for, and nothing more:
+//   - per-line write-back: each Persist() charges flush_ns_per_line per covered cacheline
+//     (the clwb's writeback bandwidth);
+//   - fence drain: each Fence() charges fence_ns (the sfence draining the write-pending
+//     queue).
+// A charge is added to the calling thread's stall debt, and the debt is paid by busy-
+// waiting at that thread's next Fence() (an sfence is where a core waits for its earlier
+// clwbs), or at once when it exceeds the cost of reading the stall clock, or by DrainStall()
+// (PersistSpan::Disarm, before a delegation worker hands its persists to another thread's
+// fence). The stall clock is the CPU's cycle counter (steady_clock where there is none),
+// calibrated once when a pool first arms a non-zero model; a wait that overshoots its debt
+// by up to one clock read credits the overshoot to the thread's next charge, so the spin
+// pays for its own clock reads. The stores themselves are real DRAM stores, charged as
+// they cost. Defaults are zero: no modeling, no overhead. Benches arm Optane-calibrated
+// figures (~100ns fence); correctness tests leave it off.
 struct NvmCostModel {
   uint32_t fence_ns = 0;
   uint32_t flush_ns_per_line = 0;
@@ -68,7 +79,7 @@ struct NvmCostModel {
   bool enabled() const { return fence_ns != 0 || flush_ns_per_line != 0; }
 };
 
-// Statistics the cost models and benches read. Relaxed counters; cheap enough to keep
+// Statistics the cost models and benches read. Per-thread counters; cheap enough to keep
 // on. Registered into obs::StatRegistry under layer "nvm" (summed across pools).
 struct NvmStats : obs::StatGroup {
   obs::Counter bytes_written{this, "bytes_written"};
@@ -100,7 +111,9 @@ class NvmPool {
 
   size_t num_pages() const { return num_pages_; }
   NvmMode mode() const { return mode_; }
-  void set_cost_model(NvmCostModel model) { cost_model_ = model; }
+  // Arms (or, with a zero model, disarms) the cost model. Call it between measured ops,
+  // not concurrently with them: the first non-zero model calibrates the stall clock.
+  void set_cost_model(NvmCostModel model);
   const NvmCostModel& cost_model() const { return cost_model_; }
   const NumaTopology& topology() const { return topology_; }
   NvmStats& stats() { return stats_; }
@@ -145,7 +158,7 @@ class NvmPool {
 
   void Write(void* dst, const void* src, size_t len) {
     std::memcpy(dst, src, len);
-    stats_.bytes_written.fetch_add(len, std::memory_order_relaxed);
+    stats_.bytes_written.fetch_add(len);
     if (mode_ == NvmMode::kTracking) {
       MarkDirty(dst, len);
     }
@@ -153,7 +166,7 @@ class NvmPool {
 
   void Set(void* dst, int value, size_t len) {
     std::memset(dst, value, len);
-    stats_.bytes_written.fetch_add(len, std::memory_order_relaxed);
+    stats_.bytes_written.fetch_add(len);
     if (mode_ == NvmMode::kTracking) {
       MarkDirty(dst, len);
     }
@@ -161,14 +174,14 @@ class NvmPool {
 
   void Read(void* dst, const void* src, size_t len) {
     std::memcpy(dst, src, len);
-    stats_.bytes_read.fetch_add(len, std::memory_order_relaxed);
+    stats_.bytes_read.fetch_add(len);
   }
 
   // 8-byte store used for the atomic commit fields (§4.4: hardware supports atomic NVM
   // updates; the ino field of a DirentBlock is committed with one of these).
   void Store64(uint64_t* dst, uint64_t value) {
     reinterpret_cast<std::atomic<uint64_t>*>(dst)->store(value, std::memory_order_release);
-    stats_.bytes_written.fetch_add(8, std::memory_order_relaxed);
+    stats_.bytes_written.fetch_add(8);
     if (mode_ == NvmMode::kTracking) {
       MarkDirty(dst, 8);
     }
@@ -183,6 +196,10 @@ class NvmPool {
 
   // sfence: all previously requested writebacks are durable after this returns.
   void Fence();
+
+  // Pays the calling thread's outstanding modeled stall now rather than at its next
+  // fence: for a thread that hands its persists to a fence another thread issues.
+  void DrainStall();
 
   // Persist + Fence.
   void PersistNow(const void* dst, size_t len) {
@@ -239,7 +256,9 @@ class NvmPool {
 
  private:
   void MarkDirty(const void* dst, size_t len);
-  static void SpinDelayNs(uint64_t ns);
+  // Adds `cost` (stall-clock units) to the calling thread's debt and pays the debt once
+  // it exceeds one clock read.
+  void ChargeStall(int64_t cost);
   uint64_t LineOf(const void* ptr) const {
     return (static_cast<const char*>(ptr) - main_) / kCacheLineSize;
   }
@@ -255,6 +274,10 @@ class NvmPool {
   std::unique_ptr<char[]> shadow_;   // Persisted image (kTracking only).
   NvmStats stats_;
   NvmCostModel cost_model_;
+  // cost_model_ in stall-clock units of 1/256 tick, and the cost of one clock read.
+  int64_t fence_stall_ = 0;
+  int64_t line_stall_ = 0;
+  int64_t clock_read_stall_ = 0;
   FaultInjector* fault_injector_ = nullptr;
 
   std::mutex track_mutex_;

@@ -13,7 +13,8 @@
 //
 // Disarm() exists for the delegation last-completer protocol: a worker that is not the
 // last completer of a batch-node group hands its pending persists to the completer's
-// single fence and must not fence in its own destructor.
+// single fence and must not fence in its own destructor (it pays its modeled write-back
+// stall before the hand-off instead).
 //
 // Group-commit epochs (PR 6): a PersistEpoch installed on a thread (PersistEpoch::Scope)
 // absorbs the fences of every span opened on that thread while it is current. The spans
@@ -158,8 +159,13 @@ class PersistSpan {
   }
 
   // Drop pending persists without fencing: the caller has transferred responsibility for
-  // the fence to someone else (delegation last-completer groups).
-  void Disarm() { pending_ = false; }
+  // the fence to someone else (delegation last-completer groups). The modeled write-back
+  // stall of this thread's persists is paid here, before the hand-off, since no fence of
+  // this thread will.
+  void Disarm() {
+    pool_.DrainStall();
+    pending_ = false;
+  }
 
   // Unconditional sfence, even with nothing pending in THIS span: the dual of Disarm(),
   // for the party that fences on behalf of persists other spans issued (the last

@@ -29,8 +29,8 @@ uint64_t SlowBackend::WritePage(const void* src, Ino owner) {
     data_.emplace(slot, std::move(copy));
     owners_.emplace(slot, owner);
   }
-  stats_.backend_pages_written.fetch_add(1, std::memory_order_relaxed);
-  stats_.backend_bytes_written.fetch_add(kPageSize, std::memory_order_relaxed);
+  stats_.backend_pages_written.fetch_add(1);
+  stats_.backend_bytes_written.fetch_add(kPageSize);
   SpinDelayNs(cost_model_.write_ns_per_page);
   return slot;
 }
@@ -44,8 +44,8 @@ Status SlowBackend::ReadPage(uint64_t slot, void* dst) const {
     }
     std::memcpy(dst, it->second.get(), kPageSize);
   }
-  stats_.backend_pages_read.fetch_add(1, std::memory_order_relaxed);
-  stats_.backend_bytes_read.fetch_add(kPageSize, std::memory_order_relaxed);
+  stats_.backend_pages_read.fetch_add(1);
+  stats_.backend_bytes_read.fetch_add(kPageSize);
   SpinDelayNs(cost_model_.read_ns_per_page);
   return OkStatus();
 }

@@ -105,7 +105,7 @@ class FlatScratch {
 
 Status IntegrityVerifier::CheckDeadline(const VerifyRequest& request) const {
   if (request.deadline_ns != 0 && clock_->NowNs() > request.deadline_ns) {
-    stats_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
+    stats_.deadline_exceeded.fetch_add(1);
     return VerifyFail(VerifyErrorClass::kDeadline, "I2",
                       "verification exceeded its time budget; state unverified");
   }
@@ -228,15 +228,14 @@ Status IntegrityVerifier::CheckChain(const VerifyRequest& request,
   for (uint64_t i = 0; status.ok() && i < *index_pages; ++i) {
     status = ClassifyWalkerError(ForEachIndexEntry(pool_, report->pages[i], i, check_entry));
   }
-  stats_.pages_scanned.fetch_add(report->pages.size() + report->backend_slots.size(),
-                                 std::memory_order_relaxed);
+  stats_.pages_scanned.fetch_add(report->pages.size() + report->backend_slots.size());
   return status;
 }
 
 Result<VerifyReport> IntegrityVerifier::Verify(const VerifyRequest& request) {
-  stats_.files_verified.fetch_add(1, std::memory_order_relaxed);
+  stats_.files_verified.fetch_add(1);
   if (request.dirent == nullptr) {
-    stats_.failures.fetch_add(1, std::memory_order_relaxed);
+    stats_.failures.fetch_add(1);
     return InvalidArgument("verify request without dirent");
   }
   // Transient media faults abort a pass; re-run the whole verification (every pass
@@ -246,11 +245,11 @@ Result<VerifyReport> IntegrityVerifier::Verify(const VerifyRequest& request) {
     if (VerifyError::FromStatus(result.status()).cls != VerifyErrorClass::kMediaFailure) {
       break;
     }
-    stats_.media_retries.fetch_add(1, std::memory_order_relaxed);
+    stats_.media_retries.fetch_add(1);
     result = VerifyOnce(request);
   }
   if (!result.ok()) {
-    stats_.failures.fetch_add(1, std::memory_order_relaxed);
+    stats_.failures.fetch_add(1);
   }
   return result;
 }

@@ -1,9 +1,11 @@
-// Unit tests for the emulated NVM pool: addressing, NUMA striping, persistence tracking
-// and crash simulation. The delegation pool built on top of it is covered by
+// Unit tests for the emulated NVM pool: addressing, NUMA striping, persistence tracking,
+// crash simulation and the cost model's stalls. The delegation pool built on top of it is covered by
 // tests/delegation_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -56,6 +58,65 @@ TEST(NvmPoolTest, StatsCountWrites) {
   pool.PersistNow(pool.PageAddress(1), 100);
   EXPECT_GE(pool.stats().lines_flushed.load(), 2u);
   EXPECT_EQ(pool.stats().fences.load(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Cost model: what a persist or fence costs in wall time with NvmCostModel{100, 5}.
+// ---------------------------------------------------------------------------
+
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__) || !defined(NDEBUG)
+// Instrumented or unoptimized code adds its own time to every call: only the lower bound
+// (the stall never charges less than the model) holds there.
+constexpr bool kCheckStallUpperBounds = false;
+#else
+constexpr bool kCheckStallUpperBounds = true;
+#endif
+
+double ElapsedNs(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+// Wall nanoseconds per call of `op`: the fastest of 5 trials of 2000 calls, so a trial a
+// preemption hits does not count.
+template <typename Op>
+double FastestNsPerCall(Op op) {
+  double best = 1e18;
+  for (int trial = 0; trial < 5; ++trial) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < 2000; ++i) {
+      op();
+    }
+    best = std::min(best, ElapsedNs(start) / 2000);
+  }
+  return best;
+}
+
+TEST(NvmCostModelTest, FencesNeverChargeLessThanTheModel) {
+  NvmPool pool(16);
+  pool.set_cost_model({100, 5});
+  constexpr int kFences = 10000;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kFences; ++i) {
+    pool.Fence();
+  }
+  const double ns = ElapsedNs(start);
+  pool.set_cost_model({});
+  EXPECT_GE(ns, kFences * 100.0);
+  EXPECT_EQ(pool.stats().fences.load(), static_cast<uint64_t>(kFences));
+}
+
+TEST(NvmCostModelTest, PersistAndFenceCostCloseToTheModel) {
+  if (!kCheckStallUpperBounds) {
+    GTEST_SKIP() << "upper bounds need an optimized, uninstrumented build";
+  }
+  NvmPool pool(16);
+  pool.set_cost_model({100, 5});
+  const double persist = FastestNsPerCall([&] { pool.Persist(pool.PageAddress(1), 8); });
+  const double fence = FastestNsPerCall([&] { pool.Fence(); });
+  pool.set_cost_model({});
+  EXPECT_LE(persist, 35.0) << "a one-line Persist is modeled at 5 ns";
+  EXPECT_LE(fence, 130.0) << "a Fence is modeled at 100 ns";
 }
 
 TEST(CrashSimTest, UnpersistedStoreIsLost) {

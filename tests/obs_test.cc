@@ -10,6 +10,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <regex>
 #include <set>
 #include <string>
@@ -200,6 +201,120 @@ TEST(StatRegistryTest, ResetZeroesEveryStatInGroup) {
   EXPECT_EQ(stats.last.load(), 0u);
   EXPECT_EQ(outside.load(), 7u);
   EXPECT_EQ(obs::StatRegistry::Global().CounterValue("resettest", "last"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Per-thread slabs
+// ---------------------------------------------------------------------------
+
+struct SlabTestStats : obs::StatGroup {
+  obs::Counter bumps{this, "bumps"};
+  obs::LatencyHistogram latency{this, "latency"};
+
+ private:
+  obs::ScopedRegistration reg_{"slabtest", *this};
+};
+
+TEST(StatSlabTest, ThreadsSumExactly) {
+  SlabTestStats stats;
+  constexpr int kThreads = 8;
+  constexpr uint64_t kBumps = 100000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (uint64_t i = 0; i < kBumps; ++i) {
+        stats.bumps.fetch_add(1);
+      }
+      stats.latency.Record(100);
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(stats.bumps.load(), kThreads * kBumps);
+  EXPECT_EQ(obs::StatRegistry::Global().CounterValue("slabtest", "bumps"), kThreads * kBumps);
+  EXPECT_EQ(stats.latency.TotalCount(), static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(stats.latency.SumNs(), kThreads * 100u);
+}
+
+TEST(StatSlabTest, ExitedThreadCountsStay) {
+  SlabTestStats stats;
+  std::thread([&] { stats.bumps.fetch_add(42); }).join();
+  EXPECT_EQ(stats.bumps.load(), 42u);
+  // The next thread reuses the exited one's slab and adds to it.
+  std::thread([&] { stats.bumps.fetch_add(8); }).join();
+  EXPECT_EQ(stats.bumps.load(), 50u);
+  stats.bumps.fetch_add(1);
+  EXPECT_EQ(obs::StatRegistry::Global().CounterValue("slabtest", "bumps"), 51u);
+}
+
+TEST(StatSlabTest, ResetZeroesEverySlab) {
+  SlabTestStats stats;
+  constexpr int kThreads = 4;
+  std::atomic<int> bumped{0};
+  std::atomic<bool> reset{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      stats.bumps.fetch_add(10);
+      stats.latency.Record(1000);
+      bumped.fetch_add(1, std::memory_order_release);
+      while (!reset.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      stats.bumps.fetch_add(1);  // After the Reset, into the same (live) slab.
+    });
+  }
+  while (bumped.load(std::memory_order_acquire) < kThreads) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(stats.bumps.load(), kThreads * 10u);
+  stats.Reset();
+  EXPECT_EQ(stats.bumps.load(), 0u);
+  EXPECT_EQ(stats.latency.TotalCount(), 0u);
+  EXPECT_EQ(stats.latency.SumNs(), 0u);
+  reset.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(stats.bumps.load(), static_cast<uint64_t>(kThreads));
+}
+
+// A thread caches its slab of a group by the group's slot. When the group is destroyed
+// and another is built in its place (same address, same slot) while threads still cache
+// slabs of the old one, their later bumps must reach the new group's own slabs, and none
+// of the old group's counts may show in it.
+TEST(StatSlabTest, ReplacedGroupNeverGetsStaleWrites) {
+  std::optional<SlabTestStats> stats;
+  stats.emplace();
+  const void* const address = &*stats;
+  std::atomic<int> cached{0};
+  std::atomic<bool> replaced{false};
+  std::vector<std::thread> threads;
+  for (uint64_t before : {7u, 3u}) {
+    threads.emplace_back([&, before] {
+      stats->bumps.fetch_add(before);
+      cached.fetch_add(1, std::memory_order_release);
+      while (!replaced.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      stats->bumps.fetch_add(1);
+    });
+  }
+  while (cached.load(std::memory_order_acquire) < 2) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(stats->bumps.load(), 10u);
+  stats.reset();
+  stats.emplace();
+  EXPECT_EQ(static_cast<const void*>(&*stats), address);
+  EXPECT_EQ(stats->bumps.load(), 0u);
+  replaced.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(stats->bumps.load(), 2u);
+  EXPECT_EQ(obs::StatRegistry::Global().CounterValue("slabtest", "bumps"), 2u);
 }
 
 // ---------------------------------------------------------------------------
