@@ -4,8 +4,10 @@
 //     verifier can detect the corruption, and the kernel controller can restore the
 //     corrupted file to a consistent state");
 //   * measures verification latency against file size — the paper reports "several to
-//     hundreds of microseconds for medium-sized files".
+//     hundreds of microseconds for medium-sized files" — for a commit after a chain change
+//     (a full walk) and after none (a comparison with the chain the last commit kept).
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -170,34 +172,47 @@ void ScriptedSweep() {
 }
 
 // Mean verify time of `path`'s commits: `path` is write-mapped by s.victim and committed
-// once first, so every timed pass verifies settled state.
-double CommitVerifyUs(Stack& s, const std::string& path) {
+// once first; `before_commit(i)` runs ahead of the i-th timed commit.
+double CommitVerifyUs(Stack& s, const std::string& path,
+                      const std::function<void(int)>& before_commit) {
   TRIO_CHECK_OK(s.victim->Commit(path));
   s.kernel->stats().Reset();
   constexpr int kIterations = 20;
   for (int i = 0; i < kIterations; ++i) {
+    before_commit(i);
     TRIO_CHECK_OK(s.victim->Commit(path));
   }
   return s.kernel->stats().verify_ns.load() / 1e3 /
          std::max<uint64_t>(1, s.kernel->stats().verifications.load());
 }
 
+// A commit after a chain change walks the whole chain; one after none compares the chain
+// with the one the previous commit kept.
 void VerifierLatency() {
   Table table("Verification latency vs file size (§6.5: 'several to hundreds of us')");
-  table.SetHeader({"file", "verify us/op"});
+  table.SetHeader({"file", "verify us/op, chain changed", "verify us/op, unchanged"});
   for (size_t size : {4u << 10, 64u << 10, 1u << 20, 16u << 20}) {
     Stack s = MakeStack(1 << 16);
     PrepareTarget(s, "/f", size);
-    // Time pure verification via repeated commit of a write-mapped file.
     Result<Fd> fd = s.victim->Open("/f", OpenFlags::ReadWrite());
     TRIO_CHECK(fd.ok());
     char byte = 'x';
     TRIO_CHECK(s.victim->Pwrite(*fd, &byte, 1, 0).ok());
-    table.AddRow({std::to_string(size >> 10) + " KiB", Fmt(CommitVerifyUs(s, "/f"), 1)});
+    // Extend by one page and truncate back, alternately.
+    const double changed = CommitVerifyUs(s, "/f", [&](int i) {
+      if (i % 2 == 0) {
+        TRIO_CHECK(s.victim->Pwrite(*fd, &byte, 1, size).ok());
+      } else {
+        TRIO_CHECK_OK(s.victim->Ftruncate(*fd, size));
+      }
+    });
+    const double unchanged = CommitVerifyUs(s, "/f", [](int) {});
+    table.AddRow({std::to_string(size >> 10) + " KiB", Fmt(changed, 1), Fmt(unchanged, 1)});
     TRIO_CHECK_OK(s.victim->Close(*fd));
   }
-  // A directory's verification walks every dirent: I1 fields, duplicate names and inos,
-  // and each child's ownership and shadow inode.
+  // A directory's verification always walks every dirent (its data pages carry children's
+  // size and mtime): I1 fields, duplicate names and inos, and each child's ownership and
+  // shadow inode. Its change is a create or an unlink, alternately.
   for (int entries : {64, 1024, 16384}) {
     Stack s = MakeStack(1 << 16);
     TRIO_CHECK_OK(s.victim->Mkdir("/d"));
@@ -206,8 +221,18 @@ void VerifierLatency() {
       TRIO_CHECK(fd.ok());
       TRIO_CHECK_OK(s.victim->Close(*fd));
     }
-    table.AddRow({"dir, " + std::to_string(entries) + " entries",
-                  Fmt(CommitVerifyUs(s, "/d"), 1)});
+    const double changed = CommitVerifyUs(s, "/d", [&](int i) {
+      if (i % 2 == 0) {
+        Result<Fd> fd = s.victim->Open("/d/extra", OpenFlags::CreateTrunc());
+        TRIO_CHECK(fd.ok());
+        TRIO_CHECK_OK(s.victim->Close(*fd));
+      } else {
+        TRIO_CHECK_OK(s.victim->Unlink("/d/extra"));
+      }
+    });
+    const double unchanged = CommitVerifyUs(s, "/d", [](int) {});
+    table.AddRow({"dir, " + std::to_string(entries) + " entries", Fmt(changed, 1),
+                  Fmt(unchanged, 1)});
   }
   table.Print();
 }

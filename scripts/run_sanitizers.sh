@@ -2,8 +2,9 @@
 # Builds the concurrency-heavy test binaries (the Parker park/wake primitive, the seqlock,
 # delegation pool, callback watchdog, crash explorer, op-ring drainer, multi-tenant
 # schedule explorer, fuzz corpus, fleet, trace ring, MMU page tables, ownership tables,
-# shard locks, verifier scratch, dirent publish word, map-epoch readers, BRAVO reader fast
-# path, minildb's memtable arena and reused block buffers) under
+# shard locks, verifier scratch and kept chains, dirent publish word, map-epoch readers and
+# chain generations, BRAVO reader fast path, minildb's memtable arena and reused block
+# buffers) under
 # ThreadSanitizer and under AddressSanitizer with UndefinedBehaviorSanitizer, and runs a
 # smoke subset of each.
 #
@@ -69,12 +70,14 @@ ownership_filter='KernelTest.OwnershipReadsSeeOnlyStoredStatesWhileLeasesChurn:K
 # thread holds it count one contended acquisition, and a rank-order violation aborts.
 shard_filter='ShardLockTest.*:OrderedShardSpanTest.*:ShardRankDeathTest.*'
 # Verifier scratch: a 3,000-entry directory's duplicate checks, the checkpoint diff, and
-# two threads verifying at once.
-verifier_filter='VerifierLargeDirTest.*:VerifierDirTest.CheckpointDiffListsEveryRemovedChild:VerifierDirTest.TwoThreadsVerifyingDifferentDirectoriesGetTheirOwnReports'
+# two threads verifying at once; the chain copies a walk keeps and compares against.
+verifier_filter='VerifierLargeDirTest.*:VerifierDirTest.CheckpointDiffListsEveryRemovedChild:VerifierDirTest.TwoThreadsVerifyingDifferentDirectoriesGetTheirOwnReports:VerifierCompareTest.*'
 # Dirent ino publish word: a committer toggles a slot's ino while the verifier and a
 # LibFS's aux rebuild scan its page. Map epochs: a read grant dropped mid-op reruns the op
 # after the writer is verified, and an upgrade after a drop rebuilds before it writes.
-arckfs_filter='ArckFsTest.DirentScansLoadTheWordsTheCommitterPublishes:ArckFsTest.ReadDroppedMidOpRunsAgainAfterTheWriterIsVerified:ArckFsTest.UpgradeAfterADroppedReadRebuildsBeforeWriting'
+# Chain generations: a reader keeps its radix across a drop, and one whose rebuild raced a
+# write grant (revoked on the guard's helper thread) rebuilds at its next map.
+arckfs_filter='ArckFsTest.DirentScansLoadTheWordsTheCommitterPublishes:ArckFsTest.ReadDroppedMidOpRunsAgainAfterTheWriterIsVerified:ArckFsTest.UpgradeAfterADroppedReadRebuildsBeforeWriting:ArckFsTest.ReaderKeepsItsRadixWhenTheWriterChangedNoIndexPage:ArckFsGenerationTest.*'
 # Readers in two LibFSes overlap a third's writes. Their copies of NVM bytes race the
 # writer's by design (on hardware those loads fault; the end-of-op epoch check discards
 # them), so this runs in the address sweep only.

@@ -140,16 +140,16 @@ Status ForEachDataEntry(const NvmPool& pool, PageNumber first_index_page,
                         const std::function<Status(uint64_t, uint64_t)>& fn) {
   uint64_t position = 0;
   return ForEachIndexPage(pool, first_index_page, [&](PageNumber page) -> Status {
-    return ForEachIndexEntry(pool, page, position++, fn);
+    return ForEachIndexEntry(pool, *reinterpret_cast<const IndexPage*>(pool.PageAddress(page)),
+                             position++, fn);
   });
 }
 
-Status ForEachIndexEntry(const NvmPool& pool, PageNumber index_page, uint64_t position,
+Status ForEachIndexEntry(const NvmPool& pool, const IndexPage& index, uint64_t position,
                          const std::function<Status(uint64_t, uint64_t)>& fn) {
-  const auto* index = reinterpret_cast<const IndexPage*>(pool.PageAddress(index_page));
   const uint64_t base_index = position * kIndexEntriesPerPage;
   for (size_t i = 0; i < kIndexEntriesPerPage; ++i) {
-    const uint64_t entry = index->entries[i];
+    const uint64_t entry = index.entries[i];
     if (entry == 0) {
       continue;  // Hole.
     }

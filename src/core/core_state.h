@@ -59,8 +59,9 @@ Status ForEachDataPage(const NvmPool& pool, PageNumber first_index_page,
 Status ForEachDataEntry(const NvmPool& pool, PageNumber first_index_page,
                         const std::function<Status(uint64_t file_page_index, uint64_t entry)>& fn);
 
-// ForEachDataEntry over one index page, the chain's `position`-th (0-based).
-Status ForEachIndexEntry(const NvmPool& pool, PageNumber index_page, uint64_t position,
+// ForEachDataEntry over one index page, the chain's `position`-th (0-based): the page in
+// the pool or a copy of it.
+Status ForEachIndexEntry(const NvmPool& pool, const IndexPage& index, uint64_t position,
                          const std::function<Status(uint64_t file_page_index, uint64_t entry)>& fn);
 
 // Visits each live DirentBlock of the directory whose chain starts at `first_index_page`,

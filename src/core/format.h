@@ -83,7 +83,7 @@ struct DirentBlock {
   uint32_t nlink;             // Always 1 for files, 1 + subdirs irrelevant: no hard links.
   int64_t mtime_ns;
   int64_t ctime_ns;
-  uint64_t generation;        // Bumped by the kernel on each write-grant; anti-ABA.
+  uint64_t generation;        // Unused and unchecked (chain generations are kernel DRAM).
   uint16_t name_len;          // Bytes of `name` in use; 1..kMaxNameLen-1.
   uint8_t reserved[6];        // Must be zero (checked by I1).
   char name[kMaxNameLen];     // Not NUL-terminated; name_len gives the length.

@@ -14,6 +14,7 @@
 #include "src/kernel/controller.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "src/kernel/controller_internal.h"
 #include "src/kernel/digestion.h"
@@ -127,8 +128,10 @@ Status KernelController::Mount() {
   if (ino_table_.size() == 0) {
     ino_table_.Resize(sb->max_inodes);
     map_epochs_.Resize(sb->max_inodes);
+    wmap_slot_of_.Resize(sb->max_inodes);
   }
   ino_table_.Clear();
+  LoadWmapIndex();
   {
     std::lock_guard<std::mutex> guard(alloc_mu_);
     free_pages_by_node_.assign(pool_.topology().num_nodes, {});
@@ -179,6 +182,7 @@ Status KernelController::ScanTreeLocked(Ino ino, Ino parent, PageNumber dirent_p
   record.dirent_page = dirent_page;
   record.dirent_slot = dirent_slot;
   record.first_index_page = dirent.first_index_page;
+  record.chain_generation = NextChainGeneration();
 
   // Claim this file's pages; tolerate damage by stopping at the first bad page.
   Status walk = ForEachIndexPage(pool_, dirent.first_index_page, [&](PageNumber p) -> Status {
@@ -402,6 +406,7 @@ Status KernelController::RunRecovery() {
       span.CommitStore64(&sb->wmap_log_overflow, 0);
     }
   }
+  LoadWmapIndex();
   needs_recovery_ = false;
   return OkStatus();
 }
@@ -596,6 +601,9 @@ Status KernelController::FreePages(LibFsId libfs, const std::vector<PageNumber>&
         return PermissionDenied("freeing a page of a file not write-mapped by caller");
       }
       file->pages.erase(page);
+      if (file->checkpoint != nullptr) {
+        file->checkpoint->verified = false;  // Its chain may still reference the page.
+      }
       me->mmu.Revoke(page, PagePerm::kReadWrite);
       ReleasePageToFree(page);
       stats_.pages_freed.fetch_add(1);
@@ -809,18 +817,19 @@ bool KernelController::IsMovePermitted(Ino child, Ino new_parent, LibFsId writer
 
 void KernelController::WmapLogAdd(Ino ino) {
   std::lock_guard<std::mutex> guard(wmap_mu_);
-  auto* log = reinterpret_cast<uint64_t*>(pool_.PageAddress(SuperblockOf(pool_)->wmap_log_page));
-  const size_t slots = WmapSlots(pool_);
-  for (size_t i = 0; i < slots; ++i) {
-    if (pool_.Load64(&log[i]) == ino) {
-      return;
-    }
+  std::atomic<uint64_t>* logged = wmap_slot_of_.FindOrAdd(ino);
+  if (logged != nullptr && logged->load(std::memory_order_relaxed) != 0) {
+    return;
   }
-  for (size_t i = 0; i < slots; ++i) {
-    if (pool_.Load64(&log[i]) == kInvalidIno) {
-      obs::PersistSpan(pool_, &persist_stats_).CommitStore64(&log[i], ino);
-      return;
-    }
+  if (logged != nullptr && !wmap_free_.empty()) {
+    std::pop_heap(wmap_free_.begin(), wmap_free_.end(), std::greater<>());
+    const uint32_t slot = wmap_free_.back();
+    wmap_free_.pop_back();
+    auto* log =
+        reinterpret_cast<uint64_t*>(pool_.PageAddress(SuperblockOf(pool_)->wmap_log_page));
+    obs::PersistSpan(pool_, &persist_stats_).CommitStore64(&log[slot], ino);
+    logged->store(slot + 1, std::memory_order_relaxed);
+    return;
   }
   // Log full: fall back to verify-everything-at-recovery semantics.
   Superblock* sb = SuperblockOf(pool_);
@@ -832,13 +841,41 @@ void KernelController::WmapLogAdd(Ino ino) {
 
 void KernelController::WmapLogRemove(Ino ino) {
   std::lock_guard<std::mutex> guard(wmap_mu_);
+  std::atomic<uint64_t>* logged = wmap_slot_of_.Find(ino);
+  const uint64_t slot_plus_one =
+      logged == nullptr ? 0 : logged->load(std::memory_order_relaxed);
+  if (slot_plus_one == 0) {
+    return;
+  }
   auto* log = reinterpret_cast<uint64_t*>(pool_.PageAddress(SuperblockOf(pool_)->wmap_log_page));
+  obs::PersistSpan(pool_, &persist_stats_).CommitStore64(&log[slot_plus_one - 1], kInvalidIno);
+  logged->store(0, std::memory_order_relaxed);
+  wmap_free_.push_back(static_cast<uint32_t>(slot_plus_one - 1));
+  std::push_heap(wmap_free_.begin(), wmap_free_.end(), std::greater<>());
+}
+
+void KernelController::LoadWmapIndex() {
+  std::lock_guard<std::mutex> guard(wmap_mu_);
+  wmap_slot_of_.ForEach([](uint64_t, std::atomic<uint64_t>& word) {
+    word.store(0, std::memory_order_relaxed);
+  });
+  wmap_free_.clear();
+  const auto* log =
+      reinterpret_cast<const uint64_t*>(pool_.PageAddress(SuperblockOf(pool_)->wmap_log_page));
   for (size_t i = 0; i < WmapSlots(pool_); ++i) {
-    if (pool_.Load64(&log[i]) == ino) {
-      obs::PersistSpan(pool_, &persist_stats_).CommitStore64(&log[i], kInvalidIno);
-      return;
+    const Ino ino = pool_.Load64(&log[i]);
+    if (ino == kInvalidIno) {
+      wmap_free_.push_back(static_cast<uint32_t>(i));
+      continue;
+    }
+    // A second slot naming the same ino, or an ino past the table, stays taken and
+    // unindexed until RunRecovery retires the log.
+    std::atomic<uint64_t>* logged = wmap_slot_of_.FindOrAdd(ino);
+    if (logged != nullptr && logged->load(std::memory_order_relaxed) == 0) {
+      logged->store(i + 1, std::memory_order_relaxed);
     }
   }
+  std::make_heap(wmap_free_.begin(), wmap_free_.end(), std::greater<>());
 }
 
 bool KernelController::RunGuarded(uint64_t timeout_ms, std::function<void()> fn) {

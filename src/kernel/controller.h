@@ -144,6 +144,10 @@ struct MapInfo {
   // moved it to drop other readers. A read grant stands while the epoch stays here; a
   // LibFS whose read grant carries this epoch still held it when it asked for more.
   uint64_t map_epoch = 0;
+  // A regular file's chain generation, unique within the controller: while it stays the
+  // same, the file's index chain has not changed, so auxiliary state a LibFS built from the
+  // chain at this generation is still current. 0 for a directory (always rebuild).
+  uint64_t chain_generation = 0;
 };
 
 // Registered into obs::StatRegistry under layer "kernel" (summed across controllers).
@@ -399,11 +403,19 @@ class KernelController : public OwnershipView, public VerifyEnv {
   Result<Ino> ParentOf(Ino ino) const;
 
  private:
+  // The state a write session rolls back to (§4.3): the dirent as the grant found it and the
+  // file's metadata pages. A directory's is taken at each write grant and dropped at
+  // release. A regular file's index chain outlives the session: after a passing
+  // verification it is the chain that pass checked (`verified`), which the next write grant
+  // reuses as it stands and the next verification compares against before it walks.
   struct FileCheckpointData {
     DirentBlock meta;
-    std::vector<PageNumber> pages;                    // Checkpointed page numbers.
-    std::vector<std::unique_ptr<char[]>> contents;    // kPageSize each, parallel to pages.
-    std::vector<CheckpointChild> children;            // Directories only.
+    PageImages images;  // Index pages; then, for a directory, its data pages.
+    // `images` is a passing verification's chain, every page of which has been the file's
+    // since. Cleared by rollback and by a FreePages of one of the file's pages; digestion
+    // drops the whole checkpoint.
+    bool verified = false;
+    std::vector<CheckpointChild> children;  // Directories only.
   };
 
   struct FileRecord {
@@ -417,6 +429,9 @@ class KernelController : public OwnershipView, public VerifyEnv {
     // Backend slots this file's tier entries reference (the backend-tier analogue of
     // `pages`; maintained by digestion, reconcile, and the mount rescan).
     std::unordered_set<uint64_t> backend_slots;
+    // MapInfo::chain_generation: moves whenever a regular file's chain may have changed (a
+    // verification that walked it, rollback, digestion), from NextChainGeneration.
+    uint64_t chain_generation = 0;
     LibFsId writer = kNoLibFs;
     std::unordered_set<LibFsId> readers;
     uint64_t lease_deadline_ns = 0;
@@ -483,7 +498,12 @@ class KernelController : public OwnershipView, public VerifyEnv {
 
   // ---- mapping / grants (controller_map.cc) ----
   DirentBlock* DirentOfLocked(const FileRecord& record) const;
+  // Records the dirent as it stands into the checkpoint, and copies the metadata pages
+  // unless the checkpoint holds a verified chain.
   Status TakeCheckpointLocked(FileRecord* record);
+  uint64_t NextChainGeneration() {
+    return chain_generations_.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
   void GrantFilePagesLocked(LibFsRecord& libfs, const FileRecord& record, bool write);
   // Releases the MMU references this LibFS's mapping of `record` holds. `write` names the
   // mapping strength being torn down (the MMU refcounts per strength; see MmuSim).
@@ -509,9 +529,18 @@ class KernelController : public OwnershipView, public VerifyEnv {
   // PRE: this thread set `busy` on the record; no locks held. The caller still owns the
   // writer teardown (FinishWriteRelease) afterwards.
   Status VerifyAndReconcile(Ino ino);
+  // Points `request` at what the record's checkpoint contributes to verifying it: a
+  // directory's children at the grant (I3), a regular file's verified chain. The caller's
+  // busy pin keeps both in place until the report is applied.
+  void SetCheckpointInputsLocked(const FileRecord& record, VerifyRequest* request) const;
   // Apply a verification report. Phase-two of the cross-shard protocol: acquires the
-  // shard of `ino` plus the shards of every child the report names, ascending.
-  Status ApplyReport(Ino ino, const VerifyReport& report);
+  // shard of `ino` plus the shards of every child the report names, ascending. A regular
+  // file's report leaves its chain in the checkpoint, verified.
+  Status ApplyReport(Ino ino, VerifyReport&& report);
+  // ApplyReport's page and backend-slot half: adopts what the report's chain references and
+  // frees what it no longer does.
+  void ReconcilePagesLocked(FileRecord* record, LibFsRecord* writer,
+                            const VerifyReport& report);
   void RollbackToCheckpointLocked(FileRecord* record);
   void QuarantineLocked(FileRecord* record, const Status& reason);
   // Self-locking subtree reclaim (leaf-first; waits out busy records). PRE: no locks
@@ -533,8 +562,11 @@ class KernelController : public OwnershipView, public VerifyEnv {
   // ---- lifecycle internals (controller.cc) ----
   Status ScanTreeLocked(Ino ino, Ino parent, PageNumber dirent_page, size_t dirent_slot,
                         const DirentBlock& dirent);
+  // The write-map log: one commit store each, found through the DRAM index below.
   void WmapLogAdd(Ino ino);
   void WmapLogRemove(Ino ino);
+  // Rebuilds the DRAM index from the NVM log (Mount, and RunRecovery once it retired it).
+  void LoadWmapIndex();
   // Runs an untrusted LibFS callback as one guarded upcall on callback_guard_. True iff it
   // completed within `timeout_ms`. Counts the upcall, the caller's wall time inside the
   // guard and a timeout here, on the caller's side: an abandoned callback may outlive
@@ -604,7 +636,16 @@ class KernelController : public OwnershipView, public VerifyEnv {
   Ino next_ino_ = 2;
   std::vector<Ino> free_inos_;
 
-  std::mutex wmap_mu_;  // Serializes write-map log read-modify-write cycles.
+  // The write-map log's DRAM index, guarded by wmap_mu_: its free slots as a min-heap, so
+  // a grant takes the lowest free slot, and each logged ino's slot + 1 (0 = not logged),
+  // sized with ino_table_.
+  std::mutex wmap_mu_;
+  std::vector<uint32_t> wmap_free_;
+  ChunkedWords wmap_slot_of_;
+
+  // The last chain generation handed out (NextChainGeneration); never reset, so a
+  // generation names one state of one record for the controller's lifetime.
+  std::atomic<uint64_t> chain_generations_{0};
 
   bool mounted_ = false;
   bool needs_recovery_ = false;  // Mount/RunRecovery/Unmount are single-threaded.

@@ -164,7 +164,8 @@ Result<MapInfo> KernelController::MapFile(LibFsId libfs, Ino ino, bool write) {
 
       std::atomic<uint64_t>& epoch = MapEpochOf(ino);
       MapInfo info{record->dirent_page, record->dirent_slot, write, 0,
-                   DirentOfLocked(*record)->first_index_page, LoadEpoch(epoch)};
+                   DirentOfLocked(*record)->first_index_page, LoadEpoch(epoch),
+                   record->is_dir ? 0 : record->chain_generation};
       // Already mapped suitably?
       if (record->writer == libfs) {
         record->lease_deadline_ns = now + config_.lease_ms * 1000000ull;
@@ -288,7 +289,9 @@ void KernelController::FinishWriteRelease(LibFsId libfs, Ino ino,
     FileRecord* record = FindRecordLocked(*shards_[si], ino);
     if (record != nullptr) {
       record->writer = kNoLibFs;
-      record->checkpoint.reset();
+      if (record->is_dir) {
+        record->checkpoint.reset();  // A regular file keeps its verified chain.
+      }
       if (me != nullptr) {
         // An unregistered holder's page table went with its record.
         RevokeFilePagesLocked(*me, *record, /*write=*/true);

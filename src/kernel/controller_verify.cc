@@ -38,7 +38,6 @@ Status KernelController::CommitFile(LibFsId libfs, Ino ino) {
   }
   const size_t si = ShardIndexOf(ino);
   VerifyRequest request;
-  std::vector<CheckpointChild> checkpoint_children;
   {
     ShardLock sl(shards_[si]->mu, si);
     FileRecord* record = WaitNotBusyLocked(*shards_[si], sl.lock(), ino);
@@ -51,10 +50,7 @@ Status KernelController::CommitFile(LibFsId libfs, Ino ino) {
     request.writer = libfs;
     request.writer_uid = me->uid;
     request.writer_gid = me->gid;
-    if (record->checkpoint != nullptr) {
-      checkpoint_children = record->checkpoint->children;
-      request.checkpoint_children = &checkpoint_children;
-    }
+    SetCheckpointInputsLocked(*record, &request);
   }
 
   // Verify the current state without the corruption-handling fallback: a failed commit
@@ -74,7 +70,7 @@ Status KernelController::CommitFile(LibFsId libfs, Ino ino) {
     }
     result = report.status();
   } else {
-    result = ApplyReport(ino, *report);
+    result = ApplyReport(ino, std::move(*report));
   }
 
   ShardLock sl(shards_[si]->mu, si);
@@ -89,10 +85,22 @@ Status KernelController::CommitFile(LibFsId libfs, Ino ino) {
   return result;
 }
 
+void KernelController::SetCheckpointInputsLocked(const FileRecord& record,
+                                                 VerifyRequest* request) const {
+  const FileCheckpointData* checkpoint = record.checkpoint.get();
+  if (checkpoint == nullptr) {
+    return;
+  }
+  if (record.is_dir) {
+    request->checkpoint_children = &checkpoint->children;
+  } else if (checkpoint->verified) {
+    request->verified_chain = &checkpoint->images;
+  }
+}
+
 Status KernelController::VerifyAndReconcile(Ino ino) {
   const size_t si = ShardIndexOf(ino);
   VerifyRequest request;
-  std::vector<CheckpointChild> checkpoint_children;
   LibFsId writer = kNoLibFs;
   {
     ShardLock sl(shards_[si]->mu, si);
@@ -104,10 +112,7 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
     request.ino = ino;
     request.dirent = DirentOfLocked(*record);
     request.writer = writer;
-    if (record->checkpoint != nullptr) {
-      checkpoint_children = record->checkpoint->children;
-      request.checkpoint_children = &checkpoint_children;
-    }
+    SetCheckpointInputsLocked(*record, &request);
   }
   std::shared_ptr<LibFsRecord> me = FindLibFs(writer);
   if (me == nullptr) {
@@ -123,7 +128,7 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
   stats_.verifications.fetch_add(1);
   stats_.verify_ns.fetch_add(NowNs() - v0);
   if (report.ok()) {
-    return ApplyReport(ino, *report);
+    return ApplyReport(ino, std::move(*report));
   }
 
   stats_.verify_failures.fetch_add(1);
@@ -162,7 +167,7 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
       stats_.verifications.fetch_add(1);
       if (retry.ok()) {
         stats_.corruptions_fixed_by_libfs.fetch_add(1);
-        return ApplyReport(ino, *retry);
+        return ApplyReport(ino, std::move(*retry));
       }
       failure = retry.status();
     }
@@ -194,7 +199,7 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
   return failure;
 }
 
-Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
+Status KernelController::ApplyReport(Ino ino, VerifyReport&& report) {
   // Phase one of the cross-shard protocol: collect every shard the report touches —
   // the verified file plus each named child (new, renamed in, or removed).
   std::vector<size_t> indices{ShardIndexOf(ino)};
@@ -223,50 +228,20 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
     std::shared_ptr<LibFsRecord> writer =
         writer_id != kNoLibFs ? FindLibFs(writer_id) : nullptr;
 
-    // Pages: adopt newly referenced leased pages, free no-longer-referenced owned pages.
-    // The record's set is updated in place against one sorted copy of the report's pages:
-    // only pages the session added cost a set node.
-    std::vector<PageNumber> new_pages(report.pages);
-    std::sort(new_pages.begin(), new_pages.end());
-    for (auto it = record->pages.begin(); it != record->pages.end();) {
-      const PageNumber page = *it;
-      if (std::binary_search(new_pages.begin(), new_pages.end(), page)) {
-        ++it;
-        continue;
+    if (!record->is_dir) {
+      // The chain this pass accepted, kept for the next grant and verification.
+      if (record->checkpoint == nullptr) {
+        record->checkpoint = std::make_unique<FileCheckpointData>();
       }
-      // Dropped from the file (truncate / shrink): back to the free pool.
-      if (writer != nullptr) {
-        writer->mmu.Revoke(page, PagePerm::kReadWrite);
+      record->checkpoint->verified = true;
+      if (!report.chain_unchanged) {
+        record->checkpoint->images = std::move(report.chain);
+        record->chain_generation = NextChainGeneration();
       }
-      ReleasePageToFree(page);
-      stats_.pages_freed.fetch_add(1);
-      it = record->pages.erase(it);
     }
-    for (PageNumber page : new_pages) {
-      if (page_table_.Get(page).state == ResourceState::kLeased) {
-        page_table_.Set(page, ResourceState::kOwned, ino);  // Ends the writer's lease.
-      }
-      record->pages.insert(page);
-    }
-    record->first_index_page = DirentOfLocked(*record)->first_index_page;
-
-    // Backend slots reconcile exactly like pages: slots no longer referenced by a tier
-    // entry (the writer truncated or overwrote a digested page) are freed on the backend.
-    // A writer cannot *mint* slots — CheckTierSlot already rejected any slot the backend
-    // does not record as owned by this file — so the report's set is always a subset of
-    // union(record set, adopted-at-mount set).
-    {
-      std::unordered_set<uint64_t> new_slots(report.backend_slots.begin(),
-                                             report.backend_slots.end());
-      SlowBackend* backend = config_.tier.backend;
-      for (uint64_t slot : record->backend_slots) {
-        if (new_slots.count(slot) != 0 || backend == nullptr) {
-          continue;
-        }
-        (void)backend->Free(slot, ino);
-        tier_stats_.backend_slots_freed.fetch_add(1);
-      }
-      record->backend_slots = std::move(new_slots);
+    // An unchanged chain references what the record already holds.
+    if (!report.chain_unchanged) {
+      ReconcilePagesLocked(record, writer.get(), report);
     }
 
     // FaultSim (kFaultKernelLeakOnContendedTransfer): on a transfer that raced a lease
@@ -296,6 +271,7 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
       fresh.dirent_page = child.dirent_page;
       fresh.dirent_slot = child.dirent_slot;
       fresh.first_index_page = child.first_index_page;
+      fresh.chain_generation = NextChainGeneration();
 
       ShadowInode shadow{child.mode, child.uid, child.gid, 1};
       ShadowInode* slot = ShadowInodeOf(pool_, child.ino);
@@ -383,6 +359,56 @@ Status KernelController::ApplyReport(Ino ino, const VerifyReport& report) {
     ReclaimTree(r);
   }
   return OkStatus();
+}
+
+void KernelController::ReconcilePagesLocked(FileRecord* record, LibFsRecord* writer,
+                                            const VerifyReport& report) {
+  const Ino ino = record->ino;
+  // Pages: adopt newly referenced leased pages, free no-longer-referenced owned pages.
+  // The record's set is updated in place against one sorted copy of the report's pages:
+  // only pages the session added cost a set node.
+  std::vector<PageNumber> new_pages(report.pages);
+  std::sort(new_pages.begin(), new_pages.end());
+  for (auto it = record->pages.begin(); it != record->pages.end();) {
+    const PageNumber page = *it;
+    if (std::binary_search(new_pages.begin(), new_pages.end(), page)) {
+      ++it;
+      continue;
+    }
+    // Dropped from the file (truncate / shrink): back to the free pool.
+    if (writer != nullptr) {
+      writer->mmu.Revoke(page, PagePerm::kReadWrite);
+    }
+    ReleasePageToFree(page);
+    stats_.pages_freed.fetch_add(1);
+    it = record->pages.erase(it);
+  }
+  for (PageNumber page : new_pages) {
+    if (page_table_.Get(page).state == ResourceState::kLeased) {
+      page_table_.Set(page, ResourceState::kOwned, ino);  // Ends the writer's lease.
+    }
+    record->pages.insert(page);
+  }
+  record->first_index_page = DirentOfLocked(*record)->first_index_page;
+
+  // Backend slots reconcile exactly like pages: slots no longer referenced by a tier
+  // entry (the writer truncated or overwrote a digested page) are freed on the backend.
+  // A writer cannot *mint* slots — CheckTierSlot already rejected any slot the backend
+  // does not record as owned by this file — so the report's set is always a subset of
+  // union(record set, adopted-at-mount set).
+  {
+    std::unordered_set<uint64_t> new_slots(report.backend_slots.begin(),
+                                           report.backend_slots.end());
+    SlowBackend* backend = config_.tier.backend;
+    for (uint64_t slot : record->backend_slots) {
+      if (new_slots.count(slot) != 0 || backend == nullptr) {
+        continue;
+      }
+      (void)backend->Free(slot, ino);
+      tier_stats_.backend_slots_freed.fetch_add(1);
+    }
+    record->backend_slots = std::move(new_slots);
+  }
 }
 
 void KernelController::ResolveOrphans(const std::shared_ptr<LibFsRecord>& libfs) {
@@ -481,27 +507,25 @@ void KernelController::ReclaimOne(Ino ino) {
 }
 
 Status KernelController::TakeCheckpointLocked(FileRecord* record) {
+  if (record->checkpoint != nullptr && record->checkpoint->verified) {
+    // The chain a passing verification checked, unchanged since: only the dirent is new.
+    record->checkpoint->meta = *DirentOfLocked(*record);
+    return OkStatus();
+  }
   auto checkpoint = std::make_unique<FileCheckpointData>();
   checkpoint->meta = *DirentOfLocked(*record);
-
-  auto copy_page = [&](PageNumber page) {
-    checkpoint->pages.push_back(page);
-    auto content = std::make_unique<char[]>(kPageSize);
-    std::memcpy(content.get(), pool_.PageAddress(page), kPageSize);
-    checkpoint->contents.push_back(std::move(content));
-  };
 
   // §4.3: checkpoint the file's metadata — index pages for a regular file; both index and
   // data pages for a directory (directory data pages *are* metadata).
   const PageNumber first = checkpoint->meta.first_index_page;
   TRIO_RETURN_IF_ERROR(ForEachIndexPage(pool_, first, [&](PageNumber page) -> Status {
-    copy_page(page);
+    checkpoint->images.Add(pool_, page);
     return OkStatus();
   }));
   if (record->is_dir) {
     TRIO_RETURN_IF_ERROR(
         ForEachDataPage(pool_, first, [&](uint64_t, PageNumber page) -> Status {
-          copy_page(page);
+          checkpoint->images.Add(pool_, page);
           return OkStatus();
         }));
     TRIO_RETURN_IF_ERROR(ForEachDirent(
@@ -576,7 +600,12 @@ size_t KernelController::QuarantineCount() const {
 }
 
 void KernelController::RollbackToCheckpointLocked(FileRecord* record) {
+  // The restored and scrubbed chain is not one a verification checked.
+  record->chain_generation = NextChainGeneration();
   FileCheckpointData* checkpoint = record->checkpoint.get();
+  if (checkpoint != nullptr) {
+    checkpoint->verified = false;
+  }
   DirentBlock* dirent = DirentOfLocked(*record);
   // One span for the whole rollback protocol: page restores batch under a single fence,
   // metadata and scrub writes each fence at their original points.
@@ -599,10 +628,10 @@ void KernelController::RollbackToCheckpointLocked(FileRecord* record) {
   }
 
   // Restore checkpointed page images where the page still belongs to this file.
-  for (size_t i = 0; i < checkpoint->pages.size(); ++i) {
-    const PageNumber page = checkpoint->pages[i];
+  for (size_t i = 0; i < checkpoint->images.pages.size(); ++i) {
+    const PageNumber page = checkpoint->images.pages[i];
     if (page_table_.Is(page, ResourceState::kOwned, record->ino)) {
-      pool_.Write(pool_.PageAddress(page), checkpoint->contents[i].get(), kPageSize);
+      pool_.Write(pool_.PageAddress(page), checkpoint->images.contents[i].get(), kPageSize);
       span.Persist(pool_.PageAddress(page), kPageSize);
     }
   }

@@ -187,11 +187,10 @@ size_t KernelController::DigestFile(Ino ino, size_t max_pages) {
       record->backend_slots.insert(slot);
     }
     if (!moved.empty()) {
-      // Bump the dirent generation so a LibFS with a cached radix over the old entries
-      // rebuilds its auxiliary state on the next map (same contract as a write grant).
-      DirentBlock* dirent = DirentOfLocked(*record);
-      obs::PersistSpan(pool_, &persist_stats_)
-          .CommitStore64(&dirent->generation, dirent->generation + 1);
+      // The chain changed under no verification: its kept image goes, and a LibFS with a
+      // radix over the old entries rebuilds at its next map.
+      record->checkpoint.reset();
+      record->chain_generation = NextChainGeneration();
     }
     record->busy = false;
     shards_[si]->cv.notify_all();

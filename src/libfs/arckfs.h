@@ -175,6 +175,9 @@ class ArckFs : public FsInterface, private RingPassHooks {
     // under map_mutex. While map_state is 1 the read grant stands only as long as the
     // kernel's epoch stays here; ops read it under op_lock.
     std::atomic<uint64_t> map_epoch{0};
+    // The chain generation (MapInfo::chain_generation) the auxiliary state was built from,
+    // or 0 if unknown; set under map_mutex. A map at the same generation skips RebuildAux.
+    uint64_t aux_generation = 0;
     DirentBlock* dirent = nullptr;
 
     // Regular-file auxiliary state (§4.2).
@@ -216,9 +219,10 @@ class ArckFs : public FsInterface, private RingPassHooks {
   NodePtr CreateNode(Ino ino, Ino parent, bool is_dir, DirentBlock* dirent);
   NodePtr FindNode(Ino ino);
   void DropNode(Ino ino);
-  // Maps the node (read or write) through the kernel and rebuilds auxiliary state if the
-  // mapping was (re)established. A read mapping whose grant the kernel dropped is torn
-  // down first, an upgrade to write included. Never call while holding op_lock.
+  // Maps the node (read or write) through the kernel and, if the mapping was
+  // (re)established, rebuilds auxiliary state unless it was built at the chain generation
+  // the grant carries. A read mapping whose grant the kernel dropped is torn down first,
+  // an upgrade to write included. Never call while holding op_lock.
   Status EnsureMapped(FileNode* node, bool write);
   // Acquire op_lock shared and confirm the mapping is still live at `level` (1=read,
   // 2=write); retries via EnsureMapped on staleness or a dropped read grant. Returns with

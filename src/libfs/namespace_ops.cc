@@ -647,6 +647,12 @@ Status ArckFs::Commit(const std::string& path) {
     ino = slot.ino;
   }
   TRIO_RETURN_IF_ERROR(EnsureReconciled(ino));
+  // The commit frees the pages truncate unlinked, as the chain no longer references them:
+  // they leave the reuse pool first. (A truncate racing the commit can still put one back.)
+  if (NodePtr node = FindNode(ino); node != nullptr) {
+    std::lock_guard<SpinLock> guard(node->tails_lock);
+    node->reuse_pages.clear();
+  }
   return kernel_.CommitFile(libfs_, ino);
 }
 

@@ -41,6 +41,7 @@ ArckFs::NodePtr ArckFs::CreateNode(Ino ino, Ino parent, bool is_dir, DirentBlock
     node->dir_index = std::make_unique<DirIndex>();  // Empty directory aux.
   }
   node->locally_created = true;
+  node->aux_generation = 0;  // Built here, not from a chain the kernel has seen.
   ++node->map_revision;
   node->map_state.store(2, std::memory_order_release);
   return node;
@@ -126,13 +127,21 @@ Status ArckFs::EnsureMapped(FileNode* node, bool write) {
       auto* page = reinterpret_cast<DirDataPage*>(pool_.PageAddress(info.dirent_page));
       node->dirent = &page->slots[info.dirent_slot];
     }
-    if (unmapped) {
+    if (unmapped && (info.chain_generation == 0 ||
+                     info.chain_generation != node->aux_generation)) {
+      node->aux_generation = 0;
       Status rebuilt = RebuildAux(node);
+      // A read grant dropped during the rebuild may have let it read a chain a writer was
+      // changing; the state is then of no known generation.
+      const bool held = info.writable || kernel_.MapEpochHolds(node->ino, info.map_epoch);
       if (!rebuilt.ok()) {
-        if (!info.writable && !kernel_.MapEpochHolds(node->ino, info.map_epoch)) {
+        if (!held) {
           continue;  // Rebuilt from bytes a writer was changing: map again.
         }
         return rebuilt;
+      }
+      if (held) {
+        node->aux_generation = info.chain_generation;
       }
     }
     ++node->map_revision;

@@ -1,6 +1,7 @@
 #include "src/verifier/verifier.h"
 
 #include <bit>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -162,6 +163,14 @@ Status IntegrityVerifier::CheckDirentFields(const DirentBlock& dirent, Ino ino,
   return OkStatus();
 }
 
+Status IntegrityVerifier::ReadFault(PageNumber page) const {
+  if (injector_ != nullptr && injector_->ShouldFire(kFaultVerifierMediaRead)) {
+    return VerifyFail(VerifyErrorClass::kMediaFailure, "I2",
+                      "transient media error reading page " + std::to_string(page));
+  }
+  return OkStatus();
+}
+
 Status IntegrityVerifier::CheckChain(const VerifyRequest& request,
                                      PageNumber first_index_page, VerifyReport* report,
                                      uint64_t* index_pages) const {
@@ -169,10 +178,7 @@ Status IntegrityVerifier::CheckChain(const VerifyRequest& request,
   IdBitmap seen(SuperblockOf(pool_)->total_pages);  // The walkers admit no page past it.
   auto check_page = [&](PageNumber page) -> Status {
     TRIO_RETURN_IF_ERROR(CheckDeadline(request));
-    if (injector_ != nullptr && injector_->ShouldFire(kFaultVerifierMediaRead)) {
-      return VerifyFail(VerifyErrorClass::kMediaFailure, "I2",
-                        "transient media error reading page " + std::to_string(page));
-    }
+    TRIO_RETURN_IF_ERROR(ReadFault(page));
     // I2: no double references within the file.
     if (!seen.Insert(page)) {
       return VerifyFail(VerifyErrorClass::kDoubleReference, "I2",
@@ -192,12 +198,33 @@ Status IntegrityVerifier::CheckChain(const VerifyRequest& request,
   };
 
   // Walk index pages, then the raw data entries of exactly those pages (not a second
-  // chain walk, so the chain checked here bounds them). ForEach* bound-check page numbers
-  // and detect cycles in the index chain; tier entries pass through tagged and are
-  // checked against the backend owner oracle instead of the NVM ownership table.
-  Status status = ClassifyWalkerError(ForEachIndexPage(pool_, first_index_page, check_page));
-  *index_pages = report->pages.size();
+  // chain walk, so the chain checked here bounds them). A regular file's index pages are
+  // copied into report->chain as they are checked and both walks read the copies, so the
+  // chain the kernel keeps is the chain this pass accepted even if the writer is storing.
+  // Each index page number is bound-checked, and the first page seen twice ends a cycle;
+  // tier entries pass through tagged and are checked against the backend owner oracle
+  // instead of the NVM ownership table.
   const bool is_dir = request.dirent != nullptr && request.dirent->IsDirectory();
+  Status status = OkStatus();
+  for (PageNumber page = first_index_page; page != 0;) {
+    if (!ValidFilePage(pool_, page)) {
+      status = VerifyFail(VerifyErrorClass::kBadPagePointer, "I2",
+                          "index page number out of range");
+      break;
+    }
+    status = check_page(page);
+    if (!status.ok()) {
+      break;
+    }
+    const void* read = is_dir ? pool_.PageAddress(page) : report->chain.Add(pool_, page);
+    page = static_cast<const IndexPage*>(read)->next;
+  }
+  *index_pages = report->pages.size();
+  auto index_page = [&](uint64_t i) -> const IndexPage& {
+    const void* read = is_dir ? pool_.PageAddress(report->pages[i])
+                              : report->chain.contents[i].get();
+    return *static_cast<const IndexPage*>(read);
+  };
   std::optional<FlatScratch<uint64_t>> seen_slots;  // Sized at the first tier entry.
   // Built once: every index page's walk below takes it by reference.
   const std::function<Status(uint64_t, uint64_t)> check_entry =
@@ -226,10 +253,27 @@ Status IntegrityVerifier::CheckChain(const VerifyRequest& request,
     return OkStatus();
   };
   for (uint64_t i = 0; status.ok() && i < *index_pages; ++i) {
-    status = ClassifyWalkerError(ForEachIndexEntry(pool_, report->pages[i], i, check_entry));
+    status = ClassifyWalkerError(ForEachIndexEntry(pool_, index_page(i), i, check_entry));
   }
   stats_.pages_scanned.fetch_add(report->pages.size() + report->backend_slots.size());
   return status;
+}
+
+Result<bool> IntegrityVerifier::MatchesVerifiedChain(const VerifyRequest& request,
+                                                     PageNumber first_index_page) const {
+  const PageImages& chain = *request.verified_chain;
+  if (first_index_page != chain.head()) {
+    return false;
+  }
+  for (size_t i = 0; i < chain.pages.size(); ++i) {
+    TRIO_RETURN_IF_ERROR(CheckDeadline(request));
+    TRIO_RETURN_IF_ERROR(ReadFault(chain.pages[i]));
+    if (std::memcmp(pool_.PageAddress(chain.pages[i]), chain.contents[i].get(),
+                    kPageSize) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 Result<VerifyReport> IntegrityVerifier::Verify(const VerifyRequest& request) {
@@ -273,10 +317,22 @@ Result<VerifyReport> IntegrityVerifier::VerifyRegular(const VerifyRequest& reque
                       "dirent ino does not match file identity");
   }
 
+  // I2 over the chain: compared first with the chain an earlier pass accepted (equal bytes
+  // reference the same pages, which have stayed the file's), walked otherwise.
   VerifyReport report;
   uint64_t index_pages = 0;
-  TRIO_RETURN_IF_ERROR(
-      CheckChain(request, pool_.Load64(&dirent.first_index_page), &report, &index_pages));
+  const PageNumber first_index_page = pool_.Load64(&dirent.first_index_page);
+  bool unchanged = false;
+  if (request.verified_chain != nullptr) {
+    TRIO_ASSIGN_OR_RETURN(unchanged, MatchesVerifiedChain(request, first_index_page));
+  }
+  if (unchanged) {
+    stats_.compare_hits.fetch_add(1);
+    report.chain_unchanged = true;
+    index_pages = request.verified_chain->pages.size();
+  } else {
+    TRIO_RETURN_IF_ERROR(CheckChain(request, first_index_page, &report, &index_pages));
+  }
 
   // I1: size must fit within the capacity of the index chain. Holes read as zeros, so a
   // size larger than the *allocated* pages is fine, but not larger than the chain covers.

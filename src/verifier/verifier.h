@@ -20,7 +20,9 @@
 #define SRC_VERIFIER_VERIFIER_H_
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,6 +41,25 @@ namespace trio {
 // Fault point: a page read taken during verification hits a transient media error. The
 // verifier retries the whole verification (bounded) before reporting kMediaFailure.
 inline constexpr const char kFaultVerifierMediaRead[] = "verifier.media_read";
+
+// Copies of some of a file's metadata pages, in walk order: a regular file's index chain,
+// or a directory's index pages and then its data pages (the §4.3 checkpoint).
+struct PageImages {
+  std::vector<PageNumber> pages;
+  // kPageSize bytes each, parallel to pages; one allocation per page, so adding one never
+  // copies the others.
+  std::vector<std::unique_ptr<char[]>> contents;
+
+  // The chain's first page, if this holds a regular file's index chain.
+  PageNumber head() const { return pages.empty() ? 0 : pages.front(); }
+  // Appends a copy of `page` and returns it.
+  const char* Add(const NvmPool& pool, PageNumber page) {
+    pages.push_back(page);
+    contents.push_back(std::make_unique_for_overwrite<char[]>(kPageSize));
+    std::memcpy(contents.back().get(), pool.PageAddress(page), kPageSize);
+    return contents.back().get();
+  }
+};
 
 // What the kernel remembers about a directory's children at checkpoint time (I3 input).
 struct CheckpointChild {
@@ -69,12 +90,18 @@ struct MovedInChild {
 };
 
 struct VerifyReport {
+  // A regular file whose chain equals the request's verified_chain byte for byte: nothing
+  // it references changed, so `pages`, `backend_slots` and `chain` stay empty.
+  bool chain_unchanged = false;
   // Every index and data page referenced by the file, post-write (kernel reconciles
   // ownership from this).
   std::vector<PageNumber> pages;
   // Backend slots referenced by tier entries (digested pages), post-write; the kernel
   // reconciles backend-slot ownership from this the same way it reconciles pages.
   std::vector<uint64_t> backend_slots;
+  // A regular file's index pages exactly as this pass checked them: the walk copies each
+  // page before checking it and follows `next` from the copy.
+  PageImages chain;
   // Directories only:
   std::vector<NewChildInfo> new_children;
   std::vector<Ino> removed_children;       // At checkpoint, now gone (deleted or moved out).
@@ -117,6 +144,11 @@ struct VerifyRequest {
   uint32_t writer_gid = 0;
   // Children of the directory at checkpoint time; empty for regular files or fresh files.
   const std::vector<CheckpointChild>* checkpoint_children = nullptr;
+  // A regular file's chain as an earlier passing verification checked it (its report's
+  // `chain`), if every page it references has belonged to the file since. A chain equal
+  // to it byte for byte, head included, references the same pages and slots, so I2 holds
+  // and the chain is not walked again; any difference falls through to the walk.
+  const PageImages* verified_chain = nullptr;
   // Absolute deadline (clock nanoseconds) for this verification; 0 = unbounded. The
   // verifier checks it cooperatively inside its page/dirent walks — it runs on the
   // caller's thread under the kernel lock, so a watchdog thread cannot bound it without
@@ -132,6 +164,8 @@ struct VerifierStats : obs::StatGroup {
   obs::Counter failures{this, "failures"};
   // Pages and backend slots accepted by chain checks (one add per verification pass).
   obs::Counter pages_scanned{this, "pages_scanned"};
+  // Regular files whose chain matched verified_chain, so no page was walked.
+  obs::Counter compare_hits{this, "compare_hits"};
   // Verifications that overran deadline_ns.
   obs::Counter deadline_exceeded{this, "deadline_exceeded"};
   // Re-runs after a transient media fault.
@@ -166,7 +200,12 @@ class IntegrityVerifier {
   // pages, to report->pages, and sets *index_pages to the number of index pages.
   Status CheckChain(const VerifyRequest& request, PageNumber first_index_page,
                     VerifyReport* report, uint64_t* index_pages) const;
+  // Whether the chain from `first_index_page` equals request.verified_chain byte for byte.
+  Result<bool> MatchesVerifiedChain(const VerifyRequest& request,
+                                    PageNumber first_index_page) const;
   Status CheckDeadline(const VerifyRequest& request) const;
+  // The kFaultVerifierMediaRead point, taken once per page a pass reads.
+  Status ReadFault(PageNumber page) const;
   Result<VerifyReport> VerifyOnce(const VerifyRequest& request);
   Result<VerifyReport> VerifyRegular(const VerifyRequest& request);
   Result<VerifyReport> VerifyDirectory(const VerifyRequest& request);

@@ -655,6 +655,179 @@ TEST_F(ArckFsTest, UpgradeAfterADroppedReadRebuildsBeforeWriting) {
   EXPECT_EQ(kernel_->stats().verify_failures.load(), 0u);
 }
 
+// ---- Chain generations: a map skips RebuildAux when the file's chain did not change ----
+
+// Reads the whole of `path` through `fs`.
+std::string ReadThrough(ArckFs& fs, const std::string& path) {
+  Result<StatInfo> info = fs.Stat(path);
+  TRIO_CHECK(info.ok()) << info.status().ToString();
+  Result<Fd> fd = fs.Open(path, OpenFlags::ReadOnly());
+  TRIO_CHECK(fd.ok()) << fd.status().ToString();
+  std::string out(info->size, '\0');
+  Result<size_t> n = fs.Pread(*fd, out.data(), out.size(), 0);
+  TRIO_CHECK(n.ok()) << n.status().ToString();
+  out.resize(*n);
+  TRIO_CHECK_OK(fs.Close(*fd));
+  return out;
+}
+
+// Stores `data` at `offset` of `path` through `fs`, which keeps its write grant.
+void WriteThrough(ArckFs& fs, const std::string& path, const std::string& data,
+                  uint64_t offset) {
+  Result<Fd> fd = fs.Open(path, OpenFlags::ReadWrite());
+  TRIO_CHECK(fd.ok()) << fd.status().ToString();
+  Result<size_t> n = fs.Pwrite(*fd, data.data(), data.size(), offset);
+  TRIO_CHECK(n.ok()) << n.status().ToString();
+  TRIO_CHECK_OK(fs.Close(*fd));
+}
+
+// A write grant drops the reader, but the writer only overwrites a page in place: the
+// writer's release compares equal, the chain generation stays, and the reader's next map
+// keeps its radix and reads the new bytes through it.
+TEST_F(ArckFsTest, ReaderKeepsItsRadixWhenTheWriterChangedNoIndexPage) {
+  ArckFs reader(*kernel_);
+  WriteFile("/f", std::string(3 * kPageSize, 'a'));
+  ASSERT_TRUE(fs_->ReleaseFile("/f").ok());
+  ASSERT_EQ(ReadThrough(reader, "/f"), std::string(3 * kPageSize, 'a'));
+  const uint64_t rebuilds = reader.libfs_stats().rebuilds.load();
+  const uint64_t teardowns = reader.libfs_stats().reader_teardowns.load();
+  const uint64_t hits = kernel_->verifier().stats().compare_hits.load();
+
+  WriteThrough(*fs_, "/f", std::string(kPageSize, 'b'), kPageSize);
+  EXPECT_EQ(ReadThrough(reader, "/f"), std::string(kPageSize, 'a') +
+                                           std::string(kPageSize, 'b') +
+                                           std::string(kPageSize, 'a'));
+  EXPECT_EQ(reader.libfs_stats().rebuilds.load(), rebuilds);
+  EXPECT_EQ(reader.libfs_stats().reader_teardowns.load(), teardowns + 1);
+  EXPECT_EQ(kernel_->verifier().stats().compare_hits.load(), hits + 1);
+}
+
+// An appending writer links a new data page: its release walks the changed chain and moves
+// the generation, so the reader rebuilds and sees the new page.
+TEST_F(ArckFsTest, AnAppendingWriterMovesTheChainGeneration) {
+  ArckFs reader(*kernel_);
+  WriteFile("/f", std::string(2 * kPageSize, 'a'));
+  ASSERT_TRUE(fs_->ReleaseFile("/f").ok());
+  ASSERT_EQ(ReadThrough(reader, "/f"), std::string(2 * kPageSize, 'a'));
+  const uint64_t rebuilds = reader.libfs_stats().rebuilds.load();
+
+  WriteThrough(*fs_, "/f", std::string(kPageSize, 'c'), 2 * kPageSize);
+  EXPECT_EQ(ReadThrough(reader, "/f"),
+            std::string(2 * kPageSize, 'a') + std::string(kPageSize, 'c'));
+  EXPECT_EQ(reader.libfs_stats().rebuilds.load(), rebuilds + 1);
+}
+
+// A reader still caches the node of a deleted file when its ino comes back for a new file.
+// Every record's generation is new to the controller, so the node rebuilds.
+TEST_F(ArckFsTest, ANodeCachedUnderARecycledInoRebuilds) {
+  ArckFs reader(*kernel_);
+  WriteFile("/x", std::string(2 * kPageSize, 'x'));
+  ASSERT_TRUE(fs_->ReleaseFile("/x").ok());
+  ASSERT_TRUE(fs_->ReleaseFile("/").ok());
+  ASSERT_EQ(ReadThrough(reader, "/x"), std::string(2 * kPageSize, 'x'));
+  Result<StatInfo> x = reader.Stat("/x");
+  ASSERT_TRUE(x.ok());
+  ASSERT_TRUE(fs_->Unlink("/x").ok());
+  ASSERT_TRUE(fs_->ReleaseFile("/").ok());
+  ASSERT_EQ(kernel_->StateOfIno(x->ino).state, ResourceState::kFree);
+
+  ArckFsConfig one_ino;
+  one_ino.ino_batch = 1;
+  ArckFs creator(*kernel_, one_ino);
+  {
+    Result<Fd> fd = creator.Open("/y", OpenFlags::CreateTrunc());
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    ASSERT_TRUE(creator.Pwrite(*fd, "yy", 2, 0).ok());
+    ASSERT_TRUE(creator.Close(*fd).ok());
+  }
+  ASSERT_TRUE(creator.ReleaseFile("/y").ok());
+  ASSERT_TRUE(creator.ReleaseFile("/").ok());
+  Result<StatInfo> y = reader.Stat("/y");
+  ASSERT_TRUE(y.ok()) << y.status().ToString();
+  ASSERT_EQ(y->ino, x->ino);
+
+  const uint64_t rebuilds = reader.libfs_stats().rebuilds.load();
+  EXPECT_EQ(ReadThrough(reader, "/y"), "yy");
+  EXPECT_EQ(reader.libfs_stats().rebuilds.load(), rebuilds + 1);
+}
+
+// A clock that runs a hook once, on the first reading after its condition holds.
+class HookClock : public Clock {
+ public:
+  uint64_t NowNs() override {
+    std::function<void()> hook;
+    {
+      std::lock_guard<std::mutex> guard(mu_);
+      if (hook_ && when_()) {
+        hook.swap(hook_);
+      }
+    }
+    if (hook) {
+      hook();
+    }
+    return SystemClock::Instance()->NowNs();
+  }
+  void Arm(std::function<bool()> when, std::function<void()> hook) {
+    std::lock_guard<std::mutex> guard(mu_);
+    when_ = std::move(when);
+    hook_ = std::move(hook);
+  }
+
+ private:
+  std::mutex mu_;
+  std::function<bool()> when_;
+  std::function<void()> hook_;
+};
+
+// A write grant lands while a reader rebuilds: the reader cannot tell what the rebuild
+// read, so it keeps no generation, and its next map rebuilds although the chain is the
+// same. The hook takes the grant at RebuildAux's last clock reading, after the rebuild
+// count moved.
+TEST(ArckFsGenerationTest, AReaderWhoseRebuildRacedAWriteGrantRebuildsAtItsNextMap) {
+  NvmPool pool(4096);
+  FormatOptions options;
+  options.max_inodes = 1024;
+  TRIO_CHECK_OK(Format(pool, options));
+  HookClock clock;
+  KernelController kernel(pool, KernelConfig{}, &clock);
+  TRIO_CHECK_OK(kernel.Mount());
+  {
+    ArckFs writer(kernel);
+    ArckFs reader(kernel);
+    LibFsOptions raw_options;
+    LibFsId raw = kNoLibFs;
+    raw_options.callbacks.revoke = [&](Ino ino) { (void)kernel.UnmapFile(raw, ino); };
+    raw = kernel.RegisterLibFs(raw_options);
+
+    {
+      Result<Fd> fd = writer.Open("/f", OpenFlags::CreateTrunc());
+      ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+      const std::string page(kPageSize, 'a');
+      ASSERT_TRUE(writer.Pwrite(*fd, page.data(), page.size(), 0).ok());
+      ASSERT_TRUE(writer.Close(*fd).ok());
+    }
+    ASSERT_TRUE(writer.ReleaseFile("/f").ok());
+    ASSERT_TRUE(writer.ReleaseFile("/").ok());
+    ASSERT_EQ(ReadThrough(reader, "/f"), std::string(kPageSize, 'a'));
+    const Ino ino = reader.Stat("/f")->ino;
+
+    // The writer appends a page, so the reader's next map rebuilds, and the hook hands the
+    // file to `raw` just as that rebuild ends.
+    WriteThrough(writer, "/f", std::string(kPageSize, 'b'), kPageSize);
+    const uint64_t rebuilds = reader.libfs_stats().rebuilds.load();
+    bool raced = false;
+    clock.Arm([&] { return reader.libfs_stats().rebuilds.load() > rebuilds; },
+              [&] { raced = kernel.MapFile(raw, ino, /*write=*/true).ok(); });
+    EXPECT_EQ(ReadThrough(reader, "/f"),
+              std::string(kPageSize, 'a') + std::string(kPageSize, 'b'));
+    ASSERT_TRUE(raced);
+    // The raced rebuild, then the one the next map ran, after revoking `raw`.
+    EXPECT_EQ(reader.libfs_stats().rebuilds.load(), rebuilds + 2);
+    kernel.UnregisterLibFs(raw);
+  }
+  TRIO_CHECK_OK(kernel.Unmount());
+}
+
 // Reaches the read-level machinery a test drives by hand.
 class ProbeFs : public ArckFs {
  public:
@@ -918,6 +1091,27 @@ TEST_F(ArckFsTest, ReleaseFileForcesVerification) {
   // Parent reconcile + the file's own verification.
   EXPECT_GE(kernel_->stats().verifications.load(), before + 1);
   EXPECT_EQ(ReadAll("/rel"), "data");  // Remaps fine afterwards.
+}
+
+// A commit frees the pages a truncate unlinked. Extending the file again in the same
+// session must not link one of them back: the release would find a page the file no
+// longer owns.
+TEST_F(ArckFsTest, ExtendingAfterACommitOfATruncateUsesPagesTheFileOwns) {
+  Result<Fd> fd = fs_->Open("/t", OpenFlags::CreateTrunc());
+  ASSERT_TRUE(fd.ok());
+  const std::string page(kPageSize, 'p');
+  for (uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(fs_->Pwrite(*fd, page.data(), page.size(), i * kPageSize).ok());
+  }
+  ASSERT_TRUE(fs_->Commit("/t").ok());
+  ASSERT_TRUE(fs_->Ftruncate(*fd, kPageSize).ok());
+  ASSERT_TRUE(fs_->Commit("/t").ok());
+  ASSERT_TRUE(fs_->Pwrite(*fd, page.data(), page.size(), kPageSize).ok());
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+  EXPECT_TRUE(fs_->Commit("/t").ok());
+  ASSERT_TRUE(fs_->ReleaseFile("/t").ok());
+  EXPECT_EQ(kernel_->stats().verify_failures.load(), 0u);
+  EXPECT_EQ(ReadAll("/t"), std::string(2 * kPageSize, 'p'));
 }
 
 TEST_F(ArckFsTest, CommitRefreshesCheckpoint) {

@@ -11,6 +11,7 @@
 #include "src/attacks/attacks.h"
 #include "src/kernel/controller.h"
 #include "src/libfs/arckfs.h"
+#include "src/verifier/verify_error.h"
 
 namespace trio {
 namespace {
@@ -227,6 +228,92 @@ TEST_F(IntegrityTest, FixCallbackGetsAChance) {
     EXPECT_EQ(kernel.stats().corruptions_rolled_back.load(), 0u);
   }
   TRIO_CHECK_OK(kernel.Unmount());
+}
+
+// ---- The verified chain a release compares against ----
+
+// A session that changed nothing compares the file's chain with the one the last passing
+// verification kept, and does not walk it. After a rollback that chain is not trusted: the
+// next release walks, and only the one after compares again.
+TEST_F(IntegrityTest, AfterARollbackTheNextReleaseWalks) {
+  VictimCreates("/kept", std::string(2 * kPageSize, 'k'));
+  const VerifierStats& stats = kernel_->verifier().stats();
+  auto unchanged_session = [&] {
+    TRIO_CHECK(attacker_->MapTarget("/kept").ok());
+    return attacker_->ReleaseTarget("/kept");
+  };
+  uint64_t hits = stats.compare_hits.load();
+  ASSERT_TRUE(unchanged_session().ok());
+  EXPECT_EQ(stats.compare_hits.load(), hits + 1);
+
+  ASSERT_TRUE(attacker_->AttackPointIndexOutside("/kept").ok());
+  ASSERT_TRUE(attacker_->ReleaseTarget("/kept").Is(ErrorCode::kCorrupted));
+  hits = stats.compare_hits.load();
+  const uint64_t scanned = stats.pages_scanned.load();
+  ASSERT_TRUE(unchanged_session().ok());
+  EXPECT_EQ(stats.compare_hits.load(), hits);
+  EXPECT_EQ(stats.pages_scanned.load(), scanned + 3);  // The index page and two data pages.
+  ASSERT_TRUE(unchanged_session().ok());
+  EXPECT_EQ(stats.compare_hits.load(), hits + 1);
+  EXPECT_EQ(VictimReads("/kept"), std::string(2 * kPageSize, 'k'));
+}
+
+// A writer that frees one of its file's pages through the kernel but leaves it in the
+// chain changes no chain byte: the chain kept at the last release is no longer trusted, so
+// the release walks and finds the page gone from the file.
+TEST_F(IntegrityTest, AFreedPageLeftInTheChainIsCaughtAtRelease) {
+  VictimCreates("/freed", std::string(2 * kPageSize, 'f'));
+  Result<DirentBlock*> dirent = attacker_->MapTarget("/freed");
+  ASSERT_TRUE(dirent.ok());
+  const auto* index =
+      reinterpret_cast<const IndexPage*>(pool_.PageAddress((*dirent)->first_index_page));
+  const uint64_t hits = kernel_->verifier().stats().compare_hits.load();
+  ASSERT_TRUE(kernel_->FreePages(attacker_->id(), {index->entries[0]}).ok());
+  Status released = attacker_->ReleaseTarget("/freed");
+  EXPECT_EQ(VerifyError::FromStatus(released).cls, VerifyErrorClass::kForeignPage)
+      << released.ToString();
+  EXPECT_EQ(kernel_->verifier().stats().compare_hits.load(), hits);
+}
+
+// After a mount no chain is trusted: each file's first release walks, so a chain the
+// mount found damaged is caught although the session changed nothing.
+TEST_F(IntegrityTest, AChainDamagedAtMountIsWalkedAndCaught) {
+  VictimCreates("/a", std::string(kPageSize, 'a'));
+  VictimCreates("/b", std::string(kPageSize, 'b'));
+  auto index_of = [&](const DirentBlock* dirent) {
+    return reinterpret_cast<IndexPage*>(pool_.PageAddress(dirent->first_index_page));
+  };
+  Result<DirentBlock*> a = attacker_->MapTarget("/a");
+  ASSERT_TRUE(a.ok());
+  const PageNumber a_data = index_of(*a)->entries[0];
+  ASSERT_TRUE(attacker_->ReleaseTarget("/a").ok());
+  Result<DirentBlock*> b = attacker_->MapTarget("/b");
+  ASSERT_TRUE(b.ok());
+  IndexPage* b_index = index_of(*b);
+  ASSERT_TRUE(attacker_->ReleaseTarget("/b").ok());
+  attacker_.reset();
+  victim_.reset();
+  ASSERT_TRUE(kernel_->Unmount().ok());
+
+  // Unmounted, /b's chain gains a reference to /a's data page. The mount scan gives the
+  // page to /a, which comes first, and stops /b's walk there.
+  pool_.CommitStore64(&b_index->entries[1], a_data);
+  kernel_ = std::make_unique<KernelController>(pool_);
+  ASSERT_TRUE(kernel_->Mount().ok());
+  victim_ = std::make_unique<ArckFs>(*kernel_);
+  attacker_ = std::make_unique<MaliciousLibFs>(*kernel_);
+  const VerifierStats& stats = kernel_->verifier().stats();
+  for (const char* path : {"/a", "/b"}) {
+    ASSERT_TRUE(attacker_->MapTarget(path).ok()) << path;
+  }
+  EXPECT_TRUE(attacker_->ReleaseTarget("/a").ok());
+  EXPECT_TRUE(attacker_->ReleaseTarget("/b").Is(ErrorCode::kCorrupted));
+  EXPECT_EQ(stats.compare_hits.load(), 0u);
+  ASSERT_TRUE(attacker_->MapTarget("/a").ok());
+  EXPECT_TRUE(attacker_->ReleaseTarget("/a").ok());
+  EXPECT_EQ(stats.compare_hits.load(), 1u);
+  EXPECT_EQ(VictimReads("/a"), std::string(kPageSize, 'a'));
+  EXPECT_EQ(VictimReads("/b"), std::string(kPageSize, 'b'));
 }
 
 // ---- Scripted corruption sweep (the "134 corruption scenarios" of §6.5) ----

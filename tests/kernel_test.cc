@@ -705,23 +705,151 @@ TEST(KernelRevokeTest, HungReaderCallbackDoesNotDelayAWriter) {
   TRIO_CHECK_OK(kernel.Unmount());
 }
 
+// The write-map log on NVM, every page of it: slot i holds an ino or kInvalidIno.
+std::vector<Ino> WmapLog(const NvmPool& pool) {
+  const Superblock* sb = SuperblockOf(pool);
+  const auto* log = reinterpret_cast<const uint64_t*>(pool.PageAddress(sb->wmap_log_page));
+  return std::vector<Ino>(log, log + sb->wmap_log_pages * kPageSize / sizeof(uint64_t));
+}
+
+// The inos the log holds, sorted.
+std::vector<Ino> LoggedInos(const NvmPool& pool) {
+  std::vector<Ino> inos;
+  for (Ino ino : WmapLog(pool)) {
+    if (ino != kInvalidIno) {
+      inos.push_back(ino);
+    }
+  }
+  std::sort(inos.begin(), inos.end());
+  return inos;
+}
+
+std::vector<Ino> Sorted(std::vector<Ino> inos) {
+  std::sort(inos.begin(), inos.end());
+  return inos;
+}
+
+// Writes `count` empty regular files into the root by hand as `writer` (uid 0) and releases
+// the root: its verification reconciles them, each an implicit write grant to `writer`.
+std::vector<Ino> CreateWriteMappedFiles(KernelController& kernel, NvmPool& pool,
+                                        LibFsId writer, size_t count) {
+  TRIO_CHECK(kernel.MapRoot(writer, /*write=*/true).ok());
+  std::vector<Ino> inos;
+  TRIO_CHECK_OK(kernel.AllocInos(writer, count, &inos));
+  std::vector<PageNumber> pages;
+  TRIO_CHECK_OK(kernel.AllocPages(writer, (count + kDirentsPerPage - 1) / kDirentsPerPage,
+                                  0, &pages));
+  for (size_t i = 0; i < count; ++i) {
+    auto* page = reinterpret_cast<DirDataPage*>(pool.PageAddress(pages[i / kDirentsPerPage]));
+    DirentBlock& dirent = page->slots[i % kDirentsPerPage];
+    dirent.mode = kModeRegular | 0644;
+    dirent.nlink = 1;
+    dirent.SetName("f" + std::to_string(i));
+    dirent.ino = inos[i];
+  }
+  auto* root_index =
+      reinterpret_cast<IndexPage*>(pool.PageAddress(SuperblockOf(pool)->root.first_index_page));
+  for (size_t i = 0; i < pages.size(); ++i) {
+    root_index->entries[i] = pages[i];
+  }
+  TRIO_CHECK_OK(kernel.UnmapFile(writer, kRootIno));
+  return inos;
+}
+
 TEST_F(KernelTest, WriteMapLogPersistsGrants) {
   LibFsId id = Register();
   ASSERT_TRUE(kernel_->MapRoot(id, true).ok());
-  const Superblock* sb = SuperblockOf(pool_);
-  const auto* log = reinterpret_cast<const uint64_t*>(pool_.PageAddress(sb->wmap_log_page));
-  bool found = false;
-  for (size_t i = 0; i < kPageSize / 8; ++i) {
-    found |= log[i] == kRootIno;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_EQ(LoggedInos(pool_), std::vector<Ino>{kRootIno});
+  EXPECT_EQ(WmapLog(pool_).front(), kRootIno);  // The lowest free slot.
   ASSERT_TRUE(kernel_->UnmapFile(id, kRootIno).ok());
-  found = false;
-  for (size_t i = 0; i < kPageSize / 8; ++i) {
-    found |= log[i] == kRootIno;
-  }
-  EXPECT_FALSE(found);
+  EXPECT_TRUE(LoggedInos(pool_).empty());
   kernel_->UnregisterLibFs(id);
+}
+
+// With more files write-mapped than one log page holds, the log names exactly the
+// write-mapped files after grants, releases, a crash, recovery and grants again; a grant
+// takes the lowest free slot.
+TEST_F(KernelTest, WriteMapLogHoldsExactlyTheWriteMappedFiles) {
+  const LibFsId id = Register();
+  const std::vector<Ino> files = CreateWriteMappedFiles(*kernel_, pool_, id, 600);
+  EXPECT_EQ(LoggedInos(pool_), Sorted(files));
+  std::vector<Ino> held;
+  for (size_t i = 0; i < files.size(); ++i) {
+    if (i % 3 == 0) {
+      ASSERT_TRUE(kernel_->UnmapFile(id, files[i]).ok());
+    } else {
+      held.push_back(files[i]);
+    }
+  }
+  EXPECT_EQ(LoggedInos(pool_), Sorted(held));
+
+  // Crash: a second controller mounts the pool as the first left it.
+  KernelController recovered(pool_);
+  ASSERT_TRUE(recovered.Mount().ok());
+  ASSERT_TRUE(recovered.NeedsRecovery());
+  EXPECT_EQ(LoggedInos(pool_), Sorted(held));
+  ASSERT_TRUE(recovered.RunRecovery().ok());
+  EXPECT_EQ(recovered.stats().verifications.load(), held.size());
+  EXPECT_TRUE(LoggedInos(pool_).empty());
+
+  const LibFsId next = recovered.RegisterLibFs({});
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(recovered.MapFile(next, files[i], /*write=*/true).ok());
+  }
+  std::vector<Ino> log = WmapLog(pool_);
+  EXPECT_EQ(std::vector<Ino>(log.begin(), log.begin() + 4),
+            (std::vector<Ino>{files[0], files[1], files[2], kInvalidIno}));
+  EXPECT_EQ(LoggedInos(pool_).size(), 3u);
+  ASSERT_TRUE(recovered.UnmapFile(next, files[1]).ok());
+  ASSERT_TRUE(recovered.MapFile(next, files[3], /*write=*/true).ok());
+  log = WmapLog(pool_);
+  EXPECT_EQ(std::vector<Ino>(log.begin(), log.begin() + 4),
+            (std::vector<Ino>{files[0], files[3], files[2], kInvalidIno}));
+  EXPECT_EQ(LoggedInos(pool_), Sorted({files[0], files[2], files[3]}));
+  recovered.UnregisterLibFs(next);
+  EXPECT_TRUE(LoggedInos(pool_).empty());
+  EXPECT_TRUE(recovered.Unmount().ok());
+}
+
+// Past the log's capacity a grant sets the overflow flag, with one commit only the first
+// time; recovery then verifies every file and clears the log and the flag.
+TEST(WriteMapLogTest, AFullLogSetsOverflowOnceAndRecoveryVerifiesEveryFile) {
+  NvmPool pool(4096);
+  FormatOptions options;
+  options.max_inodes = 8192;
+  TRIO_CHECK_OK(Format(pool, options));
+  const size_t slots = WmapLog(pool).size();
+  KernelController kernel(pool);
+  TRIO_CHECK_OK(kernel.Mount());
+  const LibFsId id = kernel.RegisterLibFs({});
+  // The root held slot 0 while its verification logged the new files, so all but the last
+  // 9 of these got a slot, and the root's release then freed slot 0.
+  const std::vector<Ino> files = CreateWriteMappedFiles(kernel, pool, id, slots + 8);
+  Superblock* sb = SuperblockOf(pool);
+  EXPECT_EQ(pool.Load64(&sb->wmap_log_overflow), 1u);
+  EXPECT_EQ(WmapLog(pool).front(), kInvalidIno);
+  EXPECT_EQ(LoggedInos(pool), Sorted({files.begin(), files.begin() + slots - 1}));
+
+  // A grant with a free slot costs one commit; one into the full log costs none.
+  const Ino unlogged = files.back();
+  ASSERT_TRUE(kernel.UnmapFile(id, unlogged).ok());
+  uint64_t fences = pool.stats().fences.load();
+  ASSERT_TRUE(kernel.MapFile(id, unlogged, /*write=*/true).ok());
+  EXPECT_EQ(pool.stats().fences.load(), fences + 1);
+  EXPECT_EQ(WmapLog(pool).front(), unlogged);
+  const Ino overflowed = files[files.size() - 2];
+  ASSERT_TRUE(kernel.UnmapFile(id, overflowed).ok());
+  fences = pool.stats().fences.load();
+  ASSERT_TRUE(kernel.MapFile(id, overflowed, /*write=*/true).ok());
+  EXPECT_EQ(pool.stats().fences.load(), fences);
+  EXPECT_EQ(LoggedInos(pool).size(), slots);
+
+  KernelController recovered(pool);
+  ASSERT_TRUE(recovered.Mount().ok());
+  ASSERT_TRUE(recovered.RunRecovery().ok());
+  EXPECT_EQ(recovered.stats().verifications.load(), files.size() + 1);  // And the root.
+  EXPECT_EQ(pool.Load64(&sb->wmap_log_overflow), 0u);
+  EXPECT_TRUE(LoggedInos(pool).empty());
 }
 
 TEST_F(KernelTest, PermissionDeniedForUnrelatedUser) {

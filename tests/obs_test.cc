@@ -169,8 +169,8 @@ TEST(StatRegistryTest, KeysUnchanged) {
       "tier.digest_bytes", "tier.digest_pages", "tier.promote_evictions",
       "tier.promote_hits", "tier.promote_misses", "tier.promote_reads",
       "tier.watermark_stalls",
-      "verifier.deadline_exceeded", "verifier.failures", "verifier.files_verified",
-      "verifier.media_retries", "verifier.pages_scanned",
+      "verifier.compare_hits", "verifier.deadline_exceeded", "verifier.failures",
+      "verifier.files_verified", "verifier.media_retries", "verifier.pages_scanned",
   };
   EXPECT_EQ(RegistryKeys(), expected);
 }

@@ -164,6 +164,61 @@ TEST_F(TierTest, PromoteForWriteConvertsEntryAndFreesSlotAtReconcile) {
   ASSERT_TRUE(fs_->Close(*fd).ok());
 }
 
+// Digestion rewrites a cold file's index entries with no verification, so it drops the
+// chain the last release kept: a session right after it checkpoints the digested chain,
+// and a rollback restores that, not the entries of pages digestion freed. A LibFS that
+// held the file rebuilds its radix, and the next release walks the chain.
+TEST_F(TierTest, DigestionDropsTheVerifiedChain) {
+  Boot();
+  ASSERT_TRUE(WriteFile("/img", 4, 'i').ok());
+  ASSERT_TRUE(fs_->ReleaseFile("/img").ok());
+  const VerifierStats& stats = kernel_->verifier().stats();
+  const LibFsStats& fs_stats = fs_->libfs_stats();
+  auto unchanged_session = [&] {
+    Result<Fd> fd = fs_->Open("/img", OpenFlags::ReadWrite());
+    TRIO_CHECK(fd.ok()) << fd.status().ToString();
+    TRIO_CHECK_OK(fs_->Close(*fd));
+    TRIO_CHECK_OK(fs_->ReleaseFile("/img"));
+  };
+  auto read_back = [&] {
+    Result<Fd> fd = fs_->Open("/img", OpenFlags::ReadOnly());
+    TRIO_CHECK(fd.ok()) << fd.status().ToString();
+    std::vector<char> buffer(kPageSize);
+    for (size_t p = 0; p < 4; ++p) {
+      TRIO_CHECK(fs_->Pread(*fd, buffer.data(), buffer.size(), p * kPageSize).ok());
+      EXPECT_EQ(buffer[0], static_cast<char>('0' + p)) << "page " << p;
+      EXPECT_EQ(buffer[1], 'i') << "page " << p;
+    }
+    TRIO_CHECK_OK(fs_->Close(*fd));
+    TRIO_CHECK_OK(fs_->ReleaseFile("/img"));
+  };
+  unchanged_session();
+  uint64_t hits = stats.compare_hits.load();
+  const uint64_t rebuilds = fs_stats.rebuilds.load();
+  unchanged_session();
+  EXPECT_EQ(stats.compare_hits.load(), hits + 1);
+  EXPECT_EQ(fs_stats.rebuilds.load(), rebuilds);
+
+  ASSERT_EQ(kernel_->DigestNow(64), 4u);
+  MaliciousLibFs attacker(*kernel_);
+  ASSERT_TRUE(attacker.AttackSizeBeyondCapacity("/img").ok());
+  ASSERT_TRUE(attacker.ReleaseTarget("/img").Is(ErrorCode::kCorrupted));
+  ASSERT_TRUE(fs_->Stat("/img").ok());  // Maps the root again, which rebuilds it.
+  const uint64_t before_read = fs_stats.rebuilds.load();
+  read_back();
+  EXPECT_EQ(TierEntryCount("img"), 4u);
+  EXPECT_EQ(fs_stats.rebuilds.load(), before_read + 1);
+
+  hits = stats.compare_hits.load();
+  const uint64_t scanned = stats.pages_scanned.load();
+  unchanged_session();
+  EXPECT_EQ(stats.compare_hits.load(), hits);
+  EXPECT_EQ(stats.pages_scanned.load(), scanned + 5);  // The index page and four slots.
+  unchanged_session();
+  EXPECT_EQ(stats.compare_hits.load(), hits + 1);
+  read_back();
+}
+
 TEST_F(TierTest, DatasetLargerThanNvmFillsViaWatermarkStalls) {
   Boot(/*high=*/0.55, /*low=*/0.35, /*background=*/true);
   // ~4x the 2048-page pool: 128 files x 64 data pages (+1 index page each).

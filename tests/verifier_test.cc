@@ -13,6 +13,7 @@
 
 #include "src/core/core_state.h"
 #include "src/verifier/verifier.h"
+#include "src/verifier/verify_error.h"
 
 namespace trio {
 namespace {
@@ -220,6 +221,115 @@ TEST_F(VerifierTest, DirentInoMismatchFails) {
   VerifyRequest request = RequestFor(/*ino=*/43, d);  // Identity mismatch.
   ownership_.LeaseIno(43, kWriter);
   EXPECT_TRUE(verifier_->Verify(request).status().Is(ErrorCode::kCorrupted));
+}
+
+// ---- Compare-first: a chain equal to the one a passing verification checked ----
+
+class VerifierCompareTest : public VerifierTest {
+ protected:
+  // An existing file (ino 42, owned with its pages, shadow inode in place) of `data_pages`
+  // pages, verified once: `kept_` holds the chain that pass checked.
+  DirentBlock* BuildVerifiedFile(int data_pages) {
+    ownership_.OwnIno(42, kRootIno);
+    DirentBlock* d = BuildRegularFile(42, 100, data_pages);
+    ownership_.OwnPage(d->first_index_page, 42);
+    for (int i = 0; i < data_pages; ++i) {
+      ownership_.OwnPage(Index(d)->entries[i], 42);
+    }
+    ShadowInode truth{kModeRegular | 0644, 1, 1, 1};
+    pool_.Write(ShadowInodeOf(pool_, 42), &truth, sizeof(truth));
+    Result<VerifyReport> first = verifier_->Verify(RequestFor(42, d));
+    TRIO_CHECK(first.ok()) << first.status().ToString();
+    TRIO_CHECK(!first->chain_unchanged);
+    kept_ = std::move(first->chain);
+    return d;
+  }
+
+  IndexPage* Index(const DirentBlock* d) {
+    return reinterpret_cast<IndexPage*>(pool_.PageAddress(d->first_index_page));
+  }
+
+  Result<VerifyReport> VerifyAgainstKept(const DirentBlock* d) {
+    VerifyRequest request = RequestFor(42, d);
+    request.verified_chain = &kept_;
+    return verifier_->Verify(request);
+  }
+
+  VerifyErrorClass ClassOf(const Result<VerifyReport>& report) {
+    return VerifyError::FromStatus(report.status()).cls;
+  }
+
+  PageImages kept_;
+};
+
+TEST_F(VerifierCompareTest, AWalkKeepsTheChainItChecked) {
+  DirentBlock* d = BuildVerifiedFile(3);
+  ASSERT_EQ(kept_.pages, std::vector<PageNumber>{d->first_index_page});
+  EXPECT_EQ(std::memcmp(kept_.contents[0].get(), Index(d), kPageSize), 0);
+}
+
+TEST_F(VerifierCompareTest, UnchangedChainIsAcceptedWithoutAWalk) {
+  DirentBlock* d = BuildVerifiedFile(3);
+  const uint64_t scanned = verifier_->stats().pages_scanned.load();
+  const uint64_t hits = verifier_->stats().compare_hits.load();
+  Result<VerifyReport> report = VerifyAgainstKept(d);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->chain_unchanged);
+  EXPECT_TRUE(report->pages.empty());
+  EXPECT_TRUE(report->chain.pages.empty());
+  EXPECT_EQ(verifier_->stats().pages_scanned.load(), scanned);
+  EXPECT_EQ(verifier_->stats().compare_hits.load(), hits + 1);
+
+  // The dirent is still checked in full: the size against the kept chain's capacity, and
+  // the cached permissions against the shadow inode.
+  d->size = kIndexEntriesPerPage * kPageSize + 1;
+  EXPECT_EQ(ClassOf(VerifyAgainstKept(d)), VerifyErrorClass::kBadSize);
+  d->size = 100;
+  d->mode = kModeRegular | 0666;
+  EXPECT_EQ(ClassOf(VerifyAgainstKept(d)), VerifyErrorClass::kPermissionMismatch);
+}
+
+// Any difference from the kept chain is walked: a foreign page is caught, a next pointer
+// to another file's page is caught, and two swapped entries (the same pages) pass with the
+// new order reported and kept.
+TEST_F(VerifierCompareTest, ChangedChainFallsThroughToTheWalk) {
+  DirentBlock* d = BuildVerifiedFile(2);
+  IndexPage* index = Index(d);
+  const IndexPage saved = *index;
+  const uint64_t hits = verifier_->stats().compare_hits.load();
+
+  const PageNumber stolen = NewPage(/*leased=*/false);
+  ownership_.OwnPage(stolen, /*owner=*/99);
+  index->entries[2] = stolen;
+  EXPECT_EQ(ClassOf(VerifyAgainstKept(d)), VerifyErrorClass::kForeignPage);
+  *index = saved;
+
+  const PageNumber foreign_index = NewPage(/*leased=*/false);
+  ownership_.OwnPage(foreign_index, /*owner=*/99);
+  index->next = foreign_index;
+  EXPECT_EQ(ClassOf(VerifyAgainstKept(d)), VerifyErrorClass::kForeignPage);
+  *index = saved;
+
+  std::swap(index->entries[0], index->entries[1]);
+  const uint64_t scanned = verifier_->stats().pages_scanned.load();
+  Result<VerifyReport> report = VerifyAgainstKept(d);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->chain_unchanged);
+  EXPECT_EQ(report->pages, (std::vector<PageNumber>{d->first_index_page, saved.entries[1],
+                                                    saved.entries[0]}));
+  EXPECT_EQ(std::memcmp(report->chain.contents[0].get(), index, kPageSize), 0);
+  EXPECT_EQ(verifier_->stats().pages_scanned.load(), scanned + 3);
+  EXPECT_EQ(verifier_->stats().compare_hits.load(), hits);
+}
+
+// A head that moved is a changed chain even when the pages it leads to are unchanged.
+TEST_F(VerifierCompareTest, AMovedHeadIsWalked) {
+  DirentBlock* d = BuildVerifiedFile(1);
+  const PageNumber other = NewPage(/*leased=*/false);
+  ownership_.OwnPage(other, /*owner=*/99);
+  std::memcpy(pool_.PageAddress(other), Index(d), kPageSize);
+  d->first_index_page = other;
+  EXPECT_EQ(ClassOf(VerifyAgainstKept(d)), VerifyErrorClass::kForeignPage);
 }
 
 // ---- Directory-level checks ----
