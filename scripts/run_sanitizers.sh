@@ -76,8 +76,10 @@ verifier_filter='VerifierLargeDirTest.*:VerifierDirTest.CheckpointDiffListsEvery
 # LibFS's aux rebuild scan its page. Map epochs: a read grant dropped mid-op reruns the op
 # after the writer is verified, and an upgrade after a drop rebuilds before it writes.
 # Chain generations: a reader keeps its radix across a drop, and one whose rebuild raced a
-# write grant (revoked on the guard's helper thread) rebuilds at its next map.
-arckfs_filter='ArckFsTest.DirentScansLoadTheWordsTheCommitterPublishes:ArckFsTest.ReadDroppedMidOpRunsAgainAfterTheWriterIsVerified:ArckFsTest.UpgradeAfterADroppedReadRebuildsBeforeWriting:ArckFsTest.ReaderKeepsItsRadixWhenTheWriterChangedNoIndexPage:ArckFsGenerationTest.*'
+# write grant (revoked on the guard's helper thread) rebuilds at its next map. Renames: a
+# moved file's claim and its transit, with another LibFS's revokes run on the guard's
+# helper thread. Commit: one thread commits while another truncates and extends.
+arckfs_filter='ArckFsTest.DirentScansLoadTheWordsTheCommitterPublishes:ArckFsTest.ReadDroppedMidOpRunsAgainAfterTheWriterIsVerified:ArckFsTest.UpgradeAfterADroppedReadRebuildsBeforeWriting:ArckFsTest.ReaderKeepsItsRadixWhenTheWriterChangedNoIndexPage:ArckFsGenerationTest.*:ArckFsTest.ARenameWithinADirectoryMovesTheFileToItsNewSlot:ArckFsTest.AFileMoved*:ArckFsTest.TwoMovesBeforeEitherDirectoryIsVerifiedLeaveTheFileAtItsNewSlot:ArckFsTest.ACommitRacingATruncateFreesNoPageTheFileLinksAgain'
 # Readers in two LibFSes overlap a third's writes. Their copies of NVM bytes race the
 # writer's by design (on hardware those loads fault; the end-of-op epoch check discards
 # them), so this runs in the address sweep only.
@@ -143,7 +145,7 @@ for san in "${sanitizers[@]}"; do
   echo "== TRIO_SANITIZE=$san: verifier_test (verification scratch) =="
   "$build/tests/verifier_test" --gtest_filter="$verifier_filter" --gtest_brief=1
 
-  echo "== TRIO_SANITIZE=$san: arckfs_test (dirent ino publish, map epochs) =="
+  echo "== TRIO_SANITIZE=$san: arckfs_test (dirent ino publish, map epochs, renames, commit) =="
   arckfs_run="$arckfs_filter"
   if [[ $san == address ]]; then
     arckfs_run+=":$overlap_filter"

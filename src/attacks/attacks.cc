@@ -276,9 +276,9 @@ Result<DirentBlock> MaliciousLibFs::ReadVictimDirent(const std::string& victim_p
   components.pop_back();
   parts.parent = std::move(components);
   TRIO_ASSIGN_OR_RETURN(NodePtr parent, ResolveDir(parts.parent));
-  // write_map_parent makes a later cross-directory claim "permitted": the kernel's
-  // two-phase cross-shard check accepts a moved-in child iff this LibFS write-maps the
-  // child's old parent. A read map deliberately leaves the claim unauthorized.
+  // write_map_parent makes a later cross-directory claim "permitted": the verifier accepts
+  // a child another directory owns iff this LibFS write-maps that directory
+  // (IsWriteHeldBy). A read map deliberately leaves the claim unauthorized.
   TRIO_RETURN_IF_ERROR(LockForOp(parent.get(), write_map_parent ? 2 : 1));
   Result<DirSlot> slot = FindEntry(parent.get(), parts.leaf);
   UnlockOp(parent.get());

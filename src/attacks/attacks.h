@@ -68,9 +68,9 @@ class MaliciousLibFs : public ArckFs {
 
   // ---- Cross-shard trust-boundary attacks: the controller's per-inode shard map means
   // a directory and a child it claims usually live under DIFFERENT shard locks; these
-  // forge directory state whose validation needs the ordered two-phase cross-shard
-  // read (IsMovePermitted / ApplyReport), probing that sharding did not open seams the
-  // one-big-mutex controller never had. ----
+  // forge directory state whose validation reads another shard (the old parent's writer,
+  // IsWriteHeldBy) or applies across shards (ApplyReport), probing that sharding did not
+  // open seams the one-big-mutex controller never had. ----
 
   // (12) Forge a dirent in an attacker-owned directory claiming the file at
   // `victim_path` — a file whose real parent the attacker does NOT write-map. The

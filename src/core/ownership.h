@@ -25,6 +25,10 @@ enum class ResourceState : uint8_t {
   kLeased,     // Allocated to a LibFS; not yet part of any reconciled file.
   kOwned,      // Part of an existing file's core state.
   kReserved,   // Superblock / shadow table / other kernel region (pages only).
+  // Inos only: an existing file that a verified directory no longer names. The next
+  // directory that names it and is verified for the LibFS that moved it (the mover)
+  // becomes its parent; if none has when the mover holds no write grant, it is reclaimed.
+  kInTransit,
 };
 
 struct PageState {
@@ -37,6 +41,12 @@ struct InoState {
   ResourceState state = ResourceState::kFree;
   LibFsId lessee = kNoLibFs;   // Valid when state == kLeased.
   Ino parent = kInvalidIno;    // Valid when state == kOwned: the containing directory.
+  LibFsId mover = kNoLibFs;    // Valid when state == kInTransit.
+
+  // An existing file: one a directory names, or one in transit between two.
+  bool Exists() const {
+    return state == ResourceState::kOwned || state == ResourceState::kInTransit;
+  }
 };
 
 // Read-only view of the ownership tables, implemented by the kernel controller and

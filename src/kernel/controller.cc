@@ -457,8 +457,8 @@ void KernelController::UnregisterLibFs(LibFsId libfs) {
   }
 
   // Release write mappings: verify and reconcile each. Directories first: their
-  // verification resolves renamed-in children (so a renamed file's record points at its
-  // current dirent before the file is verified) and registers freshly created children as
+  // verification claims moved children (so a renamed file's record points at its current
+  // dirent before the file is verified) and registers freshly created children as
   // implicit write grants — which is why this drains in rounds until nothing is left.
   for (;;) {
     std::vector<Ino> snapshot;
@@ -495,7 +495,7 @@ void KernelController::UnregisterLibFs(LibFsId libfs) {
       }
     }
   }
-  ResolveOrphans(me);
+  ReclaimTransits(me);
 
   // Return leases: the tables' entries naming this LibFS.
   page_table_.EndLeasesOf(libfs, [&](PageNumber page) {
@@ -742,7 +742,7 @@ PageState KernelController::StateOfPage(PageNumber page) const {
 
 InoState KernelController::StateOfIno(Ino ino) const {
   const OwnershipTable::Entry entry = ino_table_.Get(ino);
-  return InoState{entry.state, entry.lessee(), entry.owner()};
+  return InoState{entry.state, entry.lessee(), entry.owner(), entry.mover()};
 }
 
 Status KernelController::CheckRemovedChildDir(Ino child, LibFsId writer) const {
@@ -767,48 +767,11 @@ Status KernelController::CheckRemovedChildDir(Ino child, LibFsId writer) const {
   return OkStatus();
 }
 
-bool KernelController::IsMovePermitted(Ino child, Ino new_parent, LibFsId writer) const {
-  (void)new_parent;
-  std::shared_ptr<LibFsRecord> me = FindLibFs(writer);
-  if (me != nullptr) {
-    std::lock_guard<std::mutex> guard(me->mu);
-    if (me->pending_orphans.count(child) != 0) {
-      return true;
-    }
-  }
-  // Two-phase cross-shard read: discover the old parent under the child's shard, then
-  // take {child, old parent} in ascending order and re-validate the edge (a concurrent
-  // rename may have moved the child between the phases).
-  for (;;) {
-    Ino parent = kInvalidIno;
-    {
-      const size_t si = ShardIndexOf(child);
-      ShardLock sl(shards_[si]->mu, si);
-      const FileRecord* record = FindRecordLocked(*shards_[si], child);
-      if (record == nullptr) {
-        return false;
-      }
-      parent = record->parent;
-    }
-    if (parent == kInvalidIno) {
-      return false;  // The root does not move.
-    }
-    const std::vector<size_t> set =
-        SortedShardSet({ShardIndexOf(child), ShardIndexOf(parent)});
-    if (set.size() > 1) {
-      stats_.cross_shard_acquires.fetch_add(1);
-    }
-    OrderedShardSpan span(ShardMutexesFor(set), set);
-    const FileRecord* record = FindRecordLocked(ShardOf(child), child);
-    if (record == nullptr) {
-      return false;
-    }
-    if (record->parent != parent) {
-      continue;  // Raced a rename; rediscover the parent.
-    }
-    const FileRecord* old_parent = FindRecordLocked(ShardOf(parent), parent);
-    return old_parent != nullptr && old_parent->writer == writer;
-  }
+bool KernelController::IsWriteHeldBy(Ino dir, LibFsId writer) const {
+  const size_t si = ShardIndexOf(dir);
+  ShardLock sl(shards_[si]->mu, si);
+  const FileRecord* record = FindRecordLocked(*shards_[si], dir);
+  return record != nullptr && record->writer == writer;
 }
 
 // ---------------------------------------------------------------------------

@@ -13,9 +13,8 @@
 // hash(ino) into `controller_shards` shards, each guarded by a plain (non-recursive) mutex.
 // Page and ino ownership live in two flat OwnershipTables of one atomic word per page or
 // ino; they are also the only record of which LibFS leases what, and a read is one
-// lock-free load. Cross-shard operations (renames across shards, reconciliation that
-// touches children in other shards) use a two-phase protocol: collect the shard set, then
-// acquire in ascending index order (enforced at runtime by ShardRank).
+// lock-free load. Reconciliation that touches children in other shards collects the shard
+// set, then acquires it in ascending index order (enforced at runtime by ShardRank).
 //
 // Lock hierarchy (acquire strictly downward; each level optional):
 //   shard mutexes (ascending index only)
@@ -174,6 +173,11 @@ struct KernelStats : obs::StatGroup {
   // Verifications that overran verify_timeout_ms.
   obs::Counter verify_timeouts{this, "verify_timeouts"};
   obs::Counter files_quarantined{this, "files_quarantined"};
+  // Existing files a verified directory took at a dirent slot the kernel did not have on
+  // record (renamed within it, moved in, or back from transit), and files reclaimed
+  // because they were still in transit when their mover's last write grant went.
+  obs::Counter children_claimed{this, "children_claimed"};
+  obs::Counter transits_reclaimed{this, "transits_reclaimed"};
   // Oldest entries dropped past max_quarantined_files.
   obs::Counter quarantine_evictions{this, "quarantine_evictions"};
   obs::Counter pages_allocated{this, "pages_allocated"};
@@ -213,14 +217,16 @@ struct KernelTierStats : obs::StatGroup {
 
 // The ownership of one kind of resource, pages or inos (§4.3, I2), indexed by page number or
 // ino. It is also the kernel's only record of leases. Each entry is one atomic word: the
-// ResourceState in the low byte and, above it, the lessee while kLeased or the owning file
-// (a page) or parent directory (an ino) while kOwned. A read is one lock-free load, and an
-// index past the table reads as free: page numbers and inos arrive from untrusted LibFSes.
-// Each write is a release store by the one thread that owns the transition: the thread
-// that took the resource off a free list, the reconcile that adopts it into a file under
-// the file's shard lock, or the thread that removed it from its file's record and frees it
-// before it returns to a free list. A lease ends with one compare-exchange, so it ends
-// once.
+// ResourceState in the low byte and, above it, the lessee while kLeased, the owning file
+// (a page) or parent directory (an ino) while kOwned, or the mover while kInTransit. A
+// read is one lock-free load, and an index past the table reads as free: page numbers and
+// inos arrive from untrusted LibFSes. Each write is a release store by the one thread that
+// owns the transition: the thread that took the resource off a free list, the reconcile
+// that adopts it into a file under the file's shard lock, or the thread that removed it
+// from its file's record and frees it before it returns to a free list. A lease ends with
+// one compare-exchange, so it ends once. So does a transit, under the file's shard lock:
+// the directory that claims the file and the reclaim at its mover's quiescence each
+// decide with one compare-exchange, and only one of them wins.
 class OwnershipTable {
  public:
   struct Entry {
@@ -231,6 +237,9 @@ class OwnershipTable {
       return state == ResourceState::kLeased ? static_cast<LibFsId>(holder) : kNoLibFs;
     }
     Ino owner() const { return state == ResourceState::kOwned ? holder : kInvalidIno; }
+    LibFsId mover() const {
+      return state == ResourceState::kInTransit ? static_cast<LibFsId>(holder) : kNoLibFs;
+    }
   };
 
   // Sizes the table, dropping every entry. Only while no other thread can read it; after
@@ -253,6 +262,10 @@ class OwnershipTable {
   // Free -> (state, holder). False if the entry was taken, or is past the table.
   bool Claim(uint64_t index, ResourceState state, uint64_t holder) {
     return Exchange(words_.FindOrAdd(index), 0, Pack(state, holder));
+  }
+  // `from` -> (state, holder). False if the entry was not `from`, or is past the table.
+  bool Transition(uint64_t index, Entry from, ResourceState state, uint64_t holder) {
+    return Exchange(words_.Find(index), Pack(from.state, from.holder), Pack(state, holder));
   }
   // Leased to `libfs` -> free. False if `libfs` held no lease on it.
   bool EndLease(uint64_t index, LibFsId libfs) {
@@ -363,7 +376,7 @@ class KernelController : public OwnershipView, public VerifyEnv {
 
   // ---- VerifyEnv ----
   Status CheckRemovedChildDir(Ino child, LibFsId writer) const override;
-  bool IsMovePermitted(Ino child, Ino new_parent, LibFsId writer) const override;
+  bool IsWriteHeldBy(Ino dir, LibFsId writer) const override;
   Status CheckTierSlot(Ino ino, uint64_t slot) const override;
 
   // ---- Tiering (src/kernel/digestion.cc) ----
@@ -405,17 +418,18 @@ class KernelController : public OwnershipView, public VerifyEnv {
  private:
   // The state a write session rolls back to (§4.3): the dirent as the grant found it and the
   // file's metadata pages. A directory's is taken at each write grant and dropped at
-  // release. A regular file's index chain outlives the session: after a passing
-  // verification it is the chain that pass checked (`verified`), which the next write grant
-  // reuses as it stands and the next verification compares against before it walks.
+  // release; its verification finds in `dir_pages` the slot each child had at the grant.
+  // A regular file's index chain outlives the session: after a passing verification it is
+  // the chain that pass checked (`verified`), which the next write grant reuses as it
+  // stands and the next verification compares against before it walks.
   struct FileCheckpointData {
     DirentBlock meta;
-    PageImages images;  // Index pages; then, for a directory, its data pages.
+    PageImages images;     // Index pages.
+    PageImages dir_pages;  // A directory's data pages, in chain order.
     // `images` is a passing verification's chain, every page of which has been the file's
     // since. Cleared by rollback and by a FreePages of one of the file's pages; digestion
     // drops the whole checkpoint.
     bool verified = false;
-    std::vector<CheckpointChild> children;  // Directories only.
   };
 
   struct FileRecord {
@@ -461,9 +475,9 @@ class KernelController : public OwnershipView, public VerifyEnv {
     std::mutex mu;
     std::unordered_set<Ino> write_mapped;
     std::unordered_set<Ino> read_mapped;
-    // Children that disappeared from a verified directory and are not yet known to be
-    // renamed elsewhere. Resolved (reclaimed or adopted) when the session quiesces.
-    std::unordered_set<Ino> pending_orphans;
+    // Inos this LibFS's verifications put in transit since it last held no write grant:
+    // where ReclaimTransits looks. The ino's word decides; a claimed ino stays listed.
+    std::unordered_set<Ino> transits;
     // This LibFS's page table. Lock-free; it dies with the record, so a holder of the
     // record's shared_ptr may program it after the LibFS has unregistered.
     MmuSim mmu;
@@ -515,7 +529,7 @@ class KernelController : public OwnershipView, public VerifyEnv {
   // each reader's next op finds its grant gone.
   void DropReadersLocked(FileRecord& record);
   // Tear down `libfs`'s write session on `ino`: clear writer/checkpoint, release MMU
-  // refs, drop the wmap log slot, clear busy, resolve orphans if the session quiesced.
+  // refs, drop the wmap log slot, clear busy, reclaim transits if the session quiesced.
   // PRE: this thread set `busy` on the record; no locks held.
   void FinishWriteRelease(LibFsId libfs, Ino ino,
                           const std::shared_ptr<LibFsRecord>& me);
@@ -530,12 +544,13 @@ class KernelController : public OwnershipView, public VerifyEnv {
   // writer teardown (FinishWriteRelease) afterwards.
   Status VerifyAndReconcile(Ino ino);
   // Points `request` at what the record's checkpoint contributes to verifying it: a
-  // directory's children at the grant (I3), a regular file's verified chain. The caller's
-  // busy pin keeps both in place until the report is applied.
+  // directory's data pages at the grant (I3, claims), a regular file's verified chain. The
+  // caller's busy pin keeps both in place until the report is applied.
   void SetCheckpointInputsLocked(const FileRecord& record, VerifyRequest* request) const;
-  // Apply a verification report. Phase-two of the cross-shard protocol: acquires the
-  // shard of `ino` plus the shards of every child the report names, ascending. A regular
-  // file's report leaves its chain in the checkpoint, verified.
+  // Apply a verification report under the shard of `ino` plus the shards of every child
+  // the report names, acquired ascending: new children get records, claimed ones their
+  // new parent and slot, and removed ones go into transit. A regular file's report leaves
+  // its chain in the checkpoint, verified.
   Status ApplyReport(Ino ino, VerifyReport&& report);
   // ApplyReport's page and backend-slot half: adopts what the report's chain references and
   // frees what it no longer does.
@@ -547,7 +562,9 @@ class KernelController : public OwnershipView, public VerifyEnv {
   // held and this thread does not itself hold `busy` on anything in the subtree.
   void ReclaimTree(Ino ino);
   void ReclaimOne(Ino ino);
-  void ResolveOrphans(const std::shared_ptr<LibFsRecord>& libfs);
+  // Reclaims each ino `mover` listed whose word still says it is in transit by `mover`:
+  // no directory named it before the mover's last write grant went, so it was deleted.
+  void ReclaimTransits(const std::shared_ptr<LibFsRecord>& mover);
 
   // ---- tiering internals (digestion.cc) ----
   // Cold-file scan: files with no writer, no readers, not busy, with NVM data pages left
@@ -578,8 +595,7 @@ class KernelController : public OwnershipView, public VerifyEnv {
   NvmPool& pool_;
   KernelConfig config_;
   Clock* clock_;
-  // mutable: a const read path (IsMovePermitted) counts its cross-shard acquisitions.
-  mutable KernelStats stats_;
+  KernelStats stats_;
   // Persistence accounting for every PersistSpan the controller opens (layer "kernel").
   obs::PersistStats persist_stats_{"kernel"};
   std::unique_ptr<IntegrityVerifier> verifier_;

@@ -309,7 +309,7 @@ void KernelController::FinishWriteRelease(LibFsId libfs, Ino ino,
       quiesced = me->write_mapped.empty();
     }
     if (quiesced) {
-      ResolveOrphans(me);
+      ReclaimTransits(me);
     }
   }
 }

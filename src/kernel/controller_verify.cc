@@ -1,13 +1,17 @@
 // KernelController verification and safety: CommitFile, verify-and-reconcile on unmap,
-// report application (page/ino reconciliation, new children, renames, deletions),
+// report application (page/ino reconciliation, new children, claims, transits),
 // checkpointing, quarantine, and rollback. Part of the KernelController split; see
 // controller.cc for the TU map.
 //
 // Verification runs with NO shard lock held: the caller pins the record with
 // FileRecord::busy under its shard lock, releases the lock, verifies, then applies the
-// report under the two-phase cross-shard span. The busy pin keeps release/reclaim/grant
-// paths off the record (they wait on the shard cv), which is what the recursive mutex
-// used to paper over by letting the verifier re-enter the controller on the same thread.
+// report under an ordered span over the shards it names. The busy pin keeps
+// release/reclaim/grant paths off the record (they wait on the shard cv).
+//
+// A file's parent and dirent location come from the directory that names it: a
+// directory's verification claims the existing children it names at a slot not on record
+// and puts those it dropped in transit, and the mover's quiescence reclaims what is still
+// in transit by it (DESIGN.md §4.3).
 
 #include "src/kernel/controller.h"
 
@@ -92,7 +96,7 @@ void KernelController::SetCheckpointInputsLocked(const FileRecord& record,
     return;
   }
   if (record.is_dir) {
-    request->checkpoint_children = &checkpoint->children;
+    request->checkpoint_dir_pages = &checkpoint->dir_pages;
   } else if (checkpoint->verified) {
     request->verified_chain = &checkpoint->images;
   }
@@ -200,14 +204,14 @@ Status KernelController::VerifyAndReconcile(Ino ino) {
 }
 
 Status KernelController::ApplyReport(Ino ino, VerifyReport&& report) {
-  // Phase one of the cross-shard protocol: collect every shard the report touches —
-  // the verified file plus each named child (new, renamed in, or removed).
+  // Every shard the report touches: the verified file plus each named child (new,
+  // claimed, or removed).
   std::vector<size_t> indices{ShardIndexOf(ino)};
   for (const NewChildInfo& child : report.new_children) {
     indices.push_back(ShardIndexOf(child.ino));
   }
-  for (const MovedInChild& moved : report.moved_in) {
-    indices.push_back(ShardIndexOf(moved.ino));
+  for (const ClaimedChild& claim : report.claimed) {
+    indices.push_back(ShardIndexOf(claim.ino));
   }
   for (Ino removed : report.removed_children) {
     indices.push_back(ShardIndexOf(removed));
@@ -300,17 +304,23 @@ Status KernelController::ApplyReport(Ino ino, VerifyReport&& report) {
       }
     }
 
-    // Renames into this directory.
-    for (const MovedInChild& moved : report.moved_in) {
-      Shard& child_shard = ShardOf(moved.ino);
-      FileRecord* child = FindRecordLocked(child_shard, moved.ino);
-      if (child == nullptr) {
+    // Existing children named at a slot not on record. A claim that finds its child no
+    // longer owned or in transit by this writer lost to the reclaim of that transit.
+    for (const ClaimedChild& claim : report.claimed) {
+      FileRecord* child = FindRecordLocked(ShardOf(claim.ino), claim.ino);
+      const OwnershipTable::Entry entry = ino_table_.Get(claim.ino);
+      const bool claimable =
+          entry.state == ResourceState::kOwned ||
+          (entry.state == ResourceState::kInTransit && entry.holder == writer_id);
+      if (child == nullptr || !claimable ||
+          !ino_table_.Transition(claim.ino, entry, ResourceState::kOwned, ino)) {
         continue;
       }
+      stats_.children_claimed.fetch_add(1);
       // The co-located inode moved to a new parent data page: every holder's MMU
       // reference on the old dirent page must move with it, or the old page keeps a
       // stale justification and the new one underflows at unmap.
-      if (child->dirent_page != moved.dirent_page) {
+      if (child->dirent_page != claim.dirent_page) {
         auto move_reference = [&](LibFsId holder, PagePerm perm) {
           const std::shared_ptr<LibFsRecord> holder_record = FindLibFs(holder);
           if (holder_record == nullptr) {
@@ -319,8 +329,8 @@ Status KernelController::ApplyReport(Ino ino, VerifyReport&& report) {
           if (child->dirent_page != 0) {
             holder_record->mmu.Revoke(child->dirent_page, perm);
           }
-          if (moved.dirent_page != 0) {
-            holder_record->mmu.Grant(moved.dirent_page, perm);
+          if (claim.dirent_page != 0) {
+            holder_record->mmu.Grant(claim.dirent_page, perm);
           }
         };
         if (child->writer != kNoLibFs) {
@@ -331,26 +341,22 @@ Status KernelController::ApplyReport(Ino ino, VerifyReport&& report) {
         }
       }
       child->parent = ino;
-      child->dirent_page = moved.dirent_page;
-      child->dirent_slot = moved.dirent_slot;
-      ino_table_.Set(moved.ino, ResourceState::kOwned, ino);
-      if (writer != nullptr) {
-        std::lock_guard<std::mutex> guard(writer->mu);
-        writer->pending_orphans.erase(moved.ino);
-      }
+      child->dirent_page = claim.dirent_page;
+      child->dirent_slot = claim.dirent_slot;
     }
 
-    // Children that vanished: deleted, or renamed to a directory we have not verified
-    // yet.
+    // Children that vanished and that no other directory has claimed yet: deleted, or
+    // moved to a directory not verified since. Each waits in transit until a directory
+    // claims it or the writer quiesces; with the writer gone, nothing can claim it.
+    const OwnershipTable::Entry here{ResourceState::kOwned, ino};
     for (Ino removed : report.removed_children) {
-      if (!ino_table_.Is(removed, ResourceState::kOwned, ino)) {
-        continue;  // Already moved elsewhere or reclaimed.
-      }
-      if (writer != nullptr) {
+      if (writer == nullptr) {
+        if (ino_table_.Transition(removed, here, ResourceState::kFree, 0)) {
+          reclaim.push_back(removed);
+        }
+      } else if (ino_table_.Transition(removed, here, ResourceState::kInTransit, writer_id)) {
         std::lock_guard<std::mutex> guard(writer->mu);
-        writer->pending_orphans.insert(removed);
-      } else if (FindRecordLocked(ShardOf(removed), removed) != nullptr) {
-        reclaim.push_back(removed);
+        writer->transits.insert(removed);
       }
     }
   }  // span released
@@ -411,25 +417,24 @@ void KernelController::ReconcilePagesLocked(FileRecord* record, LibFsRecord* wri
   }
 }
 
-void KernelController::ResolveOrphans(const std::shared_ptr<LibFsRecord>& libfs) {
-  // Anything still orphaned when the writer's session quiesces was deleted, not renamed.
-  std::vector<Ino> orphans;
+void KernelController::ReclaimTransits(const std::shared_ptr<LibFsRecord>& mover) {
+  std::vector<Ino> transits;
   {
-    std::lock_guard<std::mutex> guard(libfs->mu);
-    orphans.assign(libfs->pending_orphans.begin(), libfs->pending_orphans.end());
-    libfs->pending_orphans.clear();
+    std::lock_guard<std::mutex> guard(mover->mu);
+    transits.assign(mover->transits.begin(), mover->transits.end());
+    mover->transits.clear();
   }
-  for (Ino ino : orphans) {
+  const OwnershipTable::Entry moved{ResourceState::kInTransit, mover->id};
+  for (Ino ino : transits) {
     bool reclaim = false;
     {
+      // A directory removed in transit was checked empty by I3 when it was dropped.
       const size_t si = ShardIndexOf(ino);
       ShardLock sl(shards_[si]->mu, si);
-      // Still owned with the stale parent: a deletion. Directories were checked empty by
-      // I3 at parent-verify time.
-      reclaim = FindRecordLocked(*shards_[si], ino) != nullptr &&
-                ino_table_.Get(ino).state == ResourceState::kOwned;
+      reclaim = ino_table_.Transition(ino, moved, ResourceState::kFree, 0);
     }
     if (reclaim) {
+      stats_.transits_reclaimed.fetch_add(1);
       ReclaimTree(ino);
     }
   }
@@ -525,12 +530,7 @@ Status KernelController::TakeCheckpointLocked(FileRecord* record) {
   if (record->is_dir) {
     TRIO_RETURN_IF_ERROR(
         ForEachDataPage(pool_, first, [&](uint64_t, PageNumber page) -> Status {
-          checkpoint->images.Add(pool_, page);
-          return OkStatus();
-        }));
-    TRIO_RETURN_IF_ERROR(ForEachDirent(
-        pool_, first, [&](DirentBlock* child, Ino child_ino, PageNumber, size_t) -> Status {
-          checkpoint->children.push_back(CheckpointChild{child_ino, child->IsDirectory()});
+          checkpoint->dir_pages.Add(pool_, page);
           return OkStatus();
         }));
   }
@@ -628,11 +628,13 @@ void KernelController::RollbackToCheckpointLocked(FileRecord* record) {
   }
 
   // Restore checkpointed page images where the page still belongs to this file.
-  for (size_t i = 0; i < checkpoint->images.pages.size(); ++i) {
-    const PageNumber page = checkpoint->images.pages[i];
-    if (page_table_.Is(page, ResourceState::kOwned, record->ino)) {
-      pool_.Write(pool_.PageAddress(page), checkpoint->images.contents[i].get(), kPageSize);
-      span.Persist(pool_.PageAddress(page), kPageSize);
+  for (const PageImages* kept : {&checkpoint->images, &checkpoint->dir_pages}) {
+    for (size_t i = 0; i < kept->pages.size(); ++i) {
+      const PageNumber page = kept->pages[i];
+      if (page_table_.Is(page, ResourceState::kOwned, record->ino)) {
+        pool_.Write(pool_.PageAddress(page), kept->contents[i].get(), kPageSize);
+        span.Persist(pool_.PageAddress(page), kPageSize);
+      }
     }
   }
   span.ForceFence();

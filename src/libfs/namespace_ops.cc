@@ -647,9 +647,15 @@ Status ArckFs::Commit(const std::string& path) {
     ino = slot.ino;
   }
   TRIO_RETURN_IF_ERROR(EnsureReconciled(ino));
-  // The commit frees the pages truncate unlinked, as the chain no longer references them:
-  // they leave the reuse pool first. (A truncate racing the commit can still put one back.)
-  if (NodePtr node = FindNode(ino); node != nullptr) {
+  NodePtr node = FindNode(ino);
+  if (node == nullptr) {
+    return kernel_.CommitFile(libfs_, ino);
+  }
+  // The commit frees the pages truncate unlinked, as the chain no longer references them,
+  // so they leave the reuse pool first. Truncate takes the inode lock, so holding it
+  // until the kernel's walk is done keeps one from putting a page back in between.
+  WriteGuard<BravoRwLock> inode_guard(node->inode_lock);
+  {
     std::lock_guard<SpinLock> guard(node->tails_lock);
     node->reuse_pages.clear();
   }

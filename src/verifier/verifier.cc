@@ -34,6 +34,21 @@ Status ClassifyWalkerError(const Status& status) {
   return VerifyFail(cls, "I2", status.message());
 }
 
+// I4 for an existing file: the mode, uid and gid its dirent caches match its shadow inode.
+Status CheckCachedPermission(NvmPool& pool, Ino ino, const DirentBlock& dirent) {
+  const ShadowInode* shadow = ShadowInodeOf(pool, ino);
+  if (shadow == nullptr || !shadow->Exists()) {
+    return VerifyFail(VerifyErrorClass::kMissingShadow, "I4",
+                      "no shadow inode for existing file " + std::to_string(ino));
+  }
+  if (shadow->mode != dirent.mode || shadow->uid != dirent.uid || shadow->gid != dirent.gid) {
+    return VerifyFail(VerifyErrorClass::kPermissionMismatch, "I4",
+                      "cached permission of file " + std::to_string(ino) +
+                          " differs from its shadow inode");
+  }
+  return OkStatus();
+}
+
 // The verifier's duplicate checks use scratch sized once per verification, never a hash
 // node per page or dirent.
 
@@ -342,33 +357,18 @@ Result<VerifyReport> IntegrityVerifier::VerifyRegular(const VerifyRequest& reque
                       "file size exceeds index chain capacity");
   }
 
-  // I2: the inode number itself.
+  // I2: the inode number itself. I4: an existing file's cached permission matches its
+  // shadow inode; the creator of a fresh file declares itself as owner.
   const InoState ino_state = ownership_.StateOfIno(request.ino);
-  const bool existing = ino_state.state == ResourceState::kOwned;
-  const bool fresh = ino_state.state == ResourceState::kLeased &&
-                     ino_state.lessee == request.writer;
-  if (!existing && !fresh) {
+  if (ino_state.Exists()) {
+    TRIO_RETURN_IF_ERROR(CheckCachedPermission(pool_, request.ino, dirent));
+  } else if (ino_state.state != ResourceState::kLeased ||
+             ino_state.lessee != request.writer) {
     return VerifyFail(VerifyErrorClass::kForeignInode, "I2",
                       "inode number neither existing nor leased to writer");
-  }
-
-  // I4: permissions. For an existing file the dirent's cached mode/uid/gid must match the
-  // shadow inode table; for a fresh file the creator must declare itself as owner.
-  if (existing) {
-    const ShadowInode* shadow = ShadowInodeOf(pool_, request.ino);
-    if (shadow == nullptr || !shadow->Exists()) {
-      return VerifyFail(VerifyErrorClass::kMissingShadow, "I4",
-                        "no shadow inode for existing file");
-    }
-    if (shadow->mode != dirent.mode || shadow->uid != dirent.uid || shadow->gid != dirent.gid) {
-      return VerifyFail(VerifyErrorClass::kPermissionMismatch, "I4",
-                        "cached permission differs from shadow inode");
-    }
-  } else {
-    if (dirent.uid != request.writer_uid || dirent.gid != request.writer_gid) {
-      return VerifyFail(VerifyErrorClass::kOwnershipForgery, "I4",
-                        "new file not owned by its creator");
-    }
+  } else if (dirent.uid != request.writer_uid || dirent.gid != request.writer_gid) {
+    return VerifyFail(VerifyErrorClass::kOwnershipForgery, "I4",
+                      "new file not owned by its creator");
   }
   return report;
 }
@@ -393,16 +393,8 @@ Result<VerifyReport> IntegrityVerifier::VerifyDirectory(const VerifyRequest& req
 
   // I4 for the directory itself (unless it is brand new).
   const InoState self_state = ownership_.StateOfIno(request.ino);
-  if (self_state.state == ResourceState::kOwned || request.ino == kRootIno) {
-    const ShadowInode* shadow = ShadowInodeOf(pool_, request.ino);
-    if (shadow == nullptr || !shadow->Exists()) {
-      return VerifyFail(VerifyErrorClass::kMissingShadow, "I4",
-                        "no shadow inode for existing directory");
-    }
-    if (shadow->mode != dir.mode || shadow->uid != dir.uid || shadow->gid != dir.gid) {
-      return VerifyFail(VerifyErrorClass::kPermissionMismatch, "I4",
-                        "cached directory permission differs from shadow inode");
-    }
+  if (self_state.Exists() || request.ino == kRootIno) {
+    TRIO_RETURN_IF_ERROR(CheckCachedPermission(pool_, request.ino, dir));
   } else if (self_state.state == ResourceState::kLeased &&
              self_state.lessee == request.writer) {
     if (dir.uid != request.writer_uid || dir.gid != request.writer_gid) {
@@ -420,6 +412,9 @@ Result<VerifyReport> IntegrityVerifier::VerifyDirectory(const VerifyRequest& req
   FlatScratch<std::string_view> names(
       (report.pages.size() - index_pages) * kDirentsPerPage);
   IdBitmap child_inos(SuperblockOf(pool_)->max_inodes);  // CheckDirentFields bounds inos.
+  // The checkpoint's copy of the data page being scanned, if it holds that page at the
+  // same position.
+  const DirDataPage* kept_page = nullptr;
   const DirentFn check_dirent = [&](DirentBlock* entry, Ino entry_ino, PageNumber page,
                                     size_t slot) -> Status {
     TRIO_RETURN_IF_ERROR(CheckDeadline(request));
@@ -438,41 +433,32 @@ Result<VerifyReport> IntegrityVerifier::VerifyDirectory(const VerifyRequest& req
                         "inode number referenced by two dirents");
     }
 
-    const InoState state = ownership_.StateOfIno(entry_ino);
-    if (state.state == ResourceState::kOwned) {
-      if (state.parent == request.ino) {
-        // Existing child: I4 cached-permission check.
-        const ShadowInode* shadow = ShadowInodeOf(pool_, entry_ino);
-        if (shadow == nullptr || !shadow->Exists()) {
-          return VerifyFail(VerifyErrorClass::kMissingShadow, "I4",
-                            "existing child has no shadow inode");
-        }
-        if (shadow->mode != entry->mode || shadow->uid != entry->uid ||
-            shadow->gid != entry->gid) {
-          return VerifyFail(VerifyErrorClass::kPermissionMismatch, "I4",
-                            "child cached permission differs from shadow inode");
-        }
-      } else {
-        // Owned by another directory: only legal as a rename performed by this writer.
-        if (!env_.IsMovePermitted(entry_ino, request.ino, request.writer)) {
-          return VerifyFail(VerifyErrorClass::kCrossDirectory, "I2",
-                            "child inode belongs to another directory");
-        }
-        // I4 holds for moved-in children too: a rename carries the cached
-        // permissions verbatim, so they must still match the shadow inode. Without
-        // this, a writer who legitimately holds both directories can smuggle a
-        // chmod/chown inside the rename (AttackMovedInPermissionLift).
-        const ShadowInode* shadow = ShadowInodeOf(pool_, entry_ino);
-        if (shadow == nullptr || !shadow->Exists()) {
-          return VerifyFail(VerifyErrorClass::kMissingShadow, "I4",
-                            "moved-in child has no shadow inode");
-        }
-        if (shadow->mode != entry->mode || shadow->uid != entry->uid ||
-            shadow->gid != entry->gid) {
-          return VerifyFail(VerifyErrorClass::kPermissionMismatch, "I4",
-                            "moved-in child cached permission differs from shadow");
-        }
-        report.moved_in.push_back(MovedInChild{entry_ino, state.parent, page, slot});
+    // An existing child is this directory's, or one the writer moved: out of a directory
+    // it holds, or out of one whose verification put the child in transit.
+    InoState state = ownership_.StateOfIno(entry_ino);
+    bool from_held = false;
+    if (state.state == ResourceState::kOwned && state.parent != request.ino) {
+      from_held = env_.IsWriteHeldBy(state.parent, request.writer);
+      if (!from_held) {
+        // The writer's grant on that directory may have ended since the load above, after
+        // its verification put the child in transit: read the word again.
+        state = ownership_.StateOfIno(entry_ino);
+      }
+    }
+    if (state.Exists()) {
+      const bool here = state.state == ResourceState::kOwned && state.parent == request.ino;
+      const bool moved = from_held || (state.state == ResourceState::kInTransit &&
+                                       state.mover == request.writer);
+      if (!here && !moved) {
+        return VerifyFail(VerifyErrorClass::kCrossDirectory, "I2",
+                          "child inode belongs to another directory");
+      }
+      // I4 holds for a moved child too: a rename carries the cached permissions verbatim,
+      // so a writer holding both directories cannot smuggle a chmod or chown inside one
+      // (AttackMovedInPermissionLift).
+      TRIO_RETURN_IF_ERROR(CheckCachedPermission(pool_, entry_ino, *entry));
+      if (!here || kept_page == nullptr || kept_page->slots[slot].ino != entry_ino) {
+        report.claimed.push_back(ClaimedChild{entry_ino, page, slot});
       }
     } else if (state.state == ResourceState::kLeased && state.lessee == request.writer) {
       // Fresh file created in this write session.
@@ -497,18 +483,25 @@ Result<VerifyReport> IntegrityVerifier::VerifyDirectory(const VerifyRequest& req
     }
     return OkStatus();
   };
+  const PageImages* kept = request.checkpoint_dir_pages;
   for (size_t i = index_pages; i < report.pages.size(); ++i) {
+    const size_t position = i - index_pages;
+    kept_page = kept != nullptr && position < kept->pages.size() &&
+                        kept->pages[position] == report.pages[i]
+                    ? reinterpret_cast<const DirDataPage*>(kept->contents[position].get())
+                    : nullptr;
     TRIO_RETURN_IF_ERROR(ForEachDirentInPage(pool_, report.pages[i], check_dirent));
   }
 
   // I3: diff against the checkpoint to find removed children.
-  if (request.checkpoint_children != nullptr) {
-    for (const CheckpointChild& child : *request.checkpoint_children) {
-      if (child_inos.Contains(child.ino)) {
+  for (size_t p = 0; kept != nullptr && p < kept->pages.size(); ++p) {
+    for (const DirentBlock& child :
+         reinterpret_cast<const DirDataPage*>(kept->contents[p].get())->slots) {
+      if (child.IsFree() || child_inos.Contains(child.ino)) {
         continue;
       }
       report.removed_children.push_back(child.ino);
-      if (!child.is_dir) {
+      if (!child.IsDirectory()) {
         continue;  // Removed files are resolved by the kernel (deleted or renamed away).
       }
       // "The integrity verifier then checks that the deleted child directory is not mapped

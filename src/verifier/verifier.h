@@ -61,12 +61,6 @@ struct PageImages {
   }
 };
 
-// What the kernel remembers about a directory's children at checkpoint time (I3 input).
-struct CheckpointChild {
-  Ino ino = kInvalidIno;
-  bool is_dir = false;
-};
-
 // A freshly created file discovered during directory verification.
 struct NewChildInfo {
   Ino ino = kInvalidIno;
@@ -80,11 +74,11 @@ struct NewChildInfo {
   std::string name;
 };
 
-// A file that existed at checkpoint time but whose dirent is owned by a different parent:
-// the writer renamed it into this directory.
-struct MovedInChild {
+// An existing file this directory names at a dirent slot the kernel may not have on
+// record: renamed within the directory, moved in by the writer, or back from transit. The
+// kernel makes the directory its parent and this slot its location.
+struct ClaimedChild {
   Ino ino = kInvalidIno;
-  Ino old_parent = kInvalidIno;
   PageNumber dirent_page = 0;
   size_t dirent_slot = 0;
 };
@@ -104,13 +98,14 @@ struct VerifyReport {
   PageImages chain;
   // Directories only:
   std::vector<NewChildInfo> new_children;
-  std::vector<Ino> removed_children;       // At checkpoint, now gone (deleted or moved out).
-  std::vector<MovedInChild> moved_in;      // Renamed into this directory.
+  std::vector<Ino> removed_children;  // At checkpoint, now gone (deleted or moved out).
+  std::vector<ClaimedChild> claimed;  // Existing children at a slot not on record.
   uint64_t live_dirents = 0;
 };
 
-// Kernel-side answers the verifier needs for I3 and rename classification. Implemented by
-// the kernel controller; the verifier treats it as an oracle over trusted state.
+// Kernel-side answers the verifier needs for I3, moved-in children and tier entries.
+// Implemented by the kernel controller; the verifier treats it as an oracle over trusted
+// state.
 class VerifyEnv {
  public:
   virtual ~VerifyEnv() = default;
@@ -118,12 +113,11 @@ class VerifyEnv {
   // everywhere and contain no live dirents. The kernel knows the child's last reconciled
   // index chain and current grants, so it performs both checks and returns kCorrupted on
   // violation. (A cross-directory rename of a non-empty directory therefore fails — a
-  // documented ArckFS restriction; files rename fine, see moved_in.)
+  // documented ArckFS restriction; files rename fine, see ClaimedChild.)
   virtual Status CheckRemovedChildDir(Ino child, LibFsId writer) const = 0;
-  // May `writer` have moved `child` (currently owned with a different parent) into
-  // `new_parent`? True iff the old parent directory is write-held by the same writer or the
-  // child is pending reconciliation from an earlier unmap in this writer's session.
-  virtual bool IsMovePermitted(Ino child, Ino new_parent, LibFsId writer) const = 0;
+  // Does `writer` hold the write grant on directory `dir`? A child another directory owns
+  // may move into the one verified only from a directory its writer holds.
+  virtual bool IsWriteHeldBy(Ino dir, LibFsId writer) const = 0;
   // Is `slot` a backend-tier slot legitimately owned by `ino`? Only the kernel's own
   // digestion service mints tier entries, so the default — no backend configured — rejects
   // every tier entry outright: a forged digested-page mapping is corruption by
@@ -142,8 +136,12 @@ struct VerifyRequest {
   LibFsId writer = kNoLibFs;
   uint32_t writer_uid = 0;
   uint32_t writer_gid = 0;
-  // Children of the directory at checkpoint time; empty for regular files or fresh files.
-  const std::vector<CheckpointChild>* checkpoint_children = nullptr;
+  // The directory's data pages as the checkpoint copied them, in chain order: its
+  // children at the grant, each in the slot the kernel has on record. A child this
+  // directory owns that the copy at the same position holds in the same slot stays put;
+  // any other owned child is claimed, and each child of the copies that no live dirent
+  // names was removed (I3).
+  const PageImages* checkpoint_dir_pages = nullptr;
   // A regular file's chain as an earlier passing verification checked it (its report's
   // `chain`), if every page it references has belonged to the file since. A chain equal
   // to it byte for byte, head included, references the same pages and slots, so I2 holds

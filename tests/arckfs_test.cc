@@ -51,12 +51,80 @@ class ArckFsTest : public ::testing::Test {
     return out;
   }
 
-  void WriteFile(const std::string& path, const std::string& data) {
-    Result<Fd> fd = fs_->Open(path, OpenFlags::CreateTrunc());
+  void WriteFile(const std::string& path, const std::string& data, ArckFs* fs = nullptr) {
+    fs = fs != nullptr ? fs : fs_.get();
+    Result<Fd> fd = fs->Open(path, OpenFlags::CreateTrunc());
     TRIO_CHECK(fd.ok()) << fd.status().ToString();
-    Result<size_t> n = fs_->Pwrite(*fd, data.data(), data.size(), 0);
+    Result<size_t> n = fs->Pwrite(*fd, data.data(), data.size(), 0);
     TRIO_CHECK(n.ok()) << n.status().ToString();
-    TRIO_CHECK_OK(fs_->Close(*fd));
+    TRIO_CHECK_OK(fs->Close(*fd));
+  }
+
+  // What a LibFS registered now reads from `path`, or the error that stopped it.
+  std::string ReadFresh(const std::string& path) {
+    ArckFs fresh(*kernel_);
+    Result<Fd> fd = fresh.Open(path, OpenFlags::ReadOnly());
+    if (!fd.ok()) {
+      return fd.status().ToString();
+    }
+    Result<StatInfo> info = fresh.Stat(path);
+    std::string out(info.ok() ? info->size : 0, '\0');
+    Result<size_t> n = fresh.Pread(*fd, out.data(), out.size(), 0);
+    (void)fresh.Close(*fd);
+    if (!n.ok()) {
+      return n.status().ToString();
+    }
+    out.resize(*n);
+    return out;
+  }
+
+  // Another LibFS extends `path`, which holds `original`, to three pages and releases it.
+  // No verification may have failed and nothing may be quarantined, and a fresh LibFS
+  // reads the three pages: the kernel found the file at the slot its directory names.
+  void ExpectAnotherLibFsExtends(const std::string& path, const std::string& original) {
+    const std::string tail(3 * kPageSize - original.size(), 'e');
+    {
+      ArckFs extender(*kernel_);
+      Result<Fd> fd = extender.Open(path, OpenFlags::ReadWrite());
+      ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+      Result<size_t> n = extender.Pwrite(*fd, tail.data(), tail.size(), original.size());
+      ASSERT_TRUE(n.ok()) << n.status().ToString();
+      ASSERT_TRUE(extender.Close(*fd).ok());
+      ASSERT_TRUE(extender.ReleaseFile(path).ok());
+    }
+    EXPECT_EQ(kernel_->stats().verify_failures.load(), 0u);
+    EXPECT_EQ(kernel_->QuarantineCount(), 0u);
+    const std::string read = ReadFresh(path);
+    EXPECT_EQ(read.size(), 3 * kPageSize) << read.substr(0, 80);
+    EXPECT_TRUE(read == original + tail);
+  }
+
+  // Creates /a/f holding "data" and an empty /b, and hands all three to the kernel.
+  void MakeSourceAndTarget() {
+    ASSERT_TRUE(fs_->Mkdir("/a").ok());
+    ASSERT_TRUE(fs_->Mkdir("/b").ok());
+    WriteFile("/a/f", "data");
+    ASSERT_TRUE(fs_->ReleaseFile("/a/f").ok());
+    ASSERT_TRUE(fs_->ReleaseFile("/a").ok());
+    ASSERT_TRUE(fs_->ReleaseFile("/b").ok());
+  }
+
+  // /a is verified without f when another LibFS creates /a/g, and f then moves back into a
+  // new slot of /a (g took the one it left), after the other LibFS released /a or while
+  // it still holds it.
+  void MoveBackAfterAnotherTenantCreatesInSource(bool release_source) {
+    MakeSourceAndTarget();
+    ArckFs other(*kernel_);
+    ASSERT_TRUE(fs_->Rename("/a/f", "/b/f").ok());
+    WriteFile("/a/g", "gg", &other);
+    if (release_source) {
+      ASSERT_TRUE(other.ReleaseFile("/a").ok());
+    }
+    ASSERT_TRUE(fs_->Rename("/b/f", "/a/f").ok());
+    ASSERT_TRUE(fs_->ReleaseFile("/a").ok());
+    ASSERT_TRUE(fs_->ReleaseFile("/b").ok());
+    ExpectAnotherLibFsExtends("/a/f", "data");
+    EXPECT_EQ(ReadFresh("/a/g"), "gg");
   }
 
   NvmPool pool_;
@@ -1068,6 +1136,70 @@ TEST_F(ArckFsTest, ReclaimRevokesEveryHoldersPagesOfTheDeletedFile) {
   }
 }
 
+// ---- A file's parent and dirent slot come from the directory that names it ----
+// In each test this LibFS moves a file and another LibFS then extends it (see
+// ExpectAnotherLibFsExtends).
+
+// A rename within one directory puts the dirent in a new slot.
+TEST_F(ArckFsTest, ARenameWithinADirectoryMovesTheFileToItsNewSlot) {
+  ASSERT_TRUE(fs_->Mkdir("/d").ok());
+  WriteFile("/d/x", "data");
+  ASSERT_TRUE(fs_->ReleaseFile("/d/x").ok());
+  ASSERT_TRUE(fs_->ReleaseFile("/d").ok());
+  ASSERT_TRUE(fs_->Rename("/d/x", "/d/y").ok());
+  ASSERT_TRUE(fs_->ReleaseFile("/d").ok());
+  ExpectAnotherLibFsExtends("/d/y", "data");
+}
+
+TEST_F(ArckFsTest, AFileMovedBackAfterAnotherTenantReleasedTheSourceKeepsItsSlot) {
+  MoveBackAfterAnotherTenantCreatesInSource(/*release_source=*/true);
+}
+
+TEST_F(ArckFsTest, AFileMovedBackWhileAnotherTenantHoldsTheSourceKeepsItsSlot) {
+  MoveBackAfterAnotherTenantCreatesInSource(/*release_source=*/false);
+}
+
+// A write grant that changes nothing verifies /a without f; f then returns to the very
+// slot it left. Its mover holds no write grant afterwards, and f must not be reclaimed.
+TEST_F(ArckFsTest, AFileMovedBackIntoTheSlotItLeftIsNotReclaimed) {
+  MakeSourceAndTarget();
+  ASSERT_TRUE(fs_->Rename("/a/f", "/b/f").ok());
+  Result<StatInfo> a = fs_->Stat("/a");
+  ASSERT_TRUE(a.ok());
+  const LibFsId other = kernel_->RegisterLibFs(LibFsOptions{});
+  ASSERT_TRUE(kernel_->MapFile(other, a->ino, /*write=*/true).ok());
+  ASSERT_TRUE(kernel_->UnmapFile(other, a->ino).ok());
+  kernel_->UnregisterLibFs(other);
+  ASSERT_TRUE(fs_->Rename("/b/f", "/a/f").ok());
+  ASSERT_TRUE(fs_->ReleaseFile("/a").ok());
+  ASSERT_TRUE(fs_->ReleaseFile("/b").ok());
+  ExpectAnotherLibFsExtends("/a/f", "data");
+}
+
+// Out and back before either directory is verified; a file created in between takes the
+// slot f left, so f comes back to a new one.
+TEST_F(ArckFsTest, TwoMovesBeforeEitherDirectoryIsVerifiedLeaveTheFileAtItsNewSlot) {
+  MakeSourceAndTarget();
+  ASSERT_TRUE(fs_->Rename("/a/f", "/b/f").ok());
+  WriteFile("/a/filler", "x");
+  ASSERT_TRUE(fs_->Rename("/b/f", "/a/f").ok());
+  ASSERT_TRUE(fs_->ReleaseFile("/a").ok());
+  ASSERT_TRUE(fs_->ReleaseFile("/b").ok());
+  ExpectAnotherLibFsExtends("/a/f", "data");
+  EXPECT_EQ(ReadFresh("/a/filler"), "x");
+}
+
+// Out and back across two write sessions of both directories.
+TEST_F(ArckFsTest, AFileMovedOutAndBackAcrossTwoWriteSessionsKeepsItsSlot) {
+  MakeSourceAndTarget();
+  for (const auto& [from, to] : {std::pair{"/a/f", "/b/f"}, std::pair{"/b/f", "/a/f"}}) {
+    ASSERT_TRUE(fs_->Rename(from, to).ok());
+    ASSERT_TRUE(fs_->ReleaseFile("/a").ok());
+    ASSERT_TRUE(fs_->ReleaseFile("/b").ok());
+  }
+  ExpectAnotherLibFsExtends("/a/f", "data");
+}
+
 TEST_F(ArckFsTest, TrustGroupSharesOneLibFsWithoutVerification) {
   // Two "processes" in one trust group = two threads on one ArckFs (§3.2).
   WriteFile("/tg", "x");
@@ -1112,6 +1244,40 @@ TEST_F(ArckFsTest, ExtendingAfterACommitOfATruncateUsesPagesTheFileOwns) {
   ASSERT_TRUE(fs_->ReleaseFile("/t").ok());
   EXPECT_EQ(kernel_->stats().verify_failures.load(), 0u);
   EXPECT_EQ(ReadAll("/t"), std::string(2 * kPageSize, 'p'));
+}
+
+// One thread commits /f while another truncates it to one page and writes a page past the
+// end, which takes the truncated page back out of the reuse pool. A commit must not free
+// a page the truncate puts in the pool after the commit drained it.
+TEST_F(ArckFsTest, ACommitRacingATruncateFreesNoPageTheFileLinksAgain) {
+  const std::string page(kPageSize, 'p');
+  Result<Fd> fd = fs_->Open("/f", OpenFlags::CreateTrunc());
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(fs_->Pwrite(*fd, page.data(), page.size(), 0).ok());
+  ASSERT_TRUE(fs_->Commit("/f").ok());
+  std::atomic<bool> done{false};
+  std::atomic<int> failed_commits{0};
+  std::thread committer([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      if (!fs_->Commit("/f").ok()) {
+        failed_commits.fetch_add(1);
+      }
+    }
+  });
+  int failed_ops = 0;
+  for (int round = 0; round < 20000 && failed_ops == 0; ++round) {
+    failed_ops += !fs_->Ftruncate(*fd, kPageSize).ok();
+    failed_ops += !fs_->Pwrite(*fd, page.data(), page.size(), kPageSize).ok();
+  }
+  done.store(true, std::memory_order_relaxed);
+  committer.join();
+  EXPECT_EQ(failed_ops, 0);
+  EXPECT_EQ(failed_commits.load(), 0);
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+  ASSERT_TRUE(fs_->ReleaseFile("/f").ok());
+  EXPECT_EQ(kernel_->stats().verify_failures.load(), 0u);
+  EXPECT_EQ(kernel_->QuarantineCount(), 0u);
+  EXPECT_TRUE(ReadAll("/f") == page + page);
 }
 
 TEST_F(ArckFsTest, CommitRefreshesCheckpoint) {

@@ -151,13 +151,19 @@ TEST_F(FleetTest, ConcurrentCrossShardRenamesConverge) {
   EXPECT_EQ(failures.load(), 0);
 
   // A fresh observer forces reconciliation of both directories: every file must be
-  // found in exactly one of them (kRounds even => back in /a).
+  // found in exactly one of them (kRounds even => back in /a). A failure prints the
+  // kernel's rare decisions along with it.
   ArckFs observer(*kernel_, fs_config);
+  const KernelStats& stats = kernel_->stats();
   for (int t = 0; t < kTenants; ++t) {
     const std::string name = "/f" + std::to_string(t);
     const bool in_a = observer.Stat("/a" + name).ok();
     const bool in_b = observer.Stat("/b" + name).ok();
-    EXPECT_TRUE(in_a != in_b) << name << " in_a=" << in_a << " in_b=" << in_b;
+    EXPECT_TRUE(in_a != in_b) << name << " in_a=" << in_a << " in_b=" << in_b
+                              << " children_claimed=" << stats.children_claimed.load()
+                              << " transits_reclaimed=" << stats.transits_reclaimed.load()
+                              << " verify_failures=" << stats.verify_failures.load()
+                              << " files_quarantined=" << stats.files_quarantined.load();
   }
 }
 

@@ -144,7 +144,8 @@ TEST(StatRegistryTest, KeysUnchanged) {
       "delegation.persists", "delegation.steals", "delegation.submitted",
       "delegation.wakeups",
       "kernel.bytes_persisted", "kernel.callback_runs", "kernel.callback_timeouts",
-      "kernel.callback_wait_ns", "kernel.checkpoint_ns", "kernel.coalesced_fences",
+      "kernel.callback_wait_ns", "kernel.checkpoint_ns", "kernel.children_claimed",
+      "kernel.coalesced_fences",
       "kernel.commit_stores", "kernel.corruptions_fixed_by_libfs",
       "kernel.corruptions_rolled_back", "kernel.cross_shard_acquires",
       "kernel.deferred_fences", "kernel.epoch_fences", "kernel.fences",
@@ -152,7 +153,8 @@ TEST(StatRegistryTest, KeysUnchanged) {
       "kernel.pages_allocated", "kernel.pages_freed", "kernel.persists",
       "kernel.quarantine_evictions", "kernel.readers_dropped", "kernel.revocations",
       "kernel.shard_lock_contended",
-      "kernel.syscall_latency", "kernel.syscalls", "kernel.unmap_ns", "kernel.unmaps",
+      "kernel.syscall_latency", "kernel.syscalls", "kernel.transits_reclaimed",
+      "kernel.unmap_ns", "kernel.unmaps",
       "kernel.verifications", "kernel.verify_failures", "kernel.verify_ns",
       "kernel.verify_timeouts",
       "libfs.bytes_persisted", "libfs.coalesced_fences", "libfs.commit_stores",

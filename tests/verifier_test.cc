@@ -1,10 +1,11 @@
 // Direct unit tests of the integrity verifier against hand-built core state and mock
 // ownership tables — exercising each I1-I4 clause in isolation, plus the
-// new-child/moved-in/removed-child classification logic the kernel relies on.
+// new/claimed/removed child classification the kernel relies on.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -41,11 +42,16 @@ class FakeOwnership : public OwnershipView {
   void LeaseIno(Ino ino, LibFsId libfs) {
     inos_[ino] = InoState{ResourceState::kLeased, libfs, kInvalidIno};
   }
+  void TransitIno(Ino ino, LibFsId mover) {
+    inos_[ino] = InoState{ResourceState::kInTransit, kNoLibFs, kInvalidIno, mover};
+  }
 
  private:
   std::unordered_map<PageNumber, PageState> pages_;
   std::unordered_map<Ino, InoState> inos_;
 };
+
+constexpr LibFsId kWriter = 7;
 
 class FakeEnv : public VerifyEnv {
  public:
@@ -55,15 +61,17 @@ class FakeEnv : public VerifyEnv {
     }
     return OkStatus();
   }
-  bool IsMovePermitted(Ino child, Ino new_parent, LibFsId writer) const override {
-    return moves_permitted_;
+  bool IsWriteHeldBy(Ino dir, LibFsId writer) const override {
+    if (on_held_query_) {
+      on_held_query_();
+    }
+    return writer == kWriter && held_dirs_.count(dir) != 0;
   }
 
   std::unordered_set<Ino> corrupt_removed_;
-  bool moves_permitted_ = false;
+  std::unordered_set<Ino> held_dirs_;  // Directories the writer holds.
+  std::function<void()> on_held_query_;  // Runs first in IsWriteHeldBy, as a racing thread.
 };
-
-constexpr LibFsId kWriter = 7;
 
 class VerifierTest : public ::testing::Test {
  protected:
@@ -213,6 +221,25 @@ TEST_F(VerifierTest, ExistingFilePermissionCacheMismatchFails) {
 
   d->mode = kModeRegular | 0777;  // Attacker edits the cached copy.
   EXPECT_TRUE(verifier_->Verify(RequestFor(42, d)).status().Is(ErrorCode::kCorrupted));
+}
+
+// A file whose directory dropped it is still an existing file: its own verification checks
+// it as one, I4 included.
+TEST_F(VerifierTest, TransitInoPassesAsAnExistingRegularFile) {
+  ownership_.TransitIno(42, /*mover=*/kWriter + 1);
+  DirentBlock* d = BuildRegularFile(42, 100, 1);
+  ownership_.OwnPage(d->first_index_page, 42);
+  ownership_.OwnPage(reinterpret_cast<IndexPage*>(pool_.PageAddress(d->first_index_page))
+                         ->entries[0],
+                     42);
+  ShadowInode truth{kModeRegular | 0644, 1, 1, 1};
+  pool_.Write(ShadowInodeOf(pool_, 42), &truth, sizeof(truth));
+  Result<VerifyReport> report = verifier_->Verify(RequestFor(42, d));
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+
+  d->mode = kModeRegular | 0777;
+  EXPECT_EQ(VerifyError::FromStatus(verifier_->Verify(RequestFor(42, d)).status()).cls,
+            VerifyErrorClass::kPermissionMismatch);
 }
 
 TEST_F(VerifierTest, DirentInoMismatchFails) {
@@ -388,6 +415,23 @@ class VerifierDirTest : public VerifierTest {
     return &data->slots[i % kDirentsPerPage];
   }
 
+  // A checkpoint copy of the directory's first data page that also names `removed` (ino,
+  // and whether it is a directory) in the slots after its `live` children: children the
+  // grant saw that the directory no longer names.
+  PageImages KeepWithRemoved(int live, const std::vector<std::pair<Ino, bool>>& removed) {
+    PageImages kept;
+    kept.Add(pool_, dir_data_page_);
+    auto* copy = reinterpret_cast<DirDataPage*>(kept.contents.back().get());
+    for (size_t i = 0; i < removed.size(); ++i) {
+      DirentBlock& child = copy->slots[live + i];
+      child = copy->slots[0];
+      child.ino = removed[i].first;
+      child.mode = (removed[i].second ? kModeDirectory : kModeRegular) | 0600;
+      child.SetName("gone" + std::to_string(i));
+    }
+    return kept;
+  }
+
   PageNumber dir_dirent_page_ = 0;
   PageNumber dir_data_page_ = 0;
 };
@@ -417,10 +461,10 @@ TEST_F(VerifierDirTest, TwoDirentsSameInoFail) {
 
 TEST_F(VerifierDirTest, RemovedChildDiffedAgainstCheckpoint) {
   DirentBlock* d = BuildDirectory(50, 2);
-  std::vector<CheckpointChild> checkpoint = {{100, false}, {101, false}, {180, false}};
+  const PageImages kept = KeepWithRemoved(2, {{180, false}});
   ownership_.OwnIno(180, 50);  // Was a child; now gone from the dirents.
   VerifyRequest request = RequestFor(50, d);
-  request.checkpoint_children = &checkpoint;
+  request.checkpoint_dir_pages = &kept;
   Result<VerifyReport> report = verifier_->Verify(request);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_EQ(report->removed_children.size(), 1u);
@@ -429,11 +473,11 @@ TEST_F(VerifierDirTest, RemovedChildDiffedAgainstCheckpoint) {
 
 TEST_F(VerifierDirTest, RemovedChildDirCheckedViaEnv) {
   DirentBlock* d = BuildDirectory(50, 1);
-  std::vector<CheckpointChild> checkpoint = {{100, false}, {180, true}};
+  const PageImages kept = KeepWithRemoved(1, {{180, true}});
   ownership_.OwnIno(180, 50);
   env_.corrupt_removed_.insert(180);  // Kernel says: still mapped / not empty.
   VerifyRequest request = RequestFor(50, d);
-  request.checkpoint_children = &checkpoint;
+  request.checkpoint_dir_pages = &kept;
   EXPECT_TRUE(verifier_->Verify(request).status().Is(ErrorCode::kCorrupted));
 }
 
@@ -444,15 +488,93 @@ TEST_F(VerifierDirTest, MovedInChildNeedsPermission) {
   ShadowInode truth{kModeRegular | 0600, 1, 1, 1};
   pool_.Write(ShadowInodeOf(pool_, 100), &truth, sizeof(truth));
 
-  env_.moves_permitted_ = false;
-  EXPECT_TRUE(verifier_->Verify(RequestFor(50, d)).status().Is(ErrorCode::kCorrupted));
+  EXPECT_EQ(VerifyError::FromStatus(verifier_->Verify(RequestFor(50, d)).status()).cls,
+            VerifyErrorClass::kCrossDirectory);
 
-  env_.moves_permitted_ = true;
+  env_.held_dirs_.insert(77);  // The writer holds the old parent: a move it made.
   Result<VerifyReport> report = verifier_->Verify(RequestFor(50, d));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_EQ(report->moved_in.size(), 1u);
-  EXPECT_EQ(report->moved_in[0].ino, 100u);
-  EXPECT_EQ(report->moved_in[0].old_parent, 77u);
+  ASSERT_EQ(report->claimed.size(), 1u);
+  EXPECT_EQ(report->claimed[0].ino, 100u);
+  EXPECT_EQ(report->claimed[0].dirent_page, dir_data_page_);
+  EXPECT_EQ(report->claimed[0].dirent_slot, 0u);
+}
+
+// Children the directory owns: one the checkpoint's copy holds in the same slot is on
+// record; one that moved to another slot, or sits in a page the copy does not hold at that
+// position, is claimed.
+TEST_F(VerifierDirTest, AChildOwnedHereAtAChangedSlotIsClaimed) {
+  DirentBlock* d = BuildDirectory(50, 2);
+  for (Ino child : {100, 101}) {
+    ownership_.OwnIno(child, 50);
+    ShadowInode truth{kModeRegular | 0600, 1, 1, 1};
+    pool_.Write(ShadowInodeOf(pool_, child), &truth, sizeof(truth));
+  }
+  PageImages kept;
+  kept.Add(pool_, dir_data_page_);
+  VerifyRequest request = RequestFor(50, d);
+  request.checkpoint_dir_pages = &kept;
+  Result<VerifyReport> report = verifier_->Verify(request);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->claimed.empty());
+
+  // Rename c1 into slot 5, as a same-directory rename to a fresh slot does.
+  *ChildAt(d, 5) = *ChildAt(d, 1);
+  std::memset(ChildAt(d, 1), 0, sizeof(DirentBlock));
+  report = verifier_->Verify(request);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->claimed.size(), 1u);
+  EXPECT_EQ(report->claimed[0].ino, 101u);
+  EXPECT_EQ(report->claimed[0].dirent_page, dir_data_page_);
+  EXPECT_EQ(report->claimed[0].dirent_slot, 5u);
+
+  kept.pages[0] = dir_data_page_ + 1;  // The copy is of another page.
+  report = verifier_->Verify(request);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->claimed.size(), 2u);
+}
+
+// A child in transit is the mover's to claim: any other writer's directory naming it fails.
+TEST_F(VerifierDirTest, ATransitChildOfAnotherMoverFailsCrossDirectory) {
+  DirentBlock* d = BuildDirectory(50, 1);
+  ShadowInode truth{kModeRegular | 0600, 1, 1, 1};
+  pool_.Write(ShadowInodeOf(pool_, 100), &truth, sizeof(truth));
+
+  ownership_.TransitIno(100, /*mover=*/kWriter + 1);
+  EXPECT_EQ(VerifyError::FromStatus(verifier_->Verify(RequestFor(50, d)).status()).cls,
+            VerifyErrorClass::kCrossDirectory);
+
+  ownership_.TransitIno(100, kWriter);
+  Result<VerifyReport> report = verifier_->Verify(RequestFor(50, d));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->claimed.size(), 1u);
+  EXPECT_EQ(report->claimed[0].ino, 100u);
+}
+
+// The old parent's verification puts the child in transit and the writer's grant on it
+// ends between the verifier's load of the child's word and its question about that
+// parent: the child is still the writer's to claim.
+TEST_F(VerifierDirTest, AChildPutInTransitWhileItsOldParentIsAskedAboutIsClaimed) {
+  DirentBlock* d = BuildDirectory(50, 1);
+  ownership_.OwnIno(100, /*parent=*/77);
+  ShadowInode truth{kModeRegular | 0600, 1, 1, 1};
+  pool_.Write(ShadowInodeOf(pool_, 100), &truth, sizeof(truth));
+  env_.on_held_query_ = [&] { ownership_.TransitIno(100, kWriter); };
+  Result<VerifyReport> report = verifier_->Verify(RequestFor(50, d));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->claimed.size(), 1u);
+  EXPECT_EQ(report->claimed[0].ino, 100u);
+}
+
+TEST_F(VerifierDirTest, TransitInoPassesAsAnExistingDirectory) {
+  DirentBlock* d = BuildDirectory(50, 1);
+  ownership_.TransitIno(50, /*mover=*/kWriter + 1);
+  Result<VerifyReport> report = verifier_->Verify(RequestFor(50, d));
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+
+  d->uid = 2;
+  EXPECT_EQ(VerifyError::FromStatus(verifier_->Verify(RequestFor(50, d)).status()).cls,
+            VerifyErrorClass::kPermissionMismatch);
 }
 
 TEST_F(VerifierDirTest, DirectoryWithNonzeroSizeFails) {
@@ -464,13 +586,12 @@ TEST_F(VerifierDirTest, DirectoryWithNonzeroSizeFails) {
 TEST_F(VerifierDirTest, CheckpointDiffListsEveryRemovedChild) {
   DirentBlock* d = BuildDirectory(50, 3);
   // Three of the six checkpointed children are gone, one of them a directory.
-  std::vector<CheckpointChild> checkpoint = {{100, false}, {180, false}, {101, false},
-                                             {181, true},  {182, false}, {102, false}};
+  const PageImages kept = KeepWithRemoved(3, {{180, false}, {181, true}, {182, false}});
   for (Ino gone : {180, 181, 182}) {
     ownership_.OwnIno(gone, 50);
   }
   VerifyRequest request = RequestFor(50, d);
-  request.checkpoint_children = &checkpoint;
+  request.checkpoint_dir_pages = &kept;
   Result<VerifyReport> report = verifier_->Verify(request);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->removed_children, (std::vector<Ino>{180, 181, 182}));
